@@ -16,6 +16,7 @@ from .splines import (
     basis,
     basis_k0,
     basis_matrix,
+    basis_window,
     coeff_second_difference_penalty,
     init_shift,
     make_uniform_grid,

@@ -131,13 +131,18 @@ def _thread_count() -> int:
 
 
 def _make_evaluator(f, lo: float, hi: float):
-    """Wrap f so it maps an ndarray of points to an ndarray of values."""
+    """Wrap f so it maps an ndarray of points to an ndarray of values.
+
+    A scalar-only callable raises TypeError or ValueError on the array
+    probe and is then evaluated point by point; any other error is the
+    callable's own failure and propagates.
+    """
     probe = np.array([lo, 0.5 * (lo + hi)])
     try:
         out = np.asarray(f(probe), dtype=float)
         if out.shape == probe.shape:
             return lambda pts: np.asarray(f(pts), dtype=float)
-    except Exception:
+    except (TypeError, ValueError):
         pass
     return lambda pts: np.array([float(f(p)) for p in pts])
 

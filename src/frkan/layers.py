@@ -31,6 +31,7 @@ from .splines import (
     basis_window_on_tape,
     init_shift,
     make_uniform_grid,
+    spline_values,
 )
 
 CHECKPOINT_SCHEMA = 1
@@ -159,11 +160,12 @@ class KANLayer:
                 for i in range(self.d_in) for o in range(self.d_out)]
 
     def forward_batch(self, X):
-        knots = self.kv.effective_knots()
-        N = X.shape[0]
-        B = basis_matrix(X.ravel(order="F"), knots, self.kv.K)
-        B = B.reshape(self.d_in, N, self.kv.n_bases)  # (i, n, b)
-        out = np.einsum("inb,iob->no", B, self.coefficients * self.A_b[:, :, None])
+        # Every edge leaving input i shares its basis row, so the dense basis
+        # of all inputs, laid out (n, i*b), meets all edges in one matmul.
+        B = basis_matrix(X.ravel(), self.kv.effective_knots(), self.kv.K)
+        B = B.reshape(X.shape[0], self.d_in * self.kv.n_bases)
+        M = (self.coefficients * self.A_b[:, :, None]).transpose(0, 2, 1)  # (i, b, o)
+        out = B @ M.reshape(-1, self.d_out)
         if self.silu_path:
             out = out + _silu(X) @ self.A_s
         return out
@@ -251,14 +253,11 @@ class FRKANLayer:
         return [bind["coefficients"][g] for g in range(self.h)]
 
     def forward_batch(self, X):
-        N = X.shape[0]
         pre = np.empty_like(X, dtype=float)
         for g in range(self.h):
             cols = [i for i in range(self.d_in) if self.group_of(i) == g]
             knots = self.group_kv(g).effective_knots()
-            B = basis_matrix(X[:, cols].ravel(order="F"), knots, self.K)
-            s = (B @ self.coefficients[g]).reshape(len(cols), N).T
-            pre[:, cols] = s
+            pre[:, cols] = spline_values(X[:, cols], knots, self.K, self.coefficients[g])
         if self.silu_path:
             pre = pre + _silu(X)
         return pre @ self.A
@@ -588,9 +587,13 @@ def _decode_array(obj, name: str) -> np.ndarray:
     try:
         shape = tuple(obj["shape"])
         data = np.array([float(s) for s in obj["data"]], dtype=float)
-        return data.reshape(shape)
+        data = data.reshape(shape)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpoint(f"bad array field {name!r}: {exc}") from None
+    if not np.all(np.isfinite(data)):
+        raise CorruptCheckpoint(f"bad array field {name!r}: non-finite value "
+                                f"{data[~np.isfinite(data)][0]!r}")
+    return data
 
 
 def save_checkpoint(net: Network, path: str):

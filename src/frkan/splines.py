@@ -11,6 +11,14 @@ unity keeps holding on all of [a, b] no matter how the shifts train.
 The shifted points are sorted together with the (fixed) extension points
 and consecutive gaps are clamped to a minimum, so effective knots are
 always strictly increasing.
+
+Basis evaluation: ``basis_window`` is the one array kernel.  It finds each
+input's knot span and evaluates only the K+1 bases that can be nonzero
+there (de Boor's local recursion, with the Cox-de Boor formulas and
+guards, so values are bit-identical to the full recursion).
+``spline_values`` contracts a window with its K+1 coefficients, and
+``basis_matrix`` is the window scattered into the dense (N, G+K) array,
+for callers that share one basis row across many coefficient sets.
 """
 
 from __future__ import annotations
@@ -185,19 +193,77 @@ def basis(x: float, knots, j: int, k: int) -> float:
     return v
 
 
-def basis_matrix(x: np.ndarray, knots: np.ndarray, K: int) -> np.ndarray:
-    """All order-K basis values at once: shape (len(x), len(knots)-K-1)."""
-    x = np.asarray(x, dtype=float)[:, None]
+def basis_window(x: np.ndarray, knots: np.ndarray, K: int):
+    """The K+1 possibly-nonzero order-K bases at each x (de Boor's local recursion).
+
+    Returns ``(m, W)``: ``m[n]`` is the span index with
+    ``knots[m] <= x[n] < knots[m+1]``, or -1 when no half-open span holds
+    x[n]; ``W[n, r]`` is basis ``m[n] - K + r``.  Window entries naming no
+    basis (index below 0 or above len(knots)-K-2) are 0, rows outside the
+    span are 0, and rows with non-finite x are NaN so bad inputs keep
+    propagating.  Each value is computed with the same operations, in the
+    same order and with the same ``DIVIDING_FLOOR`` guards as the Cox-de
+    Boor recursion over all bases, so it is bit-identical to it.
+    """
+    x = np.asarray(x, dtype=float).ravel()
     t = np.asarray(knots, dtype=float)
-    B = ((x >= t[:-1]) & (x < t[1:])).astype(float)
+    n_bases = t.size - K - 1
+    m = np.searchsorted(t, x, side="right") - 1
+    inside = (m >= 0) & (m < t.size - 1)
+    m = np.where(inside, m, -1)
+    # Knots padded with K edge copies per side: padded index p = j + K, so
+    # every window index is in bounds.  Padded knots only reach window
+    # slots that name no basis, which are zeroed at the end.
+    tp = np.pad(t, K, mode="edge")
+    base = np.maximum(m, 0)
+    xs = np.where(inside, x, t[0])
+    # Window knot p is tp[base + p], and x lies in [knot K, knot K+1):
+    # left[p] = x - knot p for p <= K, right[q] = knot K+1+q - x.
+    left = [xs - tp[p:].take(base) for p in range(K + 1)]
+    right = [tp[p:].take(base) - xs for p in range(K + 1, 2 * K + 2)]
+    W = [np.ones(x.size)]
     for k in range(1, K + 1):
-        d1 = t[k:-1] - t[:-k - 1]
-        d2 = t[k + 1:] - t[1:-k]
-        ok1 = np.abs(d1) > DIVIDING_FLOOR
-        ok2 = np.abs(d2) > DIVIDING_FLOOR
-        w1 = np.where(ok1, (x - t[:-k - 1]) / np.where(ok1, d1, 1.0), 0.0)
-        w2 = np.where(ok2, (t[k + 1:] - x) / np.where(ok2, d2, 1.0), 0.0)
-        B = w1 * B[:, :-1] + w2 * B[:, 1:]
+        # A denominator within DIVIDING_FLOOR of 0 becomes inf, so its
+        # weight is +0 as in the full recursion: numerators are >= 0.
+        d1 = tp[k:] - tp[:-k]
+        d2 = tp[k + 1:] - tp[1:-k]
+        d1 = np.where(np.abs(d1) > DIVIDING_FLOOR, d1, np.inf)
+        d2 = np.where(np.abs(d2) > DIVIDING_FLOOR, d2, np.inf)
+        nxt = []
+        for r in range(k + 1):
+            p = K - k + r   # padded index of basis m - k + r, relative to base
+            v = None
+            if r > 0:
+                v = left[p] / d1[p:].take(base) * W[r - 1]
+            if r < k:
+                w2 = right[r] / d2[p:].take(base) * W[r]
+                v = w2 if v is None else v + w2
+            nxt.append(v)
+        W = nxt
+    W = np.stack(W, axis=1)
+    # valid[m + 1, r]: slot r of span m names a basis (row 0: no span)
+    cols = np.arange(-1, t.size - 1)[:, None] - K + np.arange(K + 1)
+    valid = (cols >= 0) & (cols < n_bases)
+    W *= valid[m + 1]
+    W[~np.isfinite(x)] = np.nan
+    return m, W
+
+
+def basis_matrix(x: np.ndarray, knots: np.ndarray, K: int) -> np.ndarray:
+    """All order-K basis values at once: shape (len(x), len(knots)-K-1).
+
+    The dense scatter of ``basis_window``; rows with non-finite x are NaN.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    m, W = basis_window(x, knots, K)
+    n_bases = len(knots) - K - 1
+    # Window slots that name no basis hold 0, so clipping them onto a
+    # neighbouring column and summing leaves every basis value unchanged.
+    cols = np.clip(m[:, None] - K + np.arange(K + 1), 0, n_bases - 1)
+    flat = cols + np.arange(0, x.size * n_bases, n_bases)[:, None]
+    B = np.bincount(flat.ravel(), W.ravel(), minlength=x.size * n_bases)
+    B = B.reshape(x.size, n_bases).astype(float, copy=False)  # int when x is empty
+    B[~np.isfinite(x)] = np.nan
     return B
 
 
@@ -255,13 +321,21 @@ class SplineGroup:
         return spline_eval(x, self)
 
 
+def spline_values(x, knots: np.ndarray, K: int, coefficients: np.ndarray) -> np.ndarray:
+    """sum_j c_j B_{j,K}(x) elementwise, shaped like x.
+
+    Gathers the K+1 coefficients of each input's basis window and takes a
+    row dot; window slots that name no basis are 0 and add nothing.
+    """
+    m, W = basis_window(x, knots, K)
+    idx = np.clip(m[:, None] - K + np.arange(K + 1), 0, coefficients.size - 1)
+    return np.einsum("nr,nr->n", W, coefficients[idx]).reshape(np.shape(x))
+
+
 def spline_eval(x, sg: SplineGroup):
     """sum_j c_j B_{j,K}(x); scalar in, scalar out (arrays broadcast)."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    B = basis_matrix(xs, sg.knots.effective_knots(), sg.knots.K)
-    y = B @ sg.coefficients
-    return float(y[0]) if scalar else y
+    y = spline_values(x, sg.knots.effective_knots(), sg.knots.K, sg.coefficients)
+    return float(y) if np.ndim(x) == 0 else y
 
 
 def spline_on_tape(tape: Tape, knot_ids, knot_values, K: int, coef_ids, x_id: int) -> int:

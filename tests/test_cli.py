@@ -141,6 +141,26 @@ class TestKnotsCommand:
         assert rc == 1
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_non_finite_checkpoint_exits_like_a_truncated_one(self, tmp_path, capsys):
+        kv = make_uniform_grid(-1, 1, 4, 1)
+        net = Network([KANLayer(1, 1, kv, np.zeros((1, 1, kv.n_bases)),
+                                np.ones((1, 1)), np.ones((1, 1)))])
+        ckpt = tmp_path / "net.json"
+        save_checkpoint(net, str(ckpt))
+        blob = ckpt.read_text()
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text(blob[: len(blob) // 2])
+        doc = json.loads(blob)
+        doc["layers"][0]["coefficients"]["data"][2] = "nan"
+        ckpt.write_text(json.dumps(doc))
+        rc_truncated = _run(["knots", "--checkpoint", str(truncated),
+                             "--out", str(tmp_path / "t")])
+        capsys.readouterr()
+        rc = _run(["knots", "--checkpoint", str(ckpt), "--out", str(tmp_path / "a")])
+        assert rc == rc_truncated == 2
+        err = capsys.readouterr().err
+        assert "CorruptCheckpoint" in err and "coefficients" in err
+
     def test_bad_slice_dim(self, tmp_path, capsys):
         kv = make_uniform_grid(-1, 1, 4, 1)
         net = Network([KANLayer(1, 1, kv, np.zeros((1, 1, kv.n_bases)),

@@ -111,6 +111,22 @@ class TestScanBreakpoints:
         with pytest.raises(NonFiniteValue):
             scan_breakpoints(f, -1, 1, samples=2_000)
 
+    def test_scalar_only_callable_is_evaluated_point_by_point(self):
+        report = scan_breakpoints(lambda x: x if x > 0.25 else 0.25, -1, 1, samples=2_000)
+        assert report.interior_count == 1
+        assert report.positions[0] == pytest.approx(0.25, abs=1e-6)
+
+    def test_vectorised_callable_error_propagates(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.shape(x))
+            raise ZeroDivisionError("inside the model")
+
+        with pytest.raises(ZeroDivisionError):
+            scan_breakpoints(f, -1, 1, samples=2_000)
+        assert calls == [(2,)]
+
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             scan_breakpoints(np.abs, -1, 1, samples=100)

@@ -1,5 +1,7 @@
 """Layer forward semantics, network assembly, parameter counts, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,17 @@ class TestFRKANForward:
                              layer.A[[1, 0, 2, 3]].copy())
         out = swapped.forward_batch(x[:, [1, 0, 2, 3]])
         np.testing.assert_allclose(out, base, atol=1e-12)
+
+
+class TestNonFiniteInputs:
+    def test_nan_and_inf_rows_propagate_through_spline_layers(self):
+        rng = np.random.default_rng(6)
+        X = np.array([[0.3, -0.4], [np.nan, 0.1], [0.5, np.inf], [-np.inf, 0.2]])
+        for layer in (_random_kan(rng, 2, 3), _random_frkan(rng, 2, 3, h=2)):
+            layer.silu_path = False
+            Y = layer.forward_batch(X)
+            assert np.all(np.isfinite(Y[0]))
+            assert np.all(np.isnan(Y[1:]))
 
 
 class TestMLPForward:
@@ -302,6 +315,18 @@ class TestCheckpoint:
         blob = path.read_text()
         path.write_text(blob[: len(blob) // 2])
         with pytest.raises(CorruptCheckpoint):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_array_rejected(self, tmp_path, bad):
+        rng = np.random.default_rng(8)
+        net = Network([_random_kan(rng, 2, 2)])
+        path = tmp_path / "net.json"
+        save_checkpoint(net, str(path))
+        doc = json.loads(path.read_text())
+        doc["layers"][0]["A_s"]["data"][1] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptCheckpoint, match="A_s"):
             load_checkpoint(str(path))
 
     def test_kind_tag_enforced(self, tmp_path):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frkan.autodiff import Tape, finite_difference_check
+from frkan.autodiff import DIVIDING_FLOOR, Tape, finite_difference_check
 from frkan.splines import (
     InvalidRange,
     KnotVector,
@@ -13,6 +15,7 @@ from frkan.splines import (
     basis,
     basis_k0,
     basis_matrix,
+    basis_window,
     coeff_second_difference_penalty,
     init_shift,
     make_uniform_grid,
@@ -34,6 +37,32 @@ def _reference_basis(x, t, j, k):
     if right_gap != 0.0:
         acc += (t[j + k + 1] - x) * _reference_basis(x, t, j + 1, k - 1) / right_gap
     return acc
+
+
+def _dense_basis(x, t, K):
+    # The Cox-de Boor recursion over every basis at once, with the
+    # library's guards: the reference the local kernel must match bit for bit.
+    x = np.asarray(x, dtype=float)[:, None]
+    t = np.asarray(t, dtype=float)
+    B = ((x >= t[:-1]) & (x < t[1:])).astype(float)
+    for k in range(1, K + 1):
+        d1 = t[k:-1] - t[:-k - 1]
+        d2 = t[k + 1:] - t[1:-k]
+        ok1 = np.abs(d1) > DIVIDING_FLOOR
+        ok2 = np.abs(d2) > DIVIDING_FLOOR
+        w1 = np.where(ok1, (x - t[:-k - 1]) / np.where(ok1, d1, 1.0), 0.0)
+        w2 = np.where(ok2, (t[k + 1:] - x) / np.where(ok2, d2, 1.0), 0.0)
+        B = w1 * B[:, :-1] + w2 * B[:, 1:]
+    return B
+
+
+def _probe_points(t, rng):
+    """Random points across and beyond the knot span, every knot, and the
+    points just outside both ends."""
+    t = np.asarray(t, dtype=float)
+    width = t[-1] - t[0]
+    return np.concatenate([rng.uniform(t[0] - 0.5 * width, t[-1] + 0.5 * width, 500),
+                           t, np.nextafter(t, -np.inf), [t[0] - 1.0, t[-1] + 1.0]])
 
 
 class TestUniformGrid:
@@ -153,6 +182,69 @@ class TestBasis:
         for i, x in enumerate(xs):
             for j in range(kv.n_bases):
                 assert B[i, j] == pytest.approx(_reference_basis(x, t, j, 3), abs=1e-12)
+
+
+class TestBasisWindow:
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("G", [1, 2, 5, 20])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_dense_scatter_is_bit_identical(self, K, G, shifted):
+        kv = make_uniform_grid(-2, 3, G, K)
+        if shifted:
+            kv.shift = init_shift(kv, 2.0, seed=10 * G + K)
+        t = kv.effective_knots()
+        x = _probe_points(t, np.random.default_rng(G))
+        assert np.array_equal(basis_matrix(x, t, K), _dense_basis(x, t, K))
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_repeated_knots_are_bit_identical(self, K):
+        t = np.array([0, 0, .5, .5, .5, 1, 2, 2, 3])
+        x = _probe_points(t, np.random.default_rng(K))
+        assert np.array_equal(basis_matrix(x, t, K), _dense_basis(x, t, K))
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_window_holds_the_dense_row(self, K):
+        kv = make_uniform_grid(-1, 1, 6, K)
+        kv.shift = init_shift(kv, 8.0, seed=4)
+        t = kv.effective_knots()
+        x = _probe_points(t, np.random.default_rng(7))
+        m, W = basis_window(x, t, K)
+        B = _dense_basis(x, t, K)
+        outside = (x < t[0]) | (x >= t[-1])
+        assert np.all(m[outside] == -1)
+        assert np.all(W[outside] == 0.0)
+        for n in np.flatnonzero(~outside):
+            assert t[m[n]] <= x[n] < t[m[n] + 1]
+            cols = m[n] - K + np.arange(K + 1)
+            real = (cols >= 0) & (cols < kv.n_bases)
+            assert np.array_equal(W[n, real], B[n, cols[real]])
+            assert np.all(W[n, ~real] == 0.0)
+            others = np.setdiff1d(np.arange(kv.n_bases), cols)
+            assert np.all(B[n, others] == 0.0)
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_non_finite_inputs_give_nan_rows(self, K):
+        t = make_uniform_grid(-1, 1, 5, K).effective_knots()
+        x = np.array([0.25, np.nan, np.inf, -np.inf])
+        B = basis_matrix(x, t, K)
+        assert np.all(np.isfinite(B[0]))
+        assert np.all(np.isnan(B[1:]))
+        m, W = basis_window(x, t, K)
+        assert np.all(np.isnan(W[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(K=st.integers(1, 3), G=st.integers(1, 20),
+           a=st.floats(-50, 50), width=st.floats(1e-3, 100),
+           data=st.data())
+    def test_partition_of_unity_under_arbitrary_shifts(self, K, G, a, width, data):
+        kv = make_uniform_grid(a, a + width, G, K)
+        reach = 3.0 * width
+        kv.shift = np.array(data.draw(st.lists(st.floats(-reach, reach),
+                                               min_size=G + 1, max_size=G + 1)))
+        t = kv.effective_knots()
+        x = np.array(data.draw(st.lists(st.floats(kv.a, kv.b), min_size=1, max_size=50)))
+        sums = basis_matrix(x, t, K).sum(axis=1)
+        assert np.max(np.abs(sums - 1.0)) <= 1e-9
 
 
 class TestSplineEval:
