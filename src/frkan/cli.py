@@ -21,6 +21,7 @@ import numpy as np
 from .knots import audit_network_knots
 from .layers import (
     BadArchitecture,
+    CorruptCheckpoint,
     FRKANLayer,
     GridConfig,
     KANLayer,
@@ -303,13 +304,19 @@ def _train_command(config) -> int:
     return 0
 
 
-def _knots_command(config) -> int:
+def _checkpoint_from(config, command: str) -> Network:
+    """The network in the config's checkpoint; a missing, unreadable or
+    corrupt file is bad input."""
     if not config["checkpoint"]:
-        raise ValidationError("checkpoint: required for the knots command")
+        raise ValidationError(f"checkpoint: required for {command}")
     try:
-        net = load_checkpoint(config["checkpoint"])
-    except OSError as exc:
+        return load_checkpoint(config["checkpoint"])
+    except (OSError, CorruptCheckpoint) as exc:
         raise ValidationError(f"checkpoint: {exc}") from None
+
+
+def _knots_command(config) -> int:
+    net = _checkpoint_from(config, "the knots command")
     direction = None
     if config["slice_dim"] is not None:
         d = config["slice_dim"]
@@ -365,12 +372,7 @@ def _paramcount_command(config) -> int:
 
 
 def _export_activation_command(config) -> int:
-    if not config["checkpoint"]:
-        raise ValidationError("checkpoint: required for export-activation")
-    try:
-        net = load_checkpoint(config["checkpoint"])
-    except OSError as exc:
-        raise ValidationError(f"checkpoint: {exc}") from None
+    net = _checkpoint_from(config, "export-activation")
     idx = config["layer"]
     if not 0 <= idx < len(net.modules):
         raise IndexOutOfRange(f"layer: {idx} out of range (network has "

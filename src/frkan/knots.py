@@ -3,10 +3,18 @@
 A breakpoint (knot) of a piecewise-linear scalar map is a point where the
 one-sided slopes differ.  The detector works on a uniform sample lattice:
 slope jumps above a threshold seed candidate brackets, each bracket is
-narrowed by a collinearity bisection, and nearby candidates are merged.
-Detection is restricted to order-1 splines and ReLU networks; higher-order
-splines hide their knots behind K-1 continuous derivatives and slope scans
-cannot see them.
+narrowed by intersecting the linear pieces on both sides, and nearby
+candidates are merged.  Refinement stops once no candidate moves by more
+than the resolution (hi-lo)/2^refinement_depth, and the report records
+what the detector did: flagged lattice samples, clusters, candidates
+absorbed by the merge and refinement passes run.
+
+A network audit scans the sum of the outputs along a 1-D slice.  That sum
+is folded into the last layer where it is linear in the output weights
+(KAN, FR-KAN, identity MLP), so the lattice runs through one output
+column instead of all of them.  Detection is restricted to order-1
+splines and ReLU networks; higher-order splines hide their knots behind
+K-1 continuous derivatives and slope scans cannot see them.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from math import floor
 import numpy as np
 
 from .autodiff import NonFiniteValue
-from .layers import KANLayer, MLPLayer, Network
+from .layers import KANLayer, MLPLayer, Network, sum_outputs
 from .splines import make_uniform_grid
 
 
@@ -105,6 +113,10 @@ class BreakpointReport:
     slope_threshold: float
     samples: int
     refinement_depth: int
+    flagged_samples: int      # lattice points whose slope jump passed the threshold
+    clusters: int             # runs of adjacent flagged points, one candidate each
+    merged: int               # candidates absorbed into a neighbour by the merge
+    refinement_passes: int    # stencil passes run, at most refinement_depth
     notes: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -118,6 +130,10 @@ class BreakpointReport:
                 "slope_threshold": self.slope_threshold,
                 "merge_tolerance": self.merge_tolerance,
                 "refinement_depth": self.refinement_depth,
+                "flagged_samples": self.flagged_samples,
+                "clusters": self.clusters,
+                "merged": self.merged,
+                "refinement_passes": self.refinement_passes,
             },
             "notes": self.notes,
         }
@@ -198,6 +214,7 @@ def scan_breakpoints(f, lo: float, hi: float, samples: int = DEFAULT_SAMPLES,
 
     positions = []
     cluster_jumps = []
+    passes = 0
     if clusters:
         # Refine each bracket by intersecting the linear pieces on both
         # sides of the kink.  The stencil (tau-2w, tau-w, tau+w, tau+2w)
@@ -205,7 +222,9 @@ def scan_breakpoints(f, lo: float, hi: float, samples: int = DEFAULT_SAMPLES,
         # is exact for piecewise-linear input and immune to any smooth
         # background (e.g. a SiLU shortcut) whose curvature cancels.
         # Each pass halves the localization width w, down to the bisection
-        # resolution (hi-lo)/2^refinement_depth.
+        # resolution (hi-lo)/2^refinement_depth, and the loop ends once no
+        # candidate moves by more than that resolution: for piecewise-linear
+        # input the first intersection is already exact.
         L = np.array([t[c0] for c0, _ in clusters])
         R = np.array([t[c1 + 2] for _, c1 in clusters])
         cluster_jumps = [float(slopes[c1 + 1] - slopes[c0]) for c0, c1 in clusters]
@@ -225,8 +244,11 @@ def scan_breakpoints(f, lo: float, hi: float, samples: int = DEFAULT_SAMPLES,
             u = np.where(safe,
                          (B1 - A1 - w * (s_l + s_r)) / np.where(safe, denom, 1.0),
                          0.0)
-            tau = np.clip(tau + np.clip(u, -w, w), L, R)
-            if np.max(w) <= min_width:
+            moved = np.clip(tau + np.clip(u, -w, w), L, R)
+            passes += 1
+            converged = np.max(np.abs(moved - tau)) <= min_width
+            tau = moved
+            if converged or np.max(w) <= min_width:
                 break
             w = np.maximum(w / 2.0, min_width)
         positions = tau.tolist()
@@ -255,7 +277,9 @@ def scan_breakpoints(f, lo: float, hi: float, samples: int = DEFAULT_SAMPLES,
         lo=float(lo), hi=float(hi), positions=pos_arr, slope_jumps=jump_arr,
         interior_count=interior, merge_tolerance=float(tol),
         slope_threshold=float(thr), samples=samples,
-        refinement_depth=refinement_depth,
+        refinement_depth=refinement_depth, flagged_samples=int(flagged.size),
+        clusters=len(clusters), merged=len(positions) - len(merged_pos),
+        refinement_passes=passes,
     )
 
 
@@ -340,10 +364,12 @@ def audit_network_knots(net: Network, direction=None, anchor=None,
                         refinement_depth: int = DEFAULT_REFINEMENT_DEPTH) -> KnotAudit:
     """Scan a 1-D affine slice of the network and compare to the bounds.
 
-    The scalar map is the sum of outputs at anchor + t * direction.  The
-    interior count is reported as measured; the bound comparison adds the
-    two boundary knots at the grid edges (for K=1 the single-layer count
-    G+K splits as G-1 interior plus 2 boundary).
+    The scalar map is the sum of outputs at anchor + t * direction; the
+    sum is folded into the last layer where it is linear (``sum_outputs``),
+    so the lattice is scanned as one output column.  The interior count
+    is reported as measured; the bound comparison adds the two boundary
+    knots at the grid edges (for K=1 the single-layer count G+K splits as
+    G-1 interior plus 2 boundary).
     """
     # the smooth SiLU shortcut is allowed: it adds no breakpoints
     for m in net.modules:
@@ -371,9 +397,11 @@ def audit_network_knots(net: Network, direction=None, anchor=None,
     if lo is None or hi is None:
         raise ValueError("lo/hi are required for networks without spline layers")
 
+    summed = sum_outputs(net)
+
     def f(ts):
         X = anchor[None, :] + np.asarray(ts, dtype=float)[:, None] * direction[None, :]
-        return net.forward_batch(X).sum(axis=1)
+        return summed.forward_batch(X).sum(axis=1)
 
     report = scan_breakpoints(f, lo, hi, samples=samples,
                               refinement_depth=refinement_depth)

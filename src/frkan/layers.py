@@ -444,6 +444,31 @@ class Network:
         return xs
 
 
+def sum_outputs(net: Network) -> Network:
+    """A network whose outputs, summed, equal the sum of ``net``'s outputs.
+
+    The sum is linear in the last layer's output weights, so a KAN, FR-KAN
+    or identity-MLP last layer takes it in and computes one column: a KAN
+    layer sums its edges' weighted coefficients (A_b becomes 1) and its
+    A_s, an FR-KAN layer sums A, an identity MLP sums W and its bias.  A
+    ReLU-MLP or LayerNorm last layer is kept as it is.  The result shares
+    every other layer with ``net``.
+    """
+    last = net.modules[-1]
+    if last.kind == "kan":
+        coef = np.einsum("iob,io->ib", last.coefficients, last.A_b)[:, None, :]
+        last = KANLayer(last.d_in, 1, last.kv, coef, np.ones((last.d_in, 1)),
+                        last.A_s.sum(axis=1, keepdims=True), silu_path=last.silu_path)
+    elif last.kind == "frkan":
+        last = FRKANLayer(last.d_in, 1, last.h, last.a, last.b, last.G, last.K,
+                          last.coefficients, last.shifts,
+                          last.A.sum(axis=1, keepdims=True), silu_path=last.silu_path)
+    elif last.kind == "mlp" and last.activation == "identity":
+        last = MLPLayer(last.W.sum(axis=1, keepdims=True), last.bias.sum(keepdims=True),
+                        activation="identity")
+    return Network(net.modules[:-1] + [last])
+
+
 # -- construction --------------------------------------------------------------
 
 
@@ -457,6 +482,11 @@ class GridConfig:
     b: float = 10.0
     h: int | None = None  # None: ceil(d_in / 4) per layer
     Z: float = 8.0
+
+    def __post_init__(self):
+        # shifts start inside +-(b - a) / (Z * G)
+        if not self.Z > 0:
+            raise BadArchitecture(f"Z: need Z > 0, got {self.Z!r}")
 
     def groups_for(self, d_in: int) -> int:
         h = self.h if self.h is not None else -(-d_in // 4)

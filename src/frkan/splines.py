@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import DIVIDING_FLOOR, Tape, locate_span
 
@@ -241,11 +242,14 @@ def basis_window(x: np.ndarray, knots: np.ndarray, K: int):
             nxt.append(v)
         W = nxt
     W = np.stack(W, axis=1)
-    # valid[m + 1, r]: slot r of span m names a basis (row 0: no span)
+    # Only rows outside the span or in its first or last K spans hold slots
+    # that name no basis.  valid[m + 1, r]: slot r of span m names a basis
+    # (row 0: no span).
+    edge = np.flatnonzero((m < K) | (m > n_bases - 1))
     cols = np.arange(-1, t.size - 1)[:, None] - K + np.arange(K + 1)
     valid = (cols >= 0) & (cols < n_bases)
-    W *= valid[m + 1]
-    W[~np.isfinite(x)] = np.nan
+    W[edge] *= valid[m[edge] + 1]
+    W[edge[~np.isfinite(x[edge])]] = np.nan   # non-finite x has no span: m = -1
     return m, W
 
 
@@ -328,8 +332,11 @@ def spline_values(x, knots: np.ndarray, K: int, coefficients: np.ndarray) -> np.
     row dot; window slots that name no basis are 0 and add nothing.
     """
     m, W = basis_window(x, knots, K)
-    idx = np.clip(m[:, None] - K + np.arange(K + 1), 0, coefficients.size - 1)
-    return np.einsum("nr,nr->n", W, coefficients[idx]).reshape(np.shape(x))
+    # Padded entry m + 1 + r is coefficient m - K + r, and 0 where that
+    # names no basis, so row m + 1 of the sliding window is span m's window.
+    padded = np.concatenate([np.zeros(K + 1), coefficients, np.zeros(K)])
+    C = sliding_window_view(padded, K + 1)[m + 1]
+    return np.einsum("nr,nr->n", W, C).reshape(np.shape(x))
 
 
 def spline_eval(x, sg: SplineGroup):

@@ -235,6 +235,7 @@ class TestCriterion06ApproximationOrdering:
         assert record.nan_step is None, (eq, descriptor)
         return record.final_metric, param_count(net)["total"]
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("eq,d_in,fr_width,fr_h,kan_width,mlp_width", [
         ("I.6.2", 2, 8, 2, 3, 48),
         ("I.18.4", 4, 12, 4, 3, 65),
@@ -290,6 +291,7 @@ class TestCriterion07RegularizerEffect:
 
 
 class TestCriterion08GridRangeStability:
+    @pytest.mark.slow
     def test_wide_range_stays_finite(self):
         t0 = time.perf_counter()
         results = grid_range_experiment(

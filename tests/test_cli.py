@@ -157,9 +157,21 @@ class TestKnotsCommand:
                              "--out", str(tmp_path / "t")])
         capsys.readouterr()
         rc = _run(["knots", "--checkpoint", str(ckpt), "--out", str(tmp_path / "a")])
-        assert rc == rc_truncated == 2
+        assert rc == rc_truncated == 1
         err = capsys.readouterr().err
-        assert "CorruptCheckpoint" in err and "coefficients" in err
+        assert "error: checkpoint:" in err and "coefficients" in err
+
+    def test_corrupt_checkpoint_is_bad_input_for_export(self, tmp_path, capsys):
+        ckpt = tmp_path / "net.json"
+        save_checkpoint(build_sawtooth_network(4, layer2_seed=0), str(ckpt))
+        doc = json.loads(ckpt.read_text())
+        doc["layers"][1]["A_s"]["data"][0] = "inf"
+        ckpt.write_text(json.dumps(doc))
+        rc = _run(["export-activation", "--checkpoint", str(ckpt),
+                   "--out", str(tmp_path / "a")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: checkpoint:" in err and "A_s" in err
 
     def test_bad_slice_dim(self, tmp_path, capsys):
         kv = make_uniform_grid(-1, 1, 4, 1)
@@ -196,6 +208,13 @@ class TestParamcountCommand:
         doc = json.loads((out / "param_count.json").read_text())
         assert doc["total"] > 0
         assert "layers" in doc
+
+    def test_zero_Z_in_config_file_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"Z": 0, "arch": "in:2 -> frkan:4 -> out:1"}))
+        rc = _run(["paramcount", "--config", str(cfg), "--out", str(tmp_path / "pc")])
+        assert rc == 1
+        assert "error: Z:" in capsys.readouterr().err
 
     def test_needs_full_descriptor(self, tmp_path, capsys):
         rc = _run(["paramcount", "--arch", "16", "--out", str(tmp_path / "pc")])

@@ -284,3 +284,40 @@ class TestAudit:
         assert set(doc) >= {"interval", "positions", "slope_jumps",
                             "interior_count", "bounds", "pass"}
         assert doc["bounds"]["formula"] == "fixed-grid"
+        assert set(doc["detector"]) >= {"flagged_samples", "clusters", "merged",
+                                        "refinement_passes"}
+
+
+class TestDetectorStatistics:
+    def test_piecewise_linear_network_stops_before_the_depth(self):
+        net = build_sawtooth_network(5, layer2_seed=0)
+        report = audit_network_knots(net, samples=50_000).report
+        assert report.clusters >= report.interior_count > 4
+        assert report.flagged_samples >= report.clusters
+        assert 1 <= report.refinement_passes < report.refinement_depth
+
+    def test_refinement_passes_count_the_stencil_evaluations(self):
+        calls = []
+        f = _piecewise_linear([-0.4, 0.1, 0.55], [1.0, -0.5, 0.8, -1.2])
+
+        def counted(x):
+            calls.append(np.size(x))
+            return f(x)
+
+        report = scan_breakpoints(counted, -1, 1, samples=20_000)
+        stencils = [n for n in calls if n == 4 * report.clusters]
+        assert report.refinement_passes == len(stencils) < report.refinement_depth
+
+    def test_clusters_minus_merged_are_the_candidates_before_the_jump_filter(self):
+        # Kink pairs 3e-4 apart are separate clusters but one merged candidate
+        # at a 1e-3 tolerance: the pair at 0.2 adds its jumps, the pair at 0.5
+        # cancels and is filtered out, the kink at -0.3 stands alone.
+        d = 3e-4
+        f = _piecewise_linear([-0.3, 0.2, 0.2 + d, 0.5, 0.5 + d],
+                              [0.0, 1.0, 1.5, 2.0, 3.0, 2.0])
+        report = scan_breakpoints(f, -1, 1, samples=100_000, merge_tolerance=1e-3)
+        assert report.clusters == 5
+        assert report.merged == 2
+        assert report.clusters - report.merged == 3
+        assert report.positions.size == 2
+        np.testing.assert_allclose(report.positions, [-0.3, 0.2 + d / 2], atol=1e-6)

@@ -20,6 +20,7 @@ from frkan.layers import (
     param_count,
     parse_descriptor,
     save_checkpoint,
+    sum_outputs,
 )
 from frkan.splines import init_shift, make_uniform_grid
 
@@ -213,6 +214,57 @@ class TestTapeAgreesWithBatch:
         for n in range(X.shape[0]):
             got = np.array(tape.values(net.tape_forward(tape, tb, X[n])))
             np.testing.assert_allclose(got, batch[n], rtol=1e-12, atol=1e-12)
+
+
+class TestSumOutputs:
+    """Folding the output sum into the last layer, as the knot audit does."""
+
+    def _check_folded(self, net, X):
+        folded = sum_outputs(net)
+        last = folded.modules[-1]
+        assert type(last) is type(net.modules[-1]) and last.d_out == 1
+        assert folded.modules[:-1] == net.modules[:-1]
+        want = net.forward_batch(X).sum(axis=1)
+        got = folded.forward_batch(X)[:, 0]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("silu", [True, False])
+    def test_kan_last_layer(self, silu):
+        rng = np.random.default_rng(0)
+        kv = make_uniform_grid(-1, 1, 20, 1)
+        layer = KANLayer(1, 64, kv, rng.normal(size=(1, 64, kv.n_bases)),
+                         rng.normal(size=(1, 64)), rng.normal(size=(1, 64)),
+                         silu_path=silu)
+        self._check_folded(Network([layer]), np.linspace(-1.2, 1.2, 5001)[:, None])
+
+    def test_kan_after_hidden_layers(self):
+        rng = np.random.default_rng(1)
+        net = Network([_random_frkan(rng, 3, 5, 2), _random_kan(rng, 5, 7)])
+        self._check_folded(net, rng.uniform(-2.5, 2.5, size=(400, 3)))
+
+    @pytest.mark.parametrize("silu", [True, False])
+    def test_frkan_last_layer(self, silu):
+        rng = np.random.default_rng(2)
+        layer = _random_frkan(rng, 4, 6, 2)
+        layer.silu_path = silu
+        net = Network([_random_kan(rng, 2, 4), layer])
+        self._check_folded(net, rng.uniform(-2.5, 2.5, size=(400, 2)))
+
+    def test_identity_mlp_last_layer(self):
+        rng = np.random.default_rng(3)
+        net = Network([MLPLayer(rng.normal(size=(2, 8)), rng.normal(size=8)),
+                       MLPLayer(rng.normal(size=(8, 5)), rng.normal(size=5), "identity")])
+        self._check_folded(net, rng.uniform(-3, 3, size=(400, 2)))
+
+    def test_relu_and_layernorm_last_layers_are_kept(self):
+        rng = np.random.default_rng(4)
+        for last in (MLPLayer(rng.normal(size=(3, 4)), rng.normal(size=4)),
+                     LayerNorm(3)):
+            net = Network([_random_kan(rng, 2, 3), last])
+            folded = sum_outputs(net)
+            assert folded.modules == net.modules
+            X = rng.uniform(-2, 2, size=(50, 2))
+            np.testing.assert_array_equal(folded.forward_batch(X), net.forward_batch(X))
 
 
 class TestParamCount:

@@ -22,6 +22,7 @@ from frkan.splines import (
     penalty_on_tape,
     spline_eval,
     spline_on_tape,
+    spline_values,
 )
 
 
@@ -283,6 +284,26 @@ class TestSplineEval:
         ])
         np.testing.assert_allclose(got, naive, atol=1e-12)
 
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("G", [1, 2, 5, 20])
+    def test_spline_values_match_the_dense_reference(self, K, G):
+        kv = make_uniform_grid(-2, 3, G, K)
+        kv.shift = init_shift(kv, 2.0, seed=10 * G + K)
+        t = kv.effective_knots()
+        rng = np.random.default_rng(G + K)
+        c = rng.normal(size=kv.n_bases)
+        x = np.concatenate([_probe_points(t, rng), [np.nan, np.inf, -np.inf]])
+        got = spline_values(x, t, K, c)
+        finite = np.isfinite(x)
+        want = _dense_basis(x[finite], t, K) @ c
+        np.testing.assert_allclose(got[finite], want, rtol=1e-13, atol=1e-13)
+        outside = finite & ((x < t[0]) | (x >= t[-1]))
+        assert outside.sum() > 100 and np.all(got[outside] == 0.0)
+        assert np.all(np.isnan(got[~finite]))
+        # window slots that name no basis read 0, not a neighbouring coefficient
+        c[:] = np.nan
+        assert np.all(spline_values(x[outside], t, K, c) == 0.0)
+
     def test_coefficient_count_enforced(self):
         kv = make_uniform_grid(0, 1, 4, 2)
         with pytest.raises(TooFewCoefficients):
@@ -379,6 +400,20 @@ class TestTapeSpline:
 
 
 class TestSortedInvariantUnderUpdates:
+    @settings(max_examples=200, deadline=None)
+    @given(K=st.integers(1, 3), G=st.integers(1, 20),
+           a=st.floats(-50, 50), width=st.floats(1e-3, 100),
+           data=st.data())
+    def test_effective_knots_strictly_increase_under_arbitrary_shifts(self, K, G, a,
+                                                                      width, data):
+        kv = make_uniform_grid(a, a + width, G, K)
+        reach = 3.0 * width
+        kv.shift = np.array(data.draw(st.lists(st.floats(-reach, reach),
+                                               min_size=G + 1, max_size=G + 1)))
+        gaps = np.diff(kv.effective_knots())
+        assert np.all(gaps > 0.0)
+        assert np.all(gaps >= kv.min_gap * (1.0 - 1e-9))
+
     def test_random_walk_on_shift_keeps_knots_sorted(self):
         rng = np.random.default_rng(19)
         kv = make_uniform_grid(-5, 5, 8, 3)
