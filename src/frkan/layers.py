@@ -18,6 +18,7 @@ numpy (used for metrics, scanning and export; carries no gradients).
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -46,12 +47,10 @@ class CorruptCheckpoint(Exception):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) otherwise, so
+    # exp never overflows; exp(-|x|) is the one exponential either needs.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
@@ -255,11 +254,12 @@ class FRKANLayer:
     def forward_batch(self, X):
         pre = np.empty_like(X, dtype=float)
         for g in range(self.h):
-            cols = [i for i in range(self.d_in) if self.group_of(i) == g]
+            # group_of(i) == g exactly for i in [ceil(g d_in / h), ceil((g+1) d_in / h))
+            lo, hi = -(-g * self.d_in // self.h), -(-(g + 1) * self.d_in // self.h)
             knots = self.group_kv(g).effective_knots()
-            pre[:, cols] = spline_values(X[:, cols], knots, self.K, self.coefficients[g])
+            pre[:, lo:hi] = spline_values(X[:, lo:hi], knots, self.K, self.coefficients[g])
         if self.silu_path:
-            pre = pre + _silu(X)
+            pre += _silu(X)
         return pre @ self.A
 
     def prepare_tape(self, tape, bind):
@@ -315,9 +315,10 @@ class MLPLayer:
         return {"W": self.d_in * self.d_out, "bias": self.d_out}
 
     def forward_batch(self, X):
-        Z = X @ self.W + self.bias
+        Z = X @ self.W
+        Z += self.bias
         if self.activation == "relu":
-            return np.maximum(Z, 0.0)
+            np.maximum(Z, 0.0, out=Z)
         return Z
 
     def prepare_tape(self, tape, bind):
@@ -484,6 +485,12 @@ class GridConfig:
     Z: float = 8.0
 
     def __post_init__(self):
+        if not (isinstance(self.G, numbers.Integral) and self.G >= 1):
+            raise BadArchitecture(f"G: need an integer >= 1, got {self.G!r}")
+        if not (isinstance(self.K, numbers.Integral) and self.K >= 1):
+            raise BadArchitecture(f"K: need an integer >= 1, got {self.K!r}")
+        if not self.a < self.b:
+            raise BadArchitecture(f"range: need a < b, got [{self.a!r}, {self.b!r}]")
         # shifts start inside +-(b - a) / (Z * G)
         if not self.Z > 0:
             raise BadArchitecture(f"Z: need Z > 0, got {self.Z!r}")

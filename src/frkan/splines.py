@@ -12,13 +12,17 @@ The shifted points are sorted together with the (fixed) extension points
 and consecutive gaps are clamped to a minimum, so effective knots are
 always strictly increasing.
 
-Basis evaluation: ``basis_window`` is the one array kernel.  It finds each
-input's knot span and evaluates only the K+1 bases that can be nonzero
-there (de Boor's local recursion, with the Cox-de Boor formulas and
-guards, so values are bit-identical to the full recursion).
-``spline_values`` contracts a window with its K+1 coefficients, and
-``basis_matrix`` is the window scattered into the dense (N, G+K) array,
-for callers that share one basis row across many coefficient sets.
+Basis evaluation: one array kernel finds each input's knot span and
+evaluates only the K+1 bases that can be nonzero there (de Boor's local
+recursion, with the Cox-de Boor formulas and guards, so values are
+bit-identical to the full recursion).  It works in column form, one array
+per window slot, and gathers each level's denominators once: slot r's
+second denominator t[j+k+1] - t[j+1] is slot r+1's first.
+``basis_window`` stacks the columns into an (N, K+1) window,
+``spline_values`` weights each column by its gathered coefficient and sums
+them, and ``basis_matrix`` is the window scattered into the dense
+(N, G+K) array, for callers that share one basis row across many
+coefficient sets.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import DIVIDING_FLOOR, Tape, locate_span
 
@@ -104,8 +107,7 @@ class KnotVector:
     def assert_sorted(self):
         g = self.effective_knots()
         gaps = np.diff(g)
-        # clamped gaps equal min_gap only up to the rounding of (x + gap) - x
-        if not np.all(gaps >= self.min_gap * (1.0 - 1e-9)):
+        if not np.all(gaps >= self.min_gap):
             raise InvalidRange(f"effective knots degenerate: min gap {gaps.min()!r}")
 
     def tape_knots(self, tape: Tape, shift_ids=None):
@@ -144,6 +146,10 @@ def _clamp_gaps(g: np.ndarray, min_gap: float) -> np.ndarray:
     out = g.copy()
     for i in range(1, out.size):
         lo = out[i - 1] + min_gap
+        if lo - out[i - 1] < min_gap:
+            # the sum rounded down to the ulp of a knot far larger than the
+            # gap; one ulp up makes the stored gap at least min_gap
+            lo = np.nextafter(lo, np.inf)
         if out[i] < lo:
             out[i] = lo
     return out
@@ -194,6 +200,60 @@ def basis(x: float, knots, j: int, k: int) -> float:
     return v
 
 
+def _window_columns(x: np.ndarray, t: np.ndarray, K: int):
+    """``basis_window`` in column form: ``(m, [K+1 arrays])``; x flat, K >= 1."""
+    n_bases = t.size - K - 1
+    m = np.searchsorted(t, x, side="right") - 1
+    inside = (m >= 0) & (m < t.size - 1)
+    m = np.where(inside, m, -1)
+    # Knots padded with K edge copies per side: padded index p = j + K, so
+    # every window index is in bounds.  Padded knots only reach window
+    # slots that name no basis, which are zeroed at the end.
+    tp = np.pad(t, K, mode="edge")
+    base = np.maximum(m, 0)
+    xs = np.where(inside, x, t[0])
+    # Window knot p is tp[base + p], and x lies in [knot K, knot K+1):
+    # left[p] = x - knot p for 1 <= p <= K, right[q] = knot K+1+q - x for
+    # q < K.  No level reads left[0] or right[K].
+    left = [None] + [xs - tp[p:].take(base) for p in range(1, K + 1)]
+    right = [tp[p:].take(base) - xs for p in range(K + 1, 2 * K + 1)]
+    W = []
+    for k in range(1, K + 1):
+        # A denominator within DIVIDING_FLOOR of 0 becomes inf, so its
+        # weight is +0 as in the full recursion: numerators are >= 0.
+        # Slot r's second denominator t[j+k+1] - t[j+1] is slot r+1's
+        # first, so level k gathers its k distinct denominators once.
+        d = tp[k:] - tp[:-k]
+        d = np.where(np.abs(d) > DIVIDING_FLOOR, d, np.inf)
+        den = {p: d[p:].take(base) for p in range(K - k + 1, K + 1)}
+        nxt = []
+        for r in range(k + 1):
+            p = K - k + r   # padded index of basis m - k + r, relative to base
+            v = None
+            if r > 0:
+                v = left[p] / den[p]
+                if k > 1:   # the order-0 basis W[0] is 1
+                    v *= W[r - 1]
+            if r < k:
+                w2 = right[r] / den[p + 1]
+                if k > 1:
+                    w2 *= W[r]
+                v = w2 if v is None else v + w2
+            nxt.append(v)
+        W = nxt
+    # Only rows outside the span or in its first or last K spans hold slots
+    # that name no basis.  valid[m + 1, r]: slot r of span m names a basis
+    # (row 0: no span).
+    edge = np.flatnonzero((m < K) | (m > n_bases - 1))
+    cols = np.arange(-1, t.size - 1)[:, None] - K + np.arange(K + 1)
+    valid = ((cols >= 0) & (cols < n_bases))[m[edge] + 1]
+    bad = edge[~np.isfinite(x[edge])]   # non-finite x has no span: m = -1
+    for r, w in enumerate(W):
+        w[edge] *= valid[:, r]
+        w[bad] = np.nan
+    return m, W
+
+
 def basis_window(x: np.ndarray, knots: np.ndarray, K: int):
     """The K+1 possibly-nonzero order-K bases at each x (de Boor's local recursion).
 
@@ -207,50 +267,8 @@ def basis_window(x: np.ndarray, knots: np.ndarray, K: int):
     Boor recursion over all bases, so it is bit-identical to it.
     """
     x = np.asarray(x, dtype=float).ravel()
-    t = np.asarray(knots, dtype=float)
-    n_bases = t.size - K - 1
-    m = np.searchsorted(t, x, side="right") - 1
-    inside = (m >= 0) & (m < t.size - 1)
-    m = np.where(inside, m, -1)
-    # Knots padded with K edge copies per side: padded index p = j + K, so
-    # every window index is in bounds.  Padded knots only reach window
-    # slots that name no basis, which are zeroed at the end.
-    tp = np.pad(t, K, mode="edge")
-    base = np.maximum(m, 0)
-    xs = np.where(inside, x, t[0])
-    # Window knot p is tp[base + p], and x lies in [knot K, knot K+1):
-    # left[p] = x - knot p for p <= K, right[q] = knot K+1+q - x.
-    left = [xs - tp[p:].take(base) for p in range(K + 1)]
-    right = [tp[p:].take(base) - xs for p in range(K + 1, 2 * K + 2)]
-    W = [np.ones(x.size)]
-    for k in range(1, K + 1):
-        # A denominator within DIVIDING_FLOOR of 0 becomes inf, so its
-        # weight is +0 as in the full recursion: numerators are >= 0.
-        d1 = tp[k:] - tp[:-k]
-        d2 = tp[k + 1:] - tp[1:-k]
-        d1 = np.where(np.abs(d1) > DIVIDING_FLOOR, d1, np.inf)
-        d2 = np.where(np.abs(d2) > DIVIDING_FLOOR, d2, np.inf)
-        nxt = []
-        for r in range(k + 1):
-            p = K - k + r   # padded index of basis m - k + r, relative to base
-            v = None
-            if r > 0:
-                v = left[p] / d1[p:].take(base) * W[r - 1]
-            if r < k:
-                w2 = right[r] / d2[p:].take(base) * W[r]
-                v = w2 if v is None else v + w2
-            nxt.append(v)
-        W = nxt
-    W = np.stack(W, axis=1)
-    # Only rows outside the span or in its first or last K spans hold slots
-    # that name no basis.  valid[m + 1, r]: slot r of span m names a basis
-    # (row 0: no span).
-    edge = np.flatnonzero((m < K) | (m > n_bases - 1))
-    cols = np.arange(-1, t.size - 1)[:, None] - K + np.arange(K + 1)
-    valid = (cols >= 0) & (cols < n_bases)
-    W[edge] *= valid[m[edge] + 1]
-    W[edge[~np.isfinite(x[edge])]] = np.nan   # non-finite x has no span: m = -1
-    return m, W
+    m, W = _window_columns(x, np.asarray(knots, dtype=float), K)
+    return m, np.stack(W, axis=1)
 
 
 def basis_matrix(x: np.ndarray, knots: np.ndarray, K: int) -> np.ndarray:
@@ -328,15 +346,21 @@ class SplineGroup:
 def spline_values(x, knots: np.ndarray, K: int, coefficients: np.ndarray) -> np.ndarray:
     """sum_j c_j B_{j,K}(x) elementwise, shaped like x.
 
-    Gathers the K+1 coefficients of each input's basis window and takes a
-    row dot; window slots that name no basis are 0 and add nothing.
+    Weights each window column by its gathered coefficient and sums the
+    K+1 products left to right; window slots that name no basis are 0 and
+    add nothing.
     """
-    m, W = basis_window(x, knots, K)
+    m, W = _window_columns(np.asarray(x, dtype=float).ravel(),
+                           np.asarray(knots, dtype=float), K)
     # Padded entry m + 1 + r is coefficient m - K + r, and 0 where that
-    # names no basis, so row m + 1 of the sliding window is span m's window.
+    # names no basis.
     padded = np.concatenate([np.zeros(K + 1), coefficients, np.zeros(K)])
-    C = sliding_window_view(padded, K + 1)[m + 1]
-    return np.einsum("nr,nr->n", W, C).reshape(np.shape(x))
+    y = W[0]
+    y *= padded.take(m + 1)
+    for r in range(1, K + 1):
+        W[r] *= padded.take(m + 1 + r)
+        y += W[r]
+    return y.reshape(np.shape(x))
 
 
 def spline_eval(x, sg: SplineGroup):

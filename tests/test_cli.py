@@ -216,6 +216,15 @@ class TestParamcountCommand:
         assert rc == 1
         assert "error: Z:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,bad", [("G", 0), ("K", 0), ("range", [10, -10]),
+                                         ("G", "3"), ("K", 1.5)])
+    def test_bad_grid_in_config_file_is_named(self, tmp_path, capsys, key, bad):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: bad, "arch": "in:2 -> frkan:4 -> out:1"}))
+        rc = _run(["paramcount", "--config", str(cfg), "--out", str(tmp_path / "pc")])
+        assert rc == 1
+        assert f"error: {key}:" in capsys.readouterr().err
+
     def test_needs_full_descriptor(self, tmp_path, capsys):
         rc = _run(["paramcount", "--arch", "16", "--out", str(tmp_path / "pc")])
         assert rc == 1

@@ -15,6 +15,8 @@ from frkan.layers import (
     LayerNorm,
     MLPLayer,
     Network,
+    _sigmoid,
+    _silu as layers_silu,
     init_network,
     load_checkpoint,
     param_count,
@@ -98,21 +100,31 @@ class TestFRKANForward:
         assert groups == sorted(groups)
         assert set(groups) == {0, 1, 2}
 
-    def test_matches_direct_summation(self):
-        rng = np.random.default_rng(5)
-        layer = _random_frkan(rng, 4, 3, h=2)
-        X = rng.uniform(-2.2, 2.2, size=(15, 4))
+    @staticmethod
+    def _check_direct_summation(layer, X):
         got = layer.forward_batch(X)
-        knots = [layer.group_kv(g).effective_knots() for g in range(2)]
+        knots = [layer.group_kv(g).effective_knots() for g in range(layer.h)]
         for n in range(X.shape[0]):
-            for o in range(3):
+            for o in range(layer.d_out):
                 want = 0.0
-                for i in range(4):
+                for i in range(layer.d_in):
                     g = layer.group_of(i)
                     s = sum(layer.coefficients[g, j] * _ref_basis(X[n, i], knots[g], j, layer.K)
                             for j in range(layer.G + layer.K))
                     want += layer.A[i, o] * (s + _silu(X[n, i]))
                 assert got[n, o] == pytest.approx(want, abs=1e-12)
+
+    def test_matches_direct_summation(self):
+        rng = np.random.default_rng(5)
+        layer = _random_frkan(rng, 4, 3, h=2)
+        self._check_direct_summation(layer, rng.uniform(-2.2, 2.2, size=(15, 4)))
+
+    @pytest.mark.parametrize("d_in,h", [(5, 2), (7, 3), (8, 8), (3, 1)])
+    def test_uneven_groups_match_direct_summation(self, d_in, h):
+        # groups of unequal size: each column must reach its group_of(i) spline
+        rng = np.random.default_rng(d_in * 10 + h)
+        layer = _random_frkan(rng, d_in, 3, h=h)
+        self._check_direct_summation(layer, rng.uniform(-2.2, 2.2, size=(12, d_in)))
 
     def test_collapses_to_kan_with_tied_weights(self):
         rng = np.random.default_rng(9)
@@ -150,6 +162,49 @@ class TestNonFiniteInputs:
             Y = layer.forward_batch(X)
             assert np.all(np.isfinite(Y[0]))
             assert np.all(np.isnan(Y[1:]))
+
+
+def _sigmoid_two_masks(x):
+    # The sigmoid as two boolean-mask passes: the reference the one-pass
+    # form must match bit for bit.
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_matches_two_mask_reference_bit_for_bit(self):
+        special = np.array([0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, 1000.0, -1000.0,
+                            np.inf, -np.inf, np.nan])
+        x = np.concatenate([special, np.random.default_rng(17).normal(size=100_000)])
+        want = _sigmoid_two_masks(x)
+        assert np.array_equal(_sigmoid(x), want, equal_nan=True)
+        with np.errstate(invalid="ignore"):   # -inf * 0
+            assert np.array_equal(layers_silu(x), x * want, equal_nan=True)
+
+
+class TestForwardLeavesInputsAlone:
+    @pytest.mark.parametrize("make", [
+        lambda rng: _random_kan(rng, 3, 4),
+        lambda rng: _random_frkan(rng, 3, 4, h=2),
+        lambda rng: MLPLayer(rng.normal(size=(3, 4)), rng.normal(size=4), "relu"),
+        lambda rng: MLPLayer(rng.normal(size=(3, 4)), rng.normal(size=4), "identity"),
+        lambda rng: LayerNorm(3),
+    ], ids=["kan", "frkan", "mlp-relu", "mlp-identity", "layernorm"])
+    def test_x_and_parameters_unchanged(self, make):
+        rng = np.random.default_rng(23)
+        layer = make(rng)
+        params = layer.param_arrays()
+        before = [(name, a.copy()) for name, a in params]
+        X = rng.uniform(-2.5, 2.5, size=(9, 3))
+        X0 = X.copy()
+        layer.forward_batch(X)
+        assert np.array_equal(X, X0)
+        for (name, a), (_, a0) in zip(params, before):
+            assert np.array_equal(a, a0), name
 
 
 class TestMLPForward:

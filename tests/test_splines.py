@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frkan.autodiff import DIVIDING_FLOOR, Tape, finite_difference_check
@@ -399,11 +399,24 @@ class TestTapeSpline:
         assert tp.value(node) == 0.0
 
 
+class _FixedDraw:
+    """Stands in for ``st.data()`` in an ``@example``: every draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy):
+        return self.value
+
+
 class TestSortedInvariantUnderUpdates:
     @settings(max_examples=200, deadline=None)
     @given(K=st.integers(1, 3), G=st.integers(1, 20),
            a=st.floats(-50, 50), width=st.floats(1e-3, 100),
            data=st.data())
+    # a shifted point lands on an extension point, and the clamped gap is
+    # tiny next to the knot it is added to
+    @example(K=2, G=3, a=8.0, width=0.001, data=_FixedDraw([0.0, 0.0, 0.001, 0.0]))
     def test_effective_knots_strictly_increase_under_arbitrary_shifts(self, K, G, a,
                                                                       width, data):
         kv = make_uniform_grid(a, a + width, G, K)
@@ -413,6 +426,13 @@ class TestSortedInvariantUnderUpdates:
         gaps = np.diff(kv.effective_knots())
         assert np.all(gaps > 0.0)
         assert np.all(gaps >= kv.min_gap * (1.0 - 1e-9))
+
+    def test_clamped_gap_next_to_a_large_knot_is_at_least_min_gap(self):
+        # 8.001667 + min_gap rounds down to the ulp of the knot
+        kv = make_uniform_grid(8.0, 8.001, 3, 2)
+        kv.shift = np.array([0.0, 0.0, 0.001, 0.0])
+        kv.assert_sorted()
+        assert np.diff(kv.effective_knots()).min() >= kv.min_gap
 
     def test_random_walk_on_shift_keeps_knots_sorted(self):
         rng = np.random.default_rng(19)
