@@ -42,12 +42,15 @@ from .knots import (
     UnsupportedOrder,
     audit_network_knots,
     build_sawtooth_network,
+    exact_breakpoints,
     fixed_grid_knot_bounds,
     free_knot_bounds,
     mlp_knot_positions,
+    piecewise_linear_slice,
     predict_new_knots,
     relu_mlp_knot_bound,
     scan_breakpoints,
+    slice_map,
 )
 from .tasks import (
     DatasetSplit,

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import os
 import re
 import sys
 
 import numpy as np
 
-from .knots import audit_network_knots
+from .knots import MIN_SAMPLES, audit_network_knots
 from .layers import (
     BadArchitecture,
     CorruptCheckpoint,
@@ -87,6 +89,26 @@ CONFIG_DEFAULTS = {
     "normalize": False,
     "silu": True,
     "layernorm": "auto",
+}
+
+
+def _integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _finite(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# keys whose values would otherwise fail later as a TypeError or be coerced
+# without a word; checked once, for file and flag values alike
+KEY_CHECKS = {
+    "epochs": (lambda v: _integer(v) and v >= 1, "an integer >= 1"),
+    "lambda": (lambda v: _finite(v) and v >= 0, "a finite number >= 0"),
+    "groups": (lambda v: v is None or (_integer(v) and v >= 1), "null or an integer >= 1"),
+    "scan_samples": (lambda v: _integer(v) and v >= MIN_SAMPLES,
+                     f"an integer >= {MIN_SAMPLES}"),
+    "slice_dim": (lambda v: v is None or _integer(v), "null or an integer"),
 }
 
 
@@ -220,6 +242,9 @@ def effective_config(args: argparse.Namespace) -> dict:
     config["command"] = args.command
     if config["command"] not in COMMANDS:
         raise ValidationError(f"unknown command {config['command']!r}")
+    for key, (ok, need) in KEY_CHECKS.items():
+        if not ok(config[key]):
+            raise ValidationError(f"{key}: need {need}, got {config[key]!r}")
     if config["out"] is None:
         config["out"] = os.path.join("runs", config["command"])
     return config

@@ -1,20 +1,40 @@
-"""Empirical breakpoint detection and knot-count bound calculators.
+"""Breakpoint detection and knot-count bound calculators.
 
 A breakpoint (knot) of a piecewise-linear scalar map is a point where the
-one-sided slopes differ.  The detector works on a uniform sample lattice:
-slope jumps above a threshold seed candidate brackets, each bracket is
-narrowed by intersecting the linear pieces on both sides, and nearby
-candidates are merged.  Refinement stops once no candidate moves by more
-than the resolution (hi-lo)/2^refinement_depth, and the report records
-what the detector did: flagged lattice samples, clusters, candidates
-absorbed by the merge and refinement passes run.
+one-sided slopes differ.  A network audit looks at the sum of the outputs
+along a 1-D slice anchor + t * direction.  That sum is folded into the
+last layer where it is linear in the output weights (KAN, FR-KAN,
+identity MLP), so every path works on one output column.  Detection is
+restricted to order-1 splines and ReLU networks; higher-order splines hide
+their knots behind K-1 continuous derivatives.
 
-A network audit scans the sum of the outputs along a 1-D slice.  That sum
-is folded into the last layer where it is linear in the output weights
-(KAN, FR-KAN, identity MLP), so the lattice runs through one output
-column instead of all of them.  Detection is restricted to order-1
-splines and ReLU networks; higher-order splines hide their knots behind
-K-1 continuous derivatives and slope scans cannot see them.
+Two detectors share one merge rule and one threshold rule:
+
+* ``exact_breakpoints`` -- linear-region propagation.  It applies when
+  every module before the last is a K=1 spline layer without the SiLU
+  shortcut or an MLP (ReLU or identity), and the last is a K=1 spline
+  layer (SiLU allowed) or an MLP.  The slice is held as breakpoints plus,
+  on each piece, each layer input in the form alpha + beta * t.  A spline
+  layer splits a piece where an input crosses one of its effective knots
+  (an FR-KAN input: its own group's knots), at t = (knot - alpha) / beta,
+  and a ReLU where its pre-activation is zero.  The output slope is
+  carried forward piece by piece, and the jump at a breakpoint is the
+  right slope minus the left one; a last-layer SiLU adds
+  A_s * silu'(x) * (change of the input's slope) where its input kinks.
+* ``scan_breakpoints`` -- a uniform sample lattice, for every other stack
+  and for arbitrary callables.  Slope jumps above the threshold seed
+  candidate brackets, each bracket is narrowed by intersecting the linear
+  pieces on both sides, and refinement stops once no candidate moves by
+  more than the resolution (hi-lo)/2^refinement_depth.
+
+Candidates closer than the merge tolerance (a fraction of the slice
+width) are merged and their jumps summed; a merged breakpoint counts when
+its jump exceeds RELATIVE_SLOPE_THRESHOLD times the largest slope on the
+slice.  ``audit_network_knots`` picks the exact path whenever it applies.
+The report's ``detector.method`` says which path ran; the lattice
+statistics (samples, flagged samples, clusters, refinement passes) are 0
+on the exact path, and only the exact path fills ``nonzero_jumps``, the
+interior breakpoints whose jump is nonzero at any size.
 """
 
 from __future__ import annotations
@@ -28,7 +48,7 @@ from math import floor
 import numpy as np
 
 from .autodiff import NonFiniteValue
-from .layers import KANLayer, MLPLayer, Network, sum_outputs
+from .layers import SPLINE_KINDS, KANLayer, MLPLayer, Network, _sigmoid, sum_outputs
 from .splines import make_uniform_grid
 
 
@@ -37,9 +57,14 @@ class UnsupportedOrder(Exception):
 
 
 DEFAULT_SAMPLES = 200_000
+MIN_SAMPLES = 1000
 RELATIVE_SLOPE_THRESHOLD = 1e-3   # x max slope estimate
 RELATIVE_MERGE_TOLERANCE = 1e-5   # x scan width
 DEFAULT_REFINEMENT_DEPTH = 40
+# x max slope: smaller exact jumps are the rounding noise of smooth points
+RELATIVE_ROUNDING_FLOOR = 1e-9
+# silu''(x) = s(1-s)(2 + x(1-2s)), s = sigmoid(x), vanishes where x tanh(x/2) = 2
+SILU_INFLECTION = 2.3993572805154675
 
 
 @dataclass
@@ -117,6 +142,8 @@ class BreakpointReport:
     clusters: int             # runs of adjacent flagged points, one candidate each
     merged: int               # candidates absorbed into a neighbour by the merge
     refinement_passes: int    # stencil passes run, at most refinement_depth
+    method: str = "scan"      # "exact": propagated pieces, no lattice ran
+    nonzero_jumps: int | None = None   # exact path: interior jumps of any size
     notes: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -125,7 +152,9 @@ class BreakpointReport:
             "positions": self.positions.tolist(),
             "slope_jumps": self.slope_jumps.tolist(),
             "interior_count": self.interior_count,
+            "nonzero_jumps": self.nonzero_jumps,
             "detector": {
+                "method": self.method,
                 "samples": self.samples,
                 "slope_threshold": self.slope_threshold,
                 "merge_tolerance": self.merge_tolerance,
@@ -181,8 +210,8 @@ def scan_breakpoints(f, lo: float, hi: float, samples: int = DEFAULT_SAMPLES,
                      merge_tolerance: float | None = None,
                      refinement_depth: int = DEFAULT_REFINEMENT_DEPTH) -> BreakpointReport:
     """Locate slope discontinuities of a piecewise-linear scalar map."""
-    if samples < 1000:
-        raise ValueError(f"need samples >= 1000, got {samples}")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need samples >= {MIN_SAMPLES}, got {samples}")
     if hi <= lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
     evalf = _make_evaluator(f, lo, hi)
@@ -283,6 +312,168 @@ def scan_breakpoints(f, lo: float, hi: float, samples: int = DEFAULT_SAMPLES,
     )
 
 
+# -- exact path ---------------------------------------------------------------------
+
+
+def _crossings(T, alpha, beta, cuts):
+    """(piece, t) wherever a column of alpha + beta * t crosses a value of
+    the sorted ``cuts`` strictly inside its piece [T[p], T[p+1]]."""
+    x0 = alpha + beta * T[:-1, None]
+    x1 = alpha + beta * T[1:, None]
+    first = np.searchsorted(cuts, np.minimum(x0, x1), side="right").ravel()
+    last = np.searchsorted(cuts, np.maximum(x0, x1), side="left").ravel()
+    n = np.maximum(last - first, 0)
+    cell = np.repeat(np.arange(n.size), n)        # flat (piece, column) of each crossing
+    k = first[cell] + np.arange(cell.size) - np.repeat(np.cumsum(n) - n, n)
+    p = cell // alpha.shape[1]
+    t = (cuts[k] - alpha.ravel()[cell]) / beta.ravel()[cell]
+    return p, np.clip(t, T[p], T[p + 1])
+
+
+def _refine(T, alpha, beta, col_cuts):
+    """Split the pieces wherever a column block crosses its cuts.
+
+    ``col_cuts`` pairs a column slice with its sorted cut values.  Returns
+    the new breakpoints, each new piece's parent piece and its midpoint.
+    """
+    found = [_crossings(T, alpha[:, cols], beta[:, cols], cuts)[1] for cols, cuts in col_cuts]
+    refined = np.unique(np.concatenate([T, *found]))
+    mid = 0.5 * (refined[:-1] + refined[1:])
+    parent = np.minimum(np.searchsorted(T, mid, side="right") - 1, T.size - 2)
+    return refined, parent, mid
+
+
+def _pieces_through(mod, T, alpha, beta):
+    """Push the pieces through one module.
+
+    Returns the refined breakpoints, the module's input forms on the new
+    pieces and its output forms (alpha, beta) on them.
+    """
+    if mod.kind == "mlp":
+        za, zb = alpha @ mod.W + mod.bias, beta @ mod.W
+        if mod.activation == "relu":
+            T, parent, mid = _refine(T, za, zb, [(slice(None), np.zeros(1))])
+            alpha, beta, za, zb = alpha[parent], beta[parent], za[parent], zb[parent]
+            on = za + zb * mid[:, None] > 0.0
+            za, zb = za * on, zb * on
+        return T, alpha, beta, za, zb
+    # Order 1: the spline through (knot j+1, c_j), zero at both end knots
+    # and outside them.  V holds those node values per (input, output).
+    if mod.kind == "kan":
+        col_knots = [(slice(None), mod.kv.effective_knots())]
+        V = mod.coefficients * mod.A_b[:, :, None]
+    else:
+        col_knots = [(mod.group_columns(g), mod.group_kv(g).effective_knots())
+                     for g in range(mod.h)]
+        V = mod.coefficients[[mod.group_of(i) for i in range(mod.d_in)]][:, None, :]
+    V = np.pad(V, [(0, 0), (0, 0), (1, 1)])
+    T, parent, mid = _refine(T, alpha, beta, col_knots)
+    alpha, beta = alpha[parent], beta[parent]
+    shape = alpha.shape + (V.shape[1],)
+    ya, yb = np.empty(shape), np.empty(shape)
+    rows = np.arange(mod.d_in)
+    for cols, t in col_knots:
+        x = alpha[:, cols] + beta[:, cols] * mid[:, None]
+        m = np.searchsorted(t, x, side="right") - 1
+        inside = ((m >= 0) & (m < t.size - 1))[..., None]
+        m = np.clip(m, 0, t.size - 2)
+        v0, v1 = V[rows[cols], :, m], V[rows[cols], :, m + 1]     # (P, cols, outputs)
+        slope = np.where(inside, (v1 - v0) / (t[m + 1] - t[m])[..., None], 0.0)
+        ya[:, cols] = np.where(inside, v0 + slope * (alpha[:, cols] - t[m])[..., None], 0.0)
+        yb[:, cols] = slope * beta[:, cols, None]
+    if mod.kind == "kan":
+        return T, alpha, beta, ya.sum(axis=1), yb.sum(axis=1)
+    return T, alpha, beta, ya[..., 0] @ mod.A, yb[..., 0] @ mod.A
+
+
+def _silu_slope(x):
+    s = _sigmoid(x)
+    return s * (1.0 + x * (1.0 - s))
+
+
+def piecewise_linear_slice(net: Network) -> bool:
+    """Whether ``exact_breakpoints`` applies: every module before the last
+    is an MLP or a SiLU-free K=1 spline layer, and the last is an MLP or a
+    K=1 spline layer, whose SiLU shortcut adds no breakpoint."""
+    def ok(m, last):
+        if m.kind == "mlp":
+            return True
+        if m.kind not in SPLINE_KINDS:
+            return False
+        order = m.kv.K if m.kind == "kan" else m.K
+        return order == 1 and (last or not m.silu_path)
+
+    *hidden, last = net.modules
+    return all(ok(m, False) for m in hidden) and ok(last, True)
+
+
+def exact_breakpoints(net: Network, lo: float, hi: float, direction=None,
+                      anchor=None) -> BreakpointReport:
+    """Breakpoints of the summed-output slice, propagated piece by piece.
+
+    Counts with the scanner's merge and threshold rules; the threshold's
+    largest slope is taken over the pieces between merged breakpoints
+    (the ones inside a merge are narrower than the tolerance), at their
+    ends and, with a last-layer SiLU, where a SiLU input crosses an
+    inflection point of silu.
+    """
+    if not piecewise_linear_slice(net):
+        raise UnsupportedOrder("the exact path needs K=1 spline or MLP layers and "
+                               "no SiLU shortcut before the last layer")
+    if hi <= lo:
+        raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
+    direction, anchor = _slice_axes(net, direction, anchor)
+    tol = RELATIVE_MERGE_TOLERANCE * (hi - lo)
+    T = np.array([lo, hi], dtype=float)
+    alpha, beta = anchor[None, :], direction[None, :]
+    summed = sum_outputs(net)
+    for mod in summed.modules:
+        T, xa, xb, alpha, beta = _pieces_through(mod, T, alpha, beta)
+    slope = beta.sum(axis=1)
+    candidates = T[1:-1]
+    jumps = np.diff(slope)
+
+    last = summed.modules[-1]
+    w = None
+    if last.kind in SPLINE_KINDS and last.silu_path:
+        w = (last.A_s if last.kind == "kan" else last.A).sum(axis=1)
+        x = xa[1:] + xb[1:] * candidates[:, None]
+        jumps = jumps + (_silu_slope(x) * np.diff(xb, axis=0)) @ w
+
+    def derivative(p, t):
+        d = slope[p]
+        if w is not None:
+            d = d + (xb[p] * _silu_slope(xa[p] + xb[p] * t[:, None])) @ w
+        return np.abs(d)
+
+    # pieces 1..P-2 no wider than the tolerance lie inside one merged group
+    width = np.diff(T)
+    between = np.flatnonzero(width > tol)
+    between = np.union1d(between, [0, width.size - 1])
+    seen = [derivative(between, T[between]), derivative(between, T[between + 1])]
+    if w is not None:
+        p, t = _crossings(T, xa, xb, np.array([-SILU_INFLECTION, SILU_INFLECTION]))
+        inner = np.isin(p, between)
+        seen.append(derivative(p[inner], t[inner]))
+    max_slope = float(np.concatenate(seen).max())
+    thr = RELATIVE_SLOPE_THRESHOLD * max_slope
+
+    groups = np.flatnonzero(np.diff(candidates, prepend=-np.inf) > tol)
+    sizes = np.diff(np.append(groups, candidates.size))
+    pos = np.add.reduceat(candidates, groups) / sizes if groups.size else candidates
+    jump = np.add.reduceat(jumps, groups) if groups.size else jumps
+    interior = (pos > lo + tol) & (pos < hi - tol)
+    keep = np.abs(jump) > thr
+    return BreakpointReport(
+        lo=float(lo), hi=float(hi), positions=pos[keep], slope_jumps=jump[keep],
+        interior_count=int(np.sum(keep & interior)), merge_tolerance=float(tol),
+        slope_threshold=float(thr), samples=0, refinement_depth=0, flagged_samples=0,
+        clusters=0, merged=int(candidates.size - groups.size), refinement_passes=0,
+        method="exact",
+        nonzero_jumps=int(np.sum(interior & (np.abs(jump) > RELATIVE_ROUNDING_FLOOR * max_slope))),
+    )
+
+
 # -- constructions and audits -----------------------------------------------------
 
 
@@ -358,19 +549,44 @@ def network_bounds(net: Network) -> BoundResult:
     return fixed_grid_knot_bounds(G, K, L)
 
 
+def _slice_axes(net: Network, direction, anchor):
+    d_in = net.d_in
+    direction = np.ones(d_in) if direction is None else np.asarray(direction, dtype=float)
+    anchor = np.zeros(d_in) if anchor is None else np.asarray(anchor, dtype=float)
+    if direction.shape != (d_in,) or anchor.shape != (d_in,):
+        raise ValueError(f"slice direction/anchor must have shape ({d_in},)")
+    return direction, anchor
+
+
+def slice_map(net: Network, direction=None, anchor=None):
+    """The audited scalar map t -> sum of net(anchor + t * direction) over
+    the outputs, batched over t and run through one folded output column."""
+    direction, anchor = _slice_axes(net, direction, anchor)
+    summed = sum_outputs(net)
+
+    def f(ts):
+        X = anchor[None, :] + np.asarray(ts, dtype=float)[:, None] * direction[None, :]
+        return summed.forward_batch(X).sum(axis=1)
+
+    return f
+
+
 def audit_network_knots(net: Network, direction=None, anchor=None,
                         lo: float | None = None, hi: float | None = None,
                         samples: int = DEFAULT_SAMPLES,
                         refinement_depth: int = DEFAULT_REFINEMENT_DEPTH) -> KnotAudit:
-    """Scan a 1-D affine slice of the network and compare to the bounds.
+    """Count the breakpoints of a 1-D affine slice and compare to the bounds.
 
-    The scalar map is the sum of outputs at anchor + t * direction; the
-    sum is folded into the last layer where it is linear (``sum_outputs``),
-    so the lattice is scanned as one output column.  The interior count
-    is reported as measured; the bound comparison adds the two boundary
-    knots at the grid edges (for K=1 the single-layer count G+K splits as
-    G-1 interior plus 2 boundary).
+    The scalar map is the sum of outputs at anchor + t * direction.  A
+    piecewise-linear slice (``piecewise_linear_slice``) takes the exact
+    path; any other stack is scanned on a ``samples``-point lattice.  The
+    interior count is reported as measured; a spline bound comparison adds
+    the two boundary knots at the grid edges (for K=1 the single-layer
+    count G+K splits as G-1 interior plus 2 boundary), while the ReLU
+    chain bound counts the kinks themselves.
     """
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need samples >= {MIN_SAMPLES}, got {samples}")
     # the smooth SiLU shortcut is allowed: it adds no breakpoints
     for m in net.modules:
         if m.kind == "ln":
@@ -381,12 +597,7 @@ def audit_network_knots(net: Network, direction=None, anchor=None,
         if m.kind == "frkan" and m.K != 1:
             raise UnsupportedOrder(f"audit needs K=1 spline layers, got K={m.K}")
 
-    d_in = net.d_in
-    direction = np.ones(d_in) if direction is None else np.asarray(direction, dtype=float)
-    anchor = np.zeros(d_in) if anchor is None else np.asarray(anchor, dtype=float)
-    if direction.shape != (d_in,) or anchor.shape != (d_in,):
-        raise ValueError(f"slice direction/anchor must have shape ({d_in},)")
-
+    direction, anchor = _slice_axes(net, direction, anchor)
     splines = net.spline_layers()
     if splines and (lo is None or hi is None):
         first = splines[0]
@@ -397,21 +608,21 @@ def audit_network_knots(net: Network, direction=None, anchor=None,
     if lo is None or hi is None:
         raise ValueError("lo/hi are required for networks without spline layers")
 
-    summed = sum_outputs(net)
-
-    def f(ts):
-        X = anchor[None, :] + np.asarray(ts, dtype=float)[:, None] * direction[None, :]
-        return summed.forward_batch(X).sum(axis=1)
-
-    report = scan_breakpoints(f, lo, hi, samples=samples,
-                              refinement_depth=refinement_depth)
-    report.notes["counting"] = ("interior breakpoints exclude the scan endpoints; "
-                                "bound comparison adds the 2 boundary knots")
+    if piecewise_linear_slice(net):
+        report = exact_breakpoints(net, lo, hi, direction, anchor)
+    else:
+        report = scan_breakpoints(slice_map(net, direction, anchor), lo, hi,
+                                  samples=samples, refinement_depth=refinement_depth)
+    bounds = network_bounds(net)
+    # the ReLU chain counts kinks themselves; the spline counts G+K include
+    # the two boundary knots
+    boundary = 0 if bounds.formula_name == "relu-mlp" else 2
+    report.notes["counting"] = ("interior breakpoints exclude the slice endpoints; "
+                                f"bound comparison adds {boundary} boundary knots")
     report.notes["upper_bound_reading"] = ("product term read literally as "
                                            "(G(G-1))^L; loose for L=1")
-    bounds = network_bounds(net)
     measured = report.interior_count
-    adjusted = measured + 2
+    adjusted = measured + boundary
     return KnotAudit(
         report=report, bounds=bounds, measured_interior=measured,
         measured_with_boundary=adjusted,

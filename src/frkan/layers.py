@@ -230,6 +230,11 @@ class FRKANLayer:
     def group_of(self, i: int) -> int:
         return i * self.h // self.d_in
 
+    def group_columns(self, g: int) -> slice:
+        """The inputs of group g: group_of(i) == g exactly for i in
+        [ceil(g d_in / h), ceil((g+1) d_in / h))."""
+        return slice(-(-g * self.d_in // self.h), -(-(g + 1) * self.d_in // self.h))
+
     def group_kv(self, g: int) -> KnotVector:
         return KnotVector(self.a, self.b, self.G, self.K, self.shifts[g].copy())
 
@@ -254,10 +259,9 @@ class FRKANLayer:
     def forward_batch(self, X):
         pre = np.empty_like(X, dtype=float)
         for g in range(self.h):
-            # group_of(i) == g exactly for i in [ceil(g d_in / h), ceil((g+1) d_in / h))
-            lo, hi = -(-g * self.d_in // self.h), -(-(g + 1) * self.d_in // self.h)
+            cols = self.group_columns(g)
             knots = self.group_kv(g).effective_knots()
-            pre[:, lo:hi] = spline_values(X[:, lo:hi], knots, self.K, self.coefficients[g])
+            pre[:, cols] = spline_values(X[:, cols], knots, self.K, self.coefficients[g])
         if self.silu_path:
             pre += _silu(X)
         return pre @ self.A

@@ -107,6 +107,20 @@ class TestTrainCommand:
         assert summary["metric_name"] == "accuracy"
 
 
+    @pytest.mark.parametrize("bad", [{"epochs": "3"}, {"lambda": "x"}, {"groups": 0}])
+    def test_bad_training_config_is_named(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"task": "runge", "model": "frkan", "arch": "4",
+                                   "G": 4, "K": 1, "n": 40, "epochs": 1, "batch": 16,
+                                   **bad}))
+        out = tmp_path / "r"
+        rc = _run(["train", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        (key,) = bad
+        assert f"error: {key}:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestKnotsCommand:
     def test_pass_and_report(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -183,6 +197,24 @@ class TestKnotsCommand:
                    "--out", str(tmp_path / "a")])
         assert rc == 1
         assert "slice_dim" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("bad", [{"scan_samples": "x"}, {"scan_samples": 5000.5},
+                                     {"scan_samples": 10}, {"slice_dim": "0"}])
+    def test_bad_knots_config_is_named(self, tmp_path, capsys, bad):
+        # a SiLU-free K=1 layer takes the exact path, which reads no lattice
+        # size, so a bad scan_samples must be caught before the path is picked
+        kv = make_uniform_grid(-1, 1, 4, 1)
+        net = Network([KANLayer(1, 1, kv, np.ones((1, 1, kv.n_bases)),
+                                np.ones((1, 1)), np.zeros((1, 1)), silu_path=False)])
+        ckpt = tmp_path / "net.json"
+        save_checkpoint(net, str(ckpt))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"checkpoint": str(ckpt), **bad}))
+        rc = _run(["knots", "--config", str(cfg), "--out", str(tmp_path / "a")])
+        assert rc == 1
+        (key,) = bad
+        assert f"error: {key}:" in capsys.readouterr().err
 
 
 class TestStabilityCommand:

@@ -2,19 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frkan.autodiff import NonFiniteValue
 from frkan.knots import (
     UnsupportedOrder,
     audit_network_knots,
     build_sawtooth_network,
+    exact_breakpoints,
     fixed_grid_knot_bounds,
     free_knot_bounds,
     mlp_knot_positions,
     network_bounds,
+    piecewise_linear_slice,
     predict_new_knots,
     relu_mlp_knot_bound,
     scan_breakpoints,
+    slice_map,
 )
 from frkan.layers import FRKANLayer, KANLayer, MLPLayer, Network
 from frkan.splines import init_shift, make_uniform_grid
@@ -276,6 +281,14 @@ class TestAudit:
         audit = audit_network_knots(net, lo=-2.0, hi=2.0, samples=50_000)
         assert audit.measured_interior <= 4
 
+    def test_relu_chain_counts_kinks_without_boundary_knots(self):
+        # two neurons, both kinks inside the slice: exactly the chain's 2
+        net = Network([MLPLayer(np.array([[1.0, -1.0]]), np.array([0.5, 0.5])),
+                       MLPLayer(np.array([[1.0], [2.0]]), np.zeros(1), "identity")])
+        audit = audit_network_knots(net, lo=-2.0, hi=2.0)
+        assert audit.measured_interior == audit.measured_with_boundary == 2
+        assert audit.bounds.upper == 2 and audit.passed
+
     def test_report_json_shape(self):
         rng = np.random.default_rng(10)
         net = Network([self._fixed_kan(rng, 1, G=4)])
@@ -291,7 +304,7 @@ class TestAudit:
 class TestDetectorStatistics:
     def test_piecewise_linear_network_stops_before_the_depth(self):
         net = build_sawtooth_network(5, layer2_seed=0)
-        report = audit_network_knots(net, samples=50_000).report
+        report = scan_breakpoints(slice_map(net), -1.0, 1.0, samples=50_000)
         assert report.clusters >= report.interior_count > 4
         assert report.flagged_samples >= report.clusters
         assert 1 <= report.refinement_passes < report.refinement_depth
@@ -321,3 +334,217 @@ class TestDetectorStatistics:
         assert report.clusters - report.merged == 3
         assert report.positions.size == 2
         np.testing.assert_allclose(report.positions, [-0.3, 0.2 + d / 2], atol=1e-6)
+
+
+def _spline_stack(rng, kind, G, widths, silu=False):
+    """Random K=1 spline layers on [-1, 1] with the given widths, input first."""
+    kv = make_uniform_grid(-1.0, 1.0, G, 1)
+    mods = []
+    for d, out in zip(widths, widths[1:]):
+        if kind == "kan":
+            mods.append(KANLayer(d, out, kv, rng.normal(size=(d, out, kv.n_bases)),
+                                 rng.normal(size=(d, out)), rng.normal(size=(d, out)),
+                                 silu_path=silu))
+        else:
+            h = int(rng.integers(1, d + 1))
+            shifts = np.stack([init_shift(kv, 8.0, seed=int(rng.integers(1 << 30)))
+                               for _ in range(h)])
+            mods.append(FRKANLayer(d, out, h, -1.0, 1.0, G, 1, rng.normal(size=(h, G + 1)),
+                                   shifts, rng.normal(size=(d, out)), silu_path=silu))
+    return Network(mods)
+
+
+def _relu_mlp(rng, widths):
+    mods = [MLPLayer(rng.normal(size=(d, out)), rng.normal(size=out))
+            for d, out in zip(widths, widths[1:])]
+    mods.append(MLPLayer(rng.normal(size=(widths[-1], 1)), np.zeros(1), "identity"))
+    return Network(mods)
+
+
+class TestExactPath:
+    def test_path_follows_the_network(self):
+        rng = np.random.default_rng(0)
+        assert piecewise_linear_slice(build_sawtooth_network(5, layer2_seed=0))
+        assert piecewise_linear_slice(_relu_mlp(rng, [2, 4, 3]))
+        # a SiLU shortcut is smooth on the last layer, but bends a hidden layer's pieces
+        last_silu = _spline_stack(rng, "kan", 4, [1, 2, 1])
+        last_silu.modules[0].silu_path = False
+        assert piecewise_linear_slice(last_silu)
+        hidden_silu = _spline_stack(rng, "frkan", 4, [2, 2, 1], silu=True)
+        assert not piecewise_linear_slice(hidden_silu)
+        with pytest.raises(UnsupportedOrder):
+            exact_breakpoints(hidden_silu, -1.0, 1.0)
+
+    def test_report_names_the_path(self):
+        rng = np.random.default_rng(1)
+        exact = audit_network_knots(_spline_stack(rng, "kan", 5, [1, 2, 1]))
+        doc = exact.to_dict()
+        assert doc["detector"]["method"] == "exact"
+        assert doc["nonzero_jumps"] >= doc["interior_count"] > 0
+        # no lattice ran
+        assert doc["detector"]["samples"] == doc["detector"]["flagged_samples"] == 0
+        assert doc["detector"]["clusters"] == doc["detector"]["refinement_passes"] == 0
+        scanned = audit_network_knots(_spline_stack(rng, "kan", 5, [1, 2, 1], silu=True),
+                                      samples=20_000).to_dict()
+        assert scanned["detector"]["method"] == "scan"
+        assert scanned["nonzero_jumps"] is None
+        assert scanned["detector"]["samples"] == 20_000
+
+    def test_sample_floor_holds_on_both_paths(self):
+        rng = np.random.default_rng(2)
+        for net in (build_sawtooth_network(4, layer2_seed=0),
+                    _spline_stack(rng, "kan", 4, [1, 2, 1], silu=True)):
+            with pytest.raises(ValueError):
+                audit_network_knots(net, samples=999)
+
+    def test_closed_forms(self):
+        # one ReLU layer: kinks at -bias / w; a KAN layer: its interior grid points
+        layer = MLPLayer(np.array([[2.0, -4.0, 1.0]]), np.array([-1.0, 1.0, 0.25]))
+        net = Network([layer, MLPLayer(np.ones((3, 1)), np.zeros(1), "identity")])
+        report = exact_breakpoints(net, -2.0, 2.0)
+        np.testing.assert_array_equal(report.positions, mlp_knot_positions(layer))
+        np.testing.assert_allclose(report.slope_jumps, [1.0, 4.0, 2.0])
+        kv = make_uniform_grid(-1, 1, 5, 1)
+        kan = Network([KANLayer(1, 1, kv, np.array([[[0.0, 1.0, -1.0, 2.0, 0.5, 3.0]]]),
+                                np.ones((1, 1)), np.ones((1, 1)))])
+        report = exact_breakpoints(kan, -1.0, 1.0)
+        np.testing.assert_array_equal(report.positions, kv.base_points()[1:-1])
+        np.testing.assert_allclose(report.slope_jumps, [-7.5, 12.5, -11.25, 10.0])
+        assert report.interior_count == report.nonzero_jumps == 4
+
+    def test_zero_spline_has_no_jumps(self):
+        kv = make_uniform_grid(-1, 1, 5, 1)
+        net = Network([KANLayer(1, 1, kv, np.zeros((1, 1, kv.n_bases)),
+                                np.ones((1, 1)), np.ones((1, 1)))])
+        report = exact_breakpoints(net, -1.0, 1.0)
+        assert report.interior_count == report.nonzero_jumps == 0
+        assert report.slope_threshold > 0.0   # the SiLU slope sets the scale
+
+    def test_last_layer_silu_jumps_where_its_input_kinks(self):
+        # relu(t) into silu: slope silu'(0) * 1 on the right, 0 on the left
+        kv = make_uniform_grid(-4, 4, 4, 1)
+        net = Network([MLPLayer(np.ones((1, 1)), np.zeros(1)),
+                       KANLayer(1, 1, kv, np.zeros((1, 1, kv.n_bases)),
+                                np.ones((1, 1)), np.full((1, 1), 3.0))])
+        report = exact_breakpoints(net, -1.0, 1.0)
+        np.testing.assert_array_equal(report.positions, [0.0])
+        np.testing.assert_allclose(report.slope_jumps, [1.5])
+
+
+def _cross_check_cases():
+    for G in range(3, 9):
+        for seed in range(3):
+            yield f"sawtooth-G{G}-s{seed}", build_sawtooth_network(G, layer2_seed=seed), -1, 1
+    rng = np.random.default_rng(3)        # criterion 3
+    for G in (5, 10, 20):
+        for width in (1, 8, 64):
+            yield f"c3-G{G}-w{width}", _spline_stack(rng, "kan", G, [1, width], silu=True), -1, 1
+    rng = np.random.default_rng(55)       # criterion 5
+    kv = make_uniform_grid(-1.0, 1.0, 10, 1)
+    shifts = np.stack([init_shift(kv, 8.0, seed=s) for s in (11, 29)])
+    yield "c5", Network([FRKANLayer(2, 1, 2, -1.0, 1.0, 10, 1, rng.normal(size=(2, 11)),
+                                    shifts, rng.normal(size=(2, 1)))]), -1, 1
+
+
+def _random_family():
+    rng = np.random.default_rng(66)
+    for k in range(15):
+        G, w = int(rng.integers(3, 9)), int(rng.integers(1, 4))
+        if k % 3 == 0:
+            yield f"kan-G{G}-w{w}", _spline_stack(rng, "kan", G, [1, w, 1]), -1, 1
+        elif k % 3 == 1:
+            yield f"frkan-G{G}-w{2 * w}", _spline_stack(rng, "frkan", G, [1, 2 * w, 1]), -1, 1
+        else:
+            yield f"mlp-w{4 * w}", _relu_mlp(rng, [1, 4 * w, 4 * w]), -2, 2
+
+
+def _interior(report):
+    tol = report.merge_tolerance
+    return report.positions[(report.positions > report.lo + tol)
+                            & (report.positions < report.hi - tol)]
+
+
+class TestScannerCrossCheck:
+    """The lattice scanner against the exact path on the same folded slice."""
+
+    @pytest.mark.parametrize("net,lo,hi", [pytest.param(net, lo, hi, id=name)
+                                           for name, net, lo, hi in _cross_check_cases()])
+    def test_same_counts_and_positions(self, net, lo, hi):
+        exact = exact_breakpoints(net, lo, hi)
+        scan = scan_breakpoints(slice_map(net), lo, hi)
+        assert scan.interior_count == exact.interior_count
+        np.testing.assert_allclose(_interior(scan), _interior(exact),
+                                   atol=exact.merge_tolerance)
+        assert exact.slope_threshold == pytest.approx(scan.slope_threshold, rel=1e-3)
+
+    def test_random_family_misses_only_what_the_lattice_cannot_resolve(self):
+        # A kink between two samples splits its jump over two lattice second
+        # differences, so the scanner is only sure to flag jumps of at least
+        # twice its threshold, and kinks a few samples apart share a cluster.
+        misses = found = 0
+        for name, net, lo, hi in _random_family():
+            exact = exact_breakpoints(net, lo, hi)
+            scan = scan_breakpoints(slice_map(net), lo, hi)
+            tol, dt = exact.merge_tolerance, (hi - lo) / (scan.samples - 1)
+            pos, jump = exact.positions, exact.slope_jumps
+            inner = (pos > lo + tol) & (pos < hi - tol)
+            gaps = np.diff(pos)
+            spacing = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+            resolvable = inner & (np.abs(jump) >= 2 * exact.slope_threshold) & (spacing > 4 * dt)
+            got = _interior(scan)
+            near = lambda p, others: others.size and np.min(np.abs(others - p)) <= tol
+            assert all(near(p, pos) for p in got), f"{name}: a scanned breakpoint is not exact"
+            assert all(near(p, got) for p in pos[resolvable]), f"{name}: missed a resolvable one"
+            misses += int(np.sum(inner)) - got.size
+            found += got.size
+        assert found > 400 and misses <= 0.01 * found
+
+
+class TestBoundProperties:
+    """Exact counts against the paper's bounds.  The spline counts add the
+    two boundary knots; the ReLU chain bounds the kinks themselves."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["kan", "frkan"]), G=st.integers(2, 8),
+           d_in=st.integers(1, 2), width=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_depth_one_spline_counts_lie_within_the_bounds(self, kind, G, d_in, width, seed):
+        net = _spline_stack(np.random.default_rng(seed), kind, G, [d_in, width])
+        bounds = network_bounds(net)
+        n = exact_breakpoints(net, -1.0, 1.0).nonzero_jumps + 2
+        assert bounds.lower <= n <= bounds.upper
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["kan", "frkan"]), G=st.integers(3, 8),
+           d_in=st.integers(1, 2), width=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_depth_two_spline_counts_lie_within_the_bounds(self, kind, G, d_in, width, seed):
+        net = _spline_stack(np.random.default_rng(seed), kind, G, [d_in, width, 1])
+        bounds = network_bounds(net)
+        n = exact_breakpoints(net, -1.0, 1.0).nonzero_jumps + 2
+        assert bounds.lower <= n <= bounds.upper
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(widths=st.lists(st.integers(1, 5), min_size=1, max_size=2),
+           d_in=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+    def test_relu_counts_lie_within_the_chain(self, widths, d_in, seed):
+        net = _relu_mlp(np.random.default_rng(seed), [d_in, *widths])
+        chain = network_bounds(net).upper
+        assert exact_breakpoints(net, -3.0, 3.0).nonzero_jumps <= chain
+
+    def test_fixed_grid_upper_bound_is_exceeded_at_G2(self):
+        # Layer 1 sweeps [-3, 3] on each of its two pieces and crosses all
+        # five of layer 2's knots (-2..2) both times: 10 interior knots, 12
+        # with the boundary, against (G+K) + (G(G-1))^2 = 7.  Its own kink at
+        # t=0 maps to x=-3, outside layer 2's knots, and leaves no jump.
+        kv = make_uniform_grid(-1.0, 1.0, 2, 1)
+        one, zero = np.ones((1, 1)), np.zeros((1, 1))
+        net = Network([
+            KANLayer(1, 1, kv, np.array([[[3.0, -3.0, 3.0]]]), one, zero, silu_path=False),
+            KANLayer(1, 1, kv, np.array([[[1.0, -1.0, 2.0]]]), one, zero, silu_path=False)])
+        audit = audit_network_knots(net)
+        np.testing.assert_allclose(audit.report.positions,
+                                   np.array([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]) / 6.0,
+                                   atol=1e-15)
+        assert audit.report.nonzero_jumps == audit.measured_interior == 10
+        assert audit.bounds.upper == 7 and not audit.upper_ok
+        scan = scan_breakpoints(slice_map(net), -1.0, 1.0)
+        assert scan.interior_count == 10
