@@ -12,7 +12,6 @@ from .splines import (
     KnotVector,
     SplineGroup,
     TooFewCoefficients,
-    apply_free_shift,
     basis,
     basis_k0,
     basis_matrix,

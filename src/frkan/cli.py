@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import numbers
 import os
 import re
@@ -22,18 +21,17 @@ import numpy as np
 
 from .knots import MIN_SAMPLES, audit_network_knots
 from .layers import (
+    SPLINE_KINDS,
     BadArchitecture,
     CorruptCheckpoint,
-    FRKANLayer,
     GridConfig,
-    KANLayer,
     Network,
     init_network,
     load_checkpoint,
     param_count,
     save_checkpoint,
 )
-from .splines import SplineGroup, spline_eval
+from .splines import _finite, spline_eval
 from .tasks import (
     FEYNMAN_EQUATIONS,
     UnsupportedEquation,
@@ -96,19 +94,56 @@ def _integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def _finite(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+def _at_least(lo):
+    return lambda v: _integer(v) and v >= lo, f"an integer >= {lo}"
 
 
-# keys whose values would otherwise fail later as a TypeError or be coerced
-# without a word; checked once, for file and flag values alike
+def _one_of(*choices):
+    return lambda v: isinstance(v, str) and v in choices, "one of " + ", ".join(choices)
+
+
+def _interval(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(map(_finite, v)) and v[0] < v[1]
+
+
+_OPTIONAL_TEXT = (lambda v: v is None or isinstance(v, str), "null or a string")
+_FLAG = (lambda v: isinstance(v, bool), "true or false")
+
+# every key but command and arch (whose widths _descriptor_from checks),
+# with its type and range; checked once, for file and flag values alike, so
+# a bad value never fails later as a TypeError or is coerced without a word
 KEY_CHECKS = {
-    "epochs": (lambda v: _integer(v) and v >= 1, "an integer >= 1"),
-    "lambda": (lambda v: _finite(v) and v >= 0, "a finite number >= 0"),
+    "model": _one_of("mlp", "kan", "frkan"),
+    "G": _at_least(1),
+    "K": _at_least(1),
+    "range": (_interval, "[a, b] with finite a < b"),
     "groups": (lambda v: v is None or (_integer(v) and v >= 1), "null or an integer >= 1"),
-    "scan_samples": (lambda v: _integer(v) and v >= MIN_SAMPLES,
-                     f"an integer >= {MIN_SAMPLES}"),
+    "Z": (lambda v: _finite(v) and v > 0, "a finite number > 0"),
+    "lambda": (lambda v: _finite(v) and v >= 0, "a finite number >= 0"),
+    "lr": (lambda v: _finite(v) and v > 0, "a finite number > 0"),
+    "epochs": _at_least(1),
+    "batch": _at_least(1),
+    "seed": _at_least(0),
+    "equation": _OPTIONAL_TEXT,
+    "n": _at_least(10),
+    "task": _one_of("feynman", "runge", "classification"),
+    "classes": _at_least(2),
+    "dim": _at_least(1),
+    "width": _at_least(1),
+    "ranges": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(_interval, v)),
+               "a non-empty list of [a, b] with finite a < b"),
+    "depth": _at_least(3),
+    "steps": _at_least(1),
+    "out": _OPTIONAL_TEXT,
+    "checkpoint": _OPTIONAL_TEXT,
     "slice_dim": (lambda v: v is None or _integer(v), "null or an integer"),
+    "layer": (_integer, "an integer"),
+    "unit": (_integer, "an integer"),
+    "samples": _at_least(1),
+    "scan_samples": _at_least(MIN_SAMPLES),
+    "normalize": _FLAG,
+    "silu": _FLAG,
+    "layernorm": _one_of("auto", "off", "explicit"),
 }
 
 
@@ -403,26 +438,24 @@ def _export_activation_command(config) -> int:
         raise IndexOutOfRange(f"layer: {idx} out of range (network has "
                               f"{len(net.modules)} modules)")
     layer = net.modules[idx]
-    unit = config["unit"]
-    if isinstance(layer, FRKANLayer):
-        if not 0 <= unit < layer.h:
-            raise IndexOutOfRange(f"unit: group {unit} out of range (h={layer.h})")
-        sg = SplineGroup(layer.group_kv(unit), layer.coefficients[unit])
-        a, b, K, dg = layer.a, layer.b, layer.K, (layer.b - layer.a) / layer.G
-        combine = lambda s, z: s + z if layer.silu_path else s
-    elif isinstance(layer, KANLayer):
-        if not 0 <= unit < layer.d_in * layer.d_out:
-            raise IndexOutOfRange(f"unit: edge {unit} out of range "
-                                  f"({layer.d_in * layer.d_out} edges)")
-        i, o = divmod(unit, layer.d_out)
-        sg = SplineGroup(layer.kv, layer.coefficients[i, o])
-        a, b, K, dg = layer.kv.a, layer.kv.b, layer.kv.K, layer.kv.dg
-        wb, ws = layer.A_b[i, o], layer.A_s[i, o]
-        combine = lambda s, z: wb * s + (ws * z if layer.silu_path else 0.0)
-    else:
+    if layer.kind not in SPLINE_KINDS:
         raise IndexOutOfRange(f"layer: module {idx} ({layer.kind}) has no spline "
                               "activation to export")
-    xs = np.linspace(a - K * dg, b + K * dg, config["samples"])
+    # KAN units are edges i * d_out + o, FR-KAN units are groups
+    groups = layer.spline_groups()
+    unit = config["unit"]
+    if not 0 <= unit < len(groups):
+        raise IndexOutOfRange(f"unit: {unit} out of range ({layer.kind} layer "
+                              f"{idx} has {len(groups)} activations)")
+    sg = groups[unit]
+    if layer.kind == "frkan":
+        combine = lambda s, z: s + z if layer.silu_path else s
+    else:
+        i, o = divmod(unit, layer.d_out)
+        wb, ws = layer.A_b[i, o], layer.A_s[i, o]
+        combine = lambda s, z: wb * s + (ws * z if layer.silu_path else 0.0)
+    kv = sg.knots
+    xs = np.linspace(kv.a - kv.K * kv.dg, kv.b + kv.K * kv.dg, config["samples"])
     spline_col = spline_eval(xs, sg)
     silu_col = xs / (1.0 + np.exp(-xs))
     combined = combine(spline_col, silu_col)

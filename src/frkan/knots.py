@@ -82,7 +82,14 @@ def fixed_grid_knot_bounds(G: int, K: int, L: int) -> BoundResult:
     """Knot-count bounds for a depth-L fixed-grid spline network.
 
     Lower bound G+K; the upper bound adds the literal product reading
-    (G(G-1))^L, which is loose for L=1 but safe for containment checks.
+    (G(G-1))^L, which is loose for L=1.  It does not hold for every stack:
+    at G=2, K=1, L=2 it reads 7, but two width-1 KAN layers on [-1, 1],
+    the first with coefficients (3, -3, 3), sweep [-3, 3] twice and cross
+    all five of the second layer's knots each time, for 10 interior knots
+    (12 with the boundary).  A hidden output that leaves [a, b] crosses the
+    extension knots too, and width multiplies the crossings.  The paper's
+    premise (output range, width) waits for its full text, which this
+    project does not hold, so the formula is kept as read and not widened.
     """
     if G < 2 or K < 1 or L < 1:
         raise ValueError(f"need G >= 2, K >= 1, L >= 1; got G={G}, K={K}, L={L}")
@@ -90,7 +97,15 @@ def fixed_grid_knot_bounds(G: int, K: int, L: int) -> BoundResult:
 
 
 def free_knot_bounds(G: int, K: int, L: int, h: int) -> BoundResult:
-    """Bounds when each of h groups carries its own shifted grid."""
+    """Bounds when each of h groups carries its own shifted grid.
+
+    The upper bound h(G+K) + (hG(G-1))^L equals the fixed-grid bound at
+    h=1, and so does the G=2, L=2 counterexample in
+    ``fixed_grid_knot_bounds``: of random depth-2 FR-KAN stacks with G=2
+    (N(0, 1) coefficients, widths 1-3), 72 of 256 with h=1 exceed it, and
+    none of 344 with h of 2 or 3 did.  Its premise waits for the paper's
+    full text as well.
+    """
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
     base = fixed_grid_knot_bounds(G, K, L)
@@ -359,12 +374,12 @@ def _pieces_through(mod, T, alpha, beta):
         return T, alpha, beta, za, zb
     # Order 1: the spline through (knot j+1, c_j), zero at both end knots
     # and outside them.  V holds those node values per (input, output).
+    knots = mod.knots()
     if mod.kind == "kan":
-        col_knots = [(slice(None), mod.kv.effective_knots())]
+        col_knots = [(slice(None), knots[0])]
         V = mod.coefficients * mod.A_b[:, :, None]
     else:
-        col_knots = [(mod.group_columns(g), mod.group_kv(g).effective_knots())
-                     for g in range(mod.h)]
+        col_knots = [(mod.group_columns(g), knots[g]) for g in range(mod.h)]
         V = mod.coefficients[[mod.group_of(i) for i in range(mod.d_in)]][:, None, :]
     V = np.pad(V, [(0, 0), (0, 0), (1, 1)])
     T, parent, mid = _refine(T, alpha, beta, col_knots)
@@ -400,8 +415,7 @@ def piecewise_linear_slice(net: Network) -> bool:
             return True
         if m.kind not in SPLINE_KINDS:
             return False
-        order = m.kv.K if m.kind == "kan" else m.K
-        return order == 1 and (last or not m.silu_path)
+        return m.kv.K == 1 and (last or not m.silu_path)
 
     *hidden, last = net.modules
     return all(ok(m, False) for m in hidden) and ok(last, True)
@@ -538,8 +552,8 @@ def network_bounds(net: Network) -> BoundResult:
             if mod.kind == "mlp" and mod.activation == "relu":
                 m = relu_mlp_knot_bound(m, mod.d_out)
         return BoundResult(0, m, "relu-mlp")
-    Gs = {(m.kv.G if m.kind == "kan" else m.G) for m in splines}
-    Ks = {(m.kv.K if m.kind == "kan" else m.K) for m in splines}
+    Gs = {m.kv.G for m in splines}
+    Ks = {m.kv.K for m in splines}
     if len(Gs) != 1 or len(Ks) != 1:
         raise ValueError("knot bounds need a uniform grid across spline layers")
     G, K, L = Gs.pop(), Ks.pop(), len(splines)
@@ -592,19 +606,15 @@ def audit_network_knots(net: Network, direction=None, anchor=None,
         if m.kind == "ln":
             raise UnsupportedOrder("layer normalization is not piecewise linear; "
                                    "audit supports raw spline/ReLU stacks only")
-        if m.kind == "kan" and m.kv.K != 1:
+        if m.kind in SPLINE_KINDS and m.kv.K != 1:
             raise UnsupportedOrder(f"audit needs K=1 spline layers, got K={m.kv.K}")
-        if m.kind == "frkan" and m.K != 1:
-            raise UnsupportedOrder(f"audit needs K=1 spline layers, got K={m.K}")
 
     direction, anchor = _slice_axes(net, direction, anchor)
     splines = net.spline_layers()
     if splines and (lo is None or hi is None):
-        first = splines[0]
-        a = first.kv.a if first.kind == "kan" else first.a
-        b = first.kv.b if first.kind == "kan" else first.b
-        lo = a if lo is None else lo
-        hi = b if hi is None else hi
+        grid = splines[0].kv
+        lo = grid.a if lo is None else lo
+        hi = grid.b if hi is None else hi
     if lo is None or hi is None:
         raise ValueError("lo/hi are required for networks without spline layers")
 

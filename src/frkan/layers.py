@@ -9,6 +9,13 @@ Two kinds of spline layer coexist:
   group owning one coefficient set and one learnable knot shift; a single
   weight matrix A multiplies spline-plus-shortcut jointly.
 
+Both keep their grid -- [a, b], G and K -- in a ``KnotVector`` named
+``kv``.  A KAN layer is the fixed-grid case: one knot set, shifted by
+``kv.shift``, which is not trained and stays zero.  An FR-KAN layer shifts
+the grid once per group, by the rows of ``shifts``.  ``knots()`` returns
+a layer's effective knots from ``KnotVector.knot_matrix``, one row per
+knot set.
+
 Every layer exposes two forward paths that must agree numerically:
 ``tape_forward`` records scalars on an autodiff tape (used for training
 gradients) and ``forward_batch`` evaluates a whole sample matrix with
@@ -20,12 +27,13 @@ from __future__ import annotations
 import json
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import Tape
 from .splines import (
+    InvalidRange,
     KnotVector,
     SplineGroup,
     basis_matrix,
@@ -150,6 +158,10 @@ class KANLayer:
             "combined_spline_weight_estimate": self.d_in * self.d_out * (nb + 1),
         }
 
+    def knots(self) -> np.ndarray:
+        """The shared grid's effective knots as a one-row knot matrix."""
+        return self.kv.knot_matrix(self.kv.shift[None, :])
+
     def spline_groups(self):
         return [SplineGroup(self.kv, self.coefficients[i, o])
                 for i in range(self.d_in) for o in range(self.d_out)]
@@ -161,7 +173,7 @@ class KANLayer:
     def forward_batch(self, X):
         # Every edge leaving input i shares its basis row, so the dense basis
         # of all inputs, laid out (n, i*b), meets all edges in one matmul.
-        B = basis_matrix(X.ravel(), self.kv.effective_knots(), self.kv.K)
+        B = basis_matrix(X.ravel(), self.knots()[0], self.kv.K)
         B = B.reshape(X.shape[0], self.d_in * self.kv.n_bases)
         M = (self.coefficients * self.A_b[:, :, None]).transpose(0, 2, 1)  # (i, b, o)
         out = B @ M.reshape(-1, self.d_out)
@@ -214,16 +226,16 @@ class FRKANLayer:
         if not 1 <= h <= d_in:
             raise BadArchitecture(f"group count h={h} must be in [1, d_in={d_in}]")
         self.d_in, self.d_out, self.h = d_in, d_out, h
-        self.a, self.b, self.G, self.K = float(a), float(b), int(G), int(K)
+        self.kv = make_uniform_grid(a, b, G, K)
         self.coefficients = np.asarray(coefficients, dtype=float)
         self.shifts = np.asarray(shifts, dtype=float)
         self.A = np.asarray(A, dtype=float)
         self.silu_path = silu_path
-        nb = G + K
+        nb = self.kv.n_bases
         if self.coefficients.shape != (h, nb):
             raise BadArchitecture(f"coefficients must be {(h, nb)}")
-        if self.shifts.shape != (h, G + 1):
-            raise BadArchitecture(f"shifts must be {(h, G + 1)}")
+        if self.shifts.shape != (h, self.kv.G + 1):
+            raise BadArchitecture(f"shifts must be {(h, self.kv.G + 1)}")
         if self.A.shape != (d_in, d_out):
             raise BadArchitecture(f"A must be {(d_in, d_out)}")
 
@@ -235,9 +247,6 @@ class FRKANLayer:
         [ceil(g d_in / h), ceil((g+1) d_in / h))."""
         return slice(-(-g * self.d_in // self.h), -(-(g + 1) * self.d_in // self.h))
 
-    def group_kv(self, g: int) -> KnotVector:
-        return KnotVector(self.a, self.b, self.G, self.K, self.shifts[g].copy())
-
     def param_arrays(self):
         return [("A", self.A), ("coefficients", self.coefficients),
                 ("shifts", self.shifts)]
@@ -245,33 +254,33 @@ class FRKANLayer:
     def param_items(self):
         return {
             "A": self.d_in * self.d_out,
-            "coefficients": self.h * (self.G + self.K),
-            "shifts": self.h * (self.G + 1),
+            "coefficients": self.h * self.kv.n_bases,
+            "shifts": self.h * (self.kv.G + 1),
         }
 
+    def knots(self) -> np.ndarray:
+        """Row g: the effective knots of group g."""
+        return self.kv.knot_matrix(self.shifts)
+
     def spline_groups(self):
-        return [SplineGroup(self.group_kv(g), self.coefficients[g])
-                for g in range(self.h)]
+        return [SplineGroup(replace(self.kv, shift=shift.copy()), coef)
+                for shift, coef in zip(self.shifts, self.coefficients)]
 
     def penalty_coef_ids(self, bind):
         return [bind["coefficients"][g] for g in range(self.h)]
 
     def forward_batch(self, X):
         pre = np.empty_like(X, dtype=float)
+        knots = self.knots()
         for g in range(self.h):
             cols = self.group_columns(g)
-            knots = self.group_kv(g).effective_knots()
-            pre[:, cols] = spline_values(X[:, cols], knots, self.K, self.coefficients[g])
+            pre[:, cols] = spline_values(X[:, cols], knots[g], self.kv.K, self.coefficients[g])
         if self.silu_path:
             pre += _silu(X)
         return pre @ self.A
 
     def prepare_tape(self, tape, bind):
-        cache = []
-        for g in range(self.h):
-            kv = self.group_kv(g)
-            cache.append(kv.tape_knots(tape, bind["shifts"][g]))
-        return cache
+        return [self.kv.tape_knots(tape, bind["shifts"][g]) for g in range(self.h)]
 
     def tape_forward(self, tape, bind, cache, xs):
         coef = bind["coefficients"]
@@ -280,7 +289,7 @@ class FRKANLayer:
         for i, x_id in enumerate(xs):
             g = self.group_of(i)
             knot_ids, knot_vals = cache[g]
-            win = basis_window_on_tape(tape, knot_ids, knot_vals, self.K, x_id)
+            win = basis_window_on_tape(tape, knot_ids, knot_vals, self.kv.K, x_id)
             s = _spline_sum_on_tape(tape, coef[g], win[1]) if win is not None else None
             if self.silu_path:
                 silu_id = tape.silu(x_id)
@@ -392,11 +401,7 @@ class Network:
 
     def assert_knots_sorted(self):
         for m in self.spline_layers():
-            if m.kind == "frkan":
-                for g in range(m.h):
-                    m.group_kv(g).assert_sorted()
-            else:
-                m.kv.assert_sorted()
+            m.kv.assert_sorted(m.knots())
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -465,7 +470,7 @@ def sum_outputs(net: Network) -> Network:
         last = KANLayer(last.d_in, 1, last.kv, coef, np.ones((last.d_in, 1)),
                         last.A_s.sum(axis=1, keepdims=True), silu_path=last.silu_path)
     elif last.kind == "frkan":
-        last = FRKANLayer(last.d_in, 1, last.h, last.a, last.b, last.G, last.K,
+        last = FRKANLayer(last.d_in, 1, last.h, last.kv.a, last.kv.b, last.kv.G, last.kv.K,
                           last.coefficients, last.shifts,
                           last.A.sum(axis=1, keepdims=True), silu_path=last.silu_path)
     elif last.kind == "mlp" and last.activation == "identity":
@@ -588,7 +593,6 @@ def init_network(descriptor: str, grid: GridConfig | None = None, seed: int = 0,
             h = grid.groups_for(d)
             nb = grid.G + grid.K
             coef = rng.normal(size=(h, nb)) * (0.1 / np.sqrt(nb))
-            kv = make_uniform_grid(grid.a, grid.b, grid.G, grid.K)
             half = (grid.b - grid.a) / (grid.Z * grid.G)
             shifts = half * rng.uniform(-1.0, 1.0, size=(h, grid.G + 1))
             A = rng.uniform(-1, 1, size=(d, width)) / np.sqrt(d)
@@ -642,10 +646,11 @@ def save_checkpoint(net: Network, path: str):
            "layers": []}
     for m in net.modules:
         entry = {"kind": m.kind, "d_in": m.d_in, "d_out": m.d_out}
-        if m.kind == "kan":
-            entry.update(G=m.kv.G, K=m.kv.K, a=m.kv.a, b=m.kv.b, silu=m.silu_path)
-        elif m.kind == "frkan":
-            entry.update(G=m.G, K=m.K, a=m.a, b=m.b, h=m.h, silu=m.silu_path)
+        if m.kind in SPLINE_KINDS:
+            entry.update(G=m.kv.G, K=m.kv.K, a=m.kv.a, b=m.kv.b)
+            if m.kind == "frkan":
+                entry["h"] = m.h
+            entry["silu"] = m.silu_path
         elif m.kind == "mlp":
             entry["activation"] = m.activation
         for name, arr in m.param_arrays():
@@ -680,29 +685,32 @@ def load_checkpoint(path: str) -> Network:
                 m.beta = _decode_array(e["beta"], "beta")
                 if m.gamma.shape != (m.d_in,) or m.beta.shape != (m.d_in,):
                     raise CorruptCheckpoint(f"{label}: bad layernorm shapes")
-            elif kind == "kan":
-                kv = make_uniform_grid(e["a"], e["b"], e["G"], e["K"])
-                m = KANLayer(e["d_in"], e["d_out"], kv,
-                             _decode_array(e["coefficients"], "coefficients"),
-                             _decode_array(e["A_b"], "A_b"),
-                             _decode_array(e["A_s"], "A_s"),
-                             silu_path=bool(e.get("silu", True)))
-            elif kind == "frkan":
-                m = FRKANLayer(e["d_in"], e["d_out"], e["h"], e["a"], e["b"],
-                               e["G"], e["K"],
-                               _decode_array(e["coefficients"], "coefficients"),
-                               _decode_array(e["shifts"], "shifts"),
-                               _decode_array(e["A"], "A"),
-                               silu_path=bool(e.get("silu", True)))
+            elif kind in SPLINE_KINDS:
+                silu = e.get("silu", True)
+                if not isinstance(silu, bool):
+                    raise CorruptCheckpoint(f"{label}: silu: need true or false, got {silu!r}")
+                if kind == "kan":
+                    m = KANLayer(e["d_in"], e["d_out"],
+                                 make_uniform_grid(e["a"], e["b"], e["G"], e["K"]),
+                                 _decode_array(e["coefficients"], "coefficients"),
+                                 _decode_array(e["A_b"], "A_b"),
+                                 _decode_array(e["A_s"], "A_s"), silu_path=silu)
+                else:
+                    m = FRKANLayer(e["d_in"], e["d_out"], e["h"], e["a"], e["b"],
+                                   e["G"], e["K"],
+                                   _decode_array(e["coefficients"], "coefficients"),
+                                   _decode_array(e["shifts"], "shifts"),
+                                   _decode_array(e["A"], "A"), silu_path=silu)
             elif kind == "mlp":
                 m = MLPLayer(_decode_array(e["W"], "W"),
                              _decode_array(e["bias"], "bias"),
                              activation=e.get("activation", "relu"))
             else:
                 raise CorruptCheckpoint(f"{label}: unknown layer kind {kind!r}")
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise CorruptCheckpoint(f"{label}: missing field {exc}") from None
-        except BadArchitecture as exc:
+        except (TypeError, ValueError, InvalidRange, BadArchitecture) as exc:
+            # a grid field the layer cannot use names itself (a, b, G or K)
             raise CorruptCheckpoint(f"{label}: {exc}") from None
         modules.append(m)
     try:

@@ -27,6 +27,8 @@ coefficient sets.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,14 @@ class TooFewCoefficients(Exception):
 MIN_GAP_FACTOR = 1e-4
 
 
+def _count(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+
+
+def _finite(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass
 class KnotVector:
     """A grid range, its learnable shift, and the derived sorted knots."""
@@ -57,10 +67,14 @@ class KnotVector:
     shift: np.ndarray = None  # (G+1,), entries 0 and G have no effect
 
     def __post_init__(self):
-        if self.b <= self.a:
-            raise InvalidRange(f"need b > a, got [{self.a}, {self.b}]")
-        if self.G < 1 or self.K < 1:
-            raise InvalidRange(f"need G >= 1 and K >= 1, got G={self.G}, K={self.K}")
+        checks = (("a", _finite, "a finite number"), ("b", _finite, "a finite number"),
+                  ("G", _count, "an integer >= 1"), ("K", _count, "an integer >= 1"))
+        for name, ok, need in checks:
+            if not ok(getattr(self, name)):
+                raise InvalidRange(f"{name}: need {need}, got {getattr(self, name)!r}")
+        if not self.a < self.b:
+            raise InvalidRange(f"b: need b > a, got [{self.a!r}, {self.b!r}]")
+        self.a, self.b, self.G, self.K = float(self.a), float(self.b), int(self.G), int(self.K)
         if self.shift is None:
             self.shift = np.zeros(self.G + 1)
         self.shift = np.asarray(self.shift, dtype=float)
@@ -91,22 +105,42 @@ class KnotVector:
         right = self.b + dg * np.arange(1, self.K + 1)
         return left, right
 
-    def shifted_points(self) -> np.ndarray:
-        """Base points with the interior shift applied (endpoints pinned)."""
-        pts = self.base_points()
-        if self.G > 1:
-            pts[1:-1] += self.shift[1:-1]
-        return pts
+    def knot_matrix(self, shifts) -> np.ndarray:
+        """Effective knots, one row per row of a (rows, G+1) shift matrix.
+
+        Interior base points move by their shift, and each row is sorted
+        with the extension points.  Left to right, a knot below its clamped
+        predecessor + min_gap (one ulp up where that sum rounds down) is
+        raised to it, and a NaN knot stays.  The chain runs down the
+        columns for all rows at once, from the first column it changes.
+        """
+        shifts = np.asarray(shifts, dtype=float)
+        left, right = self.extension_points()
+        t = np.tile(np.concatenate([left, self.base_points(), right]), (len(shifts), 1))
+        t[:, self.K + 1:self.K + self.G] += shifts[:, 1:-1]
+        t.sort(axis=1)
+        min_gap = self.min_gap
+
+        def floor(prev):
+            lo = prev + min_gap
+            # the sum rounded down to the ulp of a knot far larger than the
+            # gap; one ulp up makes the stored gap at least min_gap
+            return np.where(lo - prev < min_gap, np.nextafter(lo, np.inf), lo)
+
+        low = np.flatnonzero((t[:, 1:] < floor(t[:, :-1])).any(axis=0))
+        for i in range(low[0] + 1 if low.size else t.shape[1], t.shape[1]):
+            lo = floor(t[:, i - 1])
+            t[:, i] = np.where(t[:, i] < lo, lo, t[:, i])
+        return t
 
     def effective_knots(self) -> np.ndarray:
         """Sorted, gap-clamped knot positions (plain values, no gradients)."""
-        left, right = self.extension_points()
-        g = np.sort(np.concatenate([left, self.shifted_points(), right]))
-        return _clamp_gaps(g, self.min_gap)
+        return self.knot_matrix(self.shift[None, :])[0]
 
-    def assert_sorted(self):
-        g = self.effective_knots()
-        gaps = np.diff(g)
+    def assert_sorted(self, knots=None):
+        """Raise InvalidRange unless every gap of ``knots`` (the effective
+        knots by default; each row of a knot matrix) is at least min_gap."""
+        gaps = np.diff(self.effective_knots() if knots is None else knots, axis=-1)
         if not np.all(gaps >= self.min_gap):
             raise InvalidRange(f"effective knots degenerate: min gap {gaps.min()!r}")
 
@@ -140,29 +174,9 @@ class KnotVector:
         return out, tape.values(out)
 
 
-def _clamp_gaps(g: np.ndarray, min_gap: float) -> np.ndarray:
-    # Sequential max keeps untouched knots bit-identical to their inputs;
-    # the same chain is recorded on the tape path.
-    out = g.copy()
-    for i in range(1, out.size):
-        lo = out[i - 1] + min_gap
-        if lo - out[i - 1] < min_gap:
-            # the sum rounded down to the ulp of a knot far larger than the
-            # gap; one ulp up makes the stored gap at least min_gap
-            lo = np.nextafter(lo, np.inf)
-        if out[i] < lo:
-            out[i] = lo
-    return out
-
-
 def make_uniform_grid(a: float, b: float, G: int, K: int) -> KnotVector:
     """Equispaced base points on [a, b] with zero shift."""
-    return KnotVector(a=float(a), b=float(b), G=int(G), K=int(K))
-
-
-def apply_free_shift(kv: KnotVector) -> np.ndarray:
-    """Sorted effective knots after applying the learnable shift."""
-    return kv.effective_knots()
+    return KnotVector(a=a, b=b, G=G, K=K)
 
 
 def init_shift(kv: KnotVector, Z: float, seed) -> np.ndarray:

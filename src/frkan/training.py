@@ -95,9 +95,8 @@ def _tape_penalty(tape: Tape, net: Network, tb) -> int:
     for m, bind in zip(net.modules, tb.per_module):
         if m.kind not in ("kan", "frkan"):
             continue
-        dg = m.kv.dg if m.kind == "kan" else (m.b - m.a) / m.G
         for row in m.penalty_coef_ids(bind):
-            node = penalty_on_tape(tape, row, dg)
+            node = penalty_on_tape(tape, row, m.kv.dg)
             total = node if total is None else tape.add(total, node)
     return tape.constant(0.0) if total is None else total
 

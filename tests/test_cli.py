@@ -8,8 +8,8 @@ import pytest
 
 from frkan.cli import main
 from frkan.knots import build_sawtooth_network
-from frkan.layers import KANLayer, Network, save_checkpoint
-from frkan.splines import make_uniform_grid
+from frkan.layers import FRKANLayer, KANLayer, Network, save_checkpoint
+from frkan.splines import make_uniform_grid, spline_eval
 
 
 def _run(argv):
@@ -107,7 +107,11 @@ class TestTrainCommand:
         assert summary["metric_name"] == "accuracy"
 
 
-    @pytest.mark.parametrize("bad", [{"epochs": "3"}, {"lambda": "x"}, {"groups": 0}])
+    @pytest.mark.parametrize("bad", [{"epochs": "3"}, {"lambda": "x"}, {"groups": 0},
+                                     {"lr": "x"}, {"batch": "8"}, {"n": "x"},
+                                     {"normalize": "yes"}, {"lr": 0}, {"n": 5},
+                                     {"silu": "false"}, {"layernorm": "sometimes"},
+                                     {"model": "xyz"}, {"task": 3}])
     def test_bad_training_config_is_named(self, tmp_path, capsys, bad):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"task": "runge", "model": "frkan", "arch": "4",
@@ -200,7 +204,8 @@ class TestKnotsCommand:
 
 
     @pytest.mark.parametrize("bad", [{"scan_samples": "x"}, {"scan_samples": 5000.5},
-                                     {"scan_samples": 10}, {"slice_dim": "0"}])
+                                     {"scan_samples": 10}, {"slice_dim": "0"},
+                                     {"checkpoint": 5}, {"scan_samples": True}])
     def test_bad_knots_config_is_named(self, tmp_path, capsys, bad):
         # a SiLU-free K=1 layer takes the exact path, which reads no lattice
         # size, so a bad scan_samples must be caught before the path is picked
@@ -217,6 +222,30 @@ class TestKnotsCommand:
         assert f"error: {key}:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("kind,field,bad", [
+        ("kan", "b", -2.0), ("kan", "K", 0), ("kan", "a", "nan"), ("kan", "a", "x"),
+        ("frkan", "b", -2.0), ("frkan", "G", 3.5), ("frkan", "K", True),
+        ("frkan", "silu", "false"), ("kan", "silu", 1)])
+    def test_bad_checkpoint_grid_is_named(self, tmp_path, capsys, kind, field, bad):
+        kv = make_uniform_grid(-1, 1, 4, 1)
+        if kind == "kan":
+            layer = KANLayer(1, 1, kv, np.ones((1, 1, kv.n_bases)), np.ones((1, 1)),
+                             np.ones((1, 1)))
+        else:
+            layer = FRKANLayer(1, 1, 1, -1, 1, 4, 1, np.ones((1, kv.n_bases)),
+                               np.zeros((1, 5)), np.ones((1, 1)))
+        ckpt = tmp_path / "net.json"
+        save_checkpoint(Network([layer]), str(ckpt))
+        doc = json.loads(ckpt.read_text())
+        doc["layers"][0][field] = bad
+        ckpt.write_text(json.dumps(doc))
+        rc = _run(["knots", "--checkpoint", str(ckpt), "--scan-samples", "2000",
+                   "--out", str(tmp_path / "a")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: checkpoint: layers[0]: " in err and f" {field}: " in err
+
+
 class TestStabilityCommand:
     def test_small_run(self, tmp_path):
         out = tmp_path / "stab"
@@ -229,6 +258,22 @@ class TestStabilityCommand:
         assert len(summary["ranges"]) == 2
         assert (out / "metrics_m1_1.csv").exists()
         assert (out / "metrics_m10_10.csv").exists()
+
+
+    @pytest.mark.parametrize("bad", [{"steps": "x"}, {"steps": 0}, {"depth": 2},
+                                     {"width": "2"}, {"ranges": []},
+                                     {"ranges": [[1, -1]]}, {"classes": 1}, {"dim": 0}])
+    def test_bad_stability_config_is_named(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"ranges": [[-1, 1]], "depth": 3, "steps": 2,
+                                   "classes": 3, "dim": 3, "width": 2, "n": 48,
+                                   "batch": 16, "G": 4, "K": 1, **bad}))
+        out = tmp_path / "s"
+        rc = _run(["stability", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        (key,) = bad
+        assert f"error: {key}:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParamcountCommand:
@@ -249,7 +294,9 @@ class TestParamcountCommand:
         assert "error: Z:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,bad", [("G", 0), ("K", 0), ("range", [10, -10]),
-                                         ("G", "3"), ("K", 1.5)])
+                                         ("G", "3"), ("K", 1.5), ("seed", "x"),
+                                         ("seed", -1), ("Z", "x"), ("range", ["x", 1]),
+                                         ("range", "ab")])
     def test_bad_grid_in_config_file_is_named(self, tmp_path, capsys, key, bad):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({key: bad, "arch": "in:2 -> frkan:4 -> out:1"}))
@@ -304,3 +351,39 @@ class TestExportActivation:
                    "--layer", "9", "--out", str(tmp_path / "a")])
         assert rc == 1
         assert "layer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [{"samples": "x"}, {"samples": 0}, {"unit": "x"},
+                                     {"layer": "0"}, {"unit": 4}])
+    def test_bad_export_config_is_named(self, tmp_path, capsys, bad):
+        ckpt = tmp_path / "saw.json"
+        save_checkpoint(build_sawtooth_network(4, layer2_seed=0), str(ckpt))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"checkpoint": str(ckpt), **bad}))
+        out = tmp_path / "a"
+        rc = _run(["export-activation", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        (key,) = bad
+        assert f"error: {key}:" in capsys.readouterr().err
+        assert not (out / "activation.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["kan", "frkan"])
+    def test_each_unit_exports_its_own_spline_group(self, tmp_path, kind):
+        rng = np.random.default_rng(31)
+        kv = make_uniform_grid(-1, 1, 4, 2)
+        if kind == "kan":
+            layer = KANLayer(2, 3, kv, rng.normal(size=(2, 3, kv.n_bases)),
+                             rng.normal(size=(2, 3)), rng.normal(size=(2, 3)))
+        else:
+            layer = FRKANLayer(3, 2, 3, -1, 1, 4, 2, rng.normal(size=(3, kv.n_bases)),
+                               rng.uniform(-0.2, 0.2, size=(3, 5)), rng.normal(size=(3, 2)))
+        ckpt = tmp_path / "net.json"
+        save_checkpoint(Network([layer]), str(ckpt))
+        for unit, sg in enumerate(layer.spline_groups()):
+            out = tmp_path / f"u{unit}"
+            rc = _run(["export-activation", "--checkpoint", str(ckpt), "--layer", "0",
+                       "--unit", str(unit), "--samples", "50", "--out", str(out)])
+            assert rc == 0
+            rows = np.array([[float(v) for v in line.split(",")] for line in
+                             (out / "activation.csv").read_text().splitlines()[1:]])
+            np.testing.assert_array_equal(rows[:, 0], np.linspace(-2.0, 2.0, 50))
+            np.testing.assert_array_equal(rows[:, 1], spline_eval(rows[:, 0], sg))

@@ -1,9 +1,13 @@
 """Layer forward semantics, network assembly, parameter counts, checkpoints."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frkan.autodiff import Tape
 from frkan.layers import (
@@ -103,14 +107,14 @@ class TestFRKANForward:
     @staticmethod
     def _check_direct_summation(layer, X):
         got = layer.forward_batch(X)
-        knots = [layer.group_kv(g).effective_knots() for g in range(layer.h)]
+        knots = [sg.knots.effective_knots() for sg in layer.spline_groups()]
         for n in range(X.shape[0]):
             for o in range(layer.d_out):
                 want = 0.0
                 for i in range(layer.d_in):
                     g = layer.group_of(i)
-                    s = sum(layer.coefficients[g, j] * _ref_basis(X[n, i], knots[g], j, layer.K)
-                            for j in range(layer.G + layer.K))
+                    s = sum(layer.coefficients[g, j] * _ref_basis(X[n, i], knots[g], j, layer.kv.K)
+                            for j in range(layer.kv.n_bases))
                     want += layer.A[i, o] * (s + _silu(X[n, i]))
                 assert got[n, o] == pytest.approx(want, abs=1e-12)
 
@@ -146,7 +150,7 @@ class TestFRKANForward:
         layer = _random_frkan(rng, 4, 2, h=1)
         x = rng.uniform(-2, 2, size=(1, 4))
         base = layer.forward_batch(x)
-        swapped = FRKANLayer(4, 2, 1, layer.a, layer.b, layer.G, layer.K,
+        swapped = FRKANLayer(4, 2, 1, layer.kv.a, layer.kv.b, layer.kv.G, layer.kv.K,
                              layer.coefficients.copy(), layer.shifts.copy(),
                              layer.A[[1, 0, 2, 3]].copy())
         out = swapped.forward_batch(x[:, [1, 0, 2, 3]])
@@ -399,7 +403,70 @@ class TestInitNetwork:
         assert net2.descriptor == desc
 
 
+@st.composite
+def _networks(draw):
+    """A random stack of kan, frkan, mlp and ln layers, each spline layer on
+    its own grid; FR-KAN shifts are small, large or whole multiples of dg."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = d_in = draw(st.integers(1, 4))
+    modules = []
+    for kind in draw(st.lists(st.sampled_from(["kan", "frkan", "mlp", "ln"]),
+                              min_size=1, max_size=4)):
+        if kind == "ln":
+            ln = LayerNorm(d)
+            ln.gamma, ln.beta = rng.normal(size=d), rng.normal(size=d)
+            modules.append(ln)
+            continue
+        width = draw(st.integers(1, 4))
+        if kind == "mlp":
+            modules.append(MLPLayer(rng.normal(size=(d, width)), rng.normal(size=width),
+                                    draw(st.sampled_from(["relu", "identity"]))))
+        else:
+            G, K = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+            a = draw(st.floats(-20, 20))
+            b = a + draw(st.floats(1e-3, 40))
+            silu = draw(st.booleans())
+            kv = make_uniform_grid(a, b, G, K)
+            if kind == "kan":
+                modules.append(KANLayer(d, width, kv, rng.normal(size=(d, width, kv.n_bases)),
+                                        rng.normal(size=(d, width)),
+                                        rng.normal(size=(d, width)), silu_path=silu))
+            else:
+                h = draw(st.integers(1, d))
+                scale = draw(st.sampled_from([0.1, 1.0, 3.0, "multiples"]))
+                if scale == "multiples":
+                    shifts = rng.integers(-2, 3, size=(h, G + 1)) * kv.dg
+                else:
+                    shifts = rng.uniform(-scale, scale, size=(h, G + 1)) * kv.dg
+                modules.append(FRKANLayer(d, width, h, a, b, G, K,
+                                          rng.normal(size=(h, kv.n_bases)), shifts,
+                                          rng.normal(size=(d, width)), silu_path=silu))
+        d = width
+    return Network(modules), d_in
+
+
 class TestCheckpoint:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_networks())
+    def test_round_trip_is_bit_exact(self, case):
+        net, d_in = case
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+            save_checkpoint(net, first)
+            back = load_checkpoint(first)
+            save_checkpoint(back, second)
+            with open(first, "rb") as f1, open(second, "rb") as f2:
+                assert f1.read() == f2.read()
+        assert back.descriptor == net.descriptor
+        assert np.array_equal(back.get_flat(), net.get_flat())
+        for m, n in zip(back.modules, net.modules):
+            assert getattr(m, "silu_path", None) == getattr(n, "silu_path", None)
+            assert getattr(m, "activation", None) == getattr(n, "activation", None)
+        X = np.random.default_rng(0).uniform(-30.0, 30.0, size=(50, d_in))
+        assert np.array_equal(back.forward_batch(X), net.forward_batch(X), equal_nan=True)
+        for u, v in zip(back.spline_groups(), net.spline_groups(), strict=True):
+            assert np.array_equal(u.knots.effective_knots(), v.knots.effective_knots())
+
     def test_round_trip_preserves_forward(self, tmp_path):
         rng = np.random.default_rng(8)
         net = Network([

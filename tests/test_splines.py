@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from frkan.autodiff import DIVIDING_FLOOR, Tape, finite_difference_check
 from frkan.splines import (
@@ -11,7 +12,6 @@ from frkan.splines import (
     KnotVector,
     SplineGroup,
     TooFewCoefficients,
-    apply_free_shift,
     basis,
     basis_k0,
     basis_matrix,
@@ -57,6 +57,27 @@ def _dense_basis(x, t, K):
     return B
 
 
+def _clamp_gaps(g, min_gap):
+    # The per-knot clamp chain that ``knot_matrix`` runs down the columns:
+    # the reference it must match bit for bit, NaN included.
+    out = g.copy()
+    for i in range(1, out.size):
+        lo = out[i - 1] + min_gap
+        if lo - out[i - 1] < min_gap:
+            lo = np.nextafter(lo, np.inf)
+        if out[i] < lo:
+            out[i] = lo
+    return out
+
+
+def _reference_knots(kv, shift):
+    left, right = kv.extension_points()
+    pts = kv.base_points()
+    if kv.G > 1:
+        pts[1:-1] += shift[1:-1]
+    return _clamp_gaps(np.sort(np.concatenate([left, pts, right])), kv.min_gap)
+
+
 def _probe_points(t, rng):
     """Random points across and beyond the knot span, every knot, and the
     points just outside both ends."""
@@ -90,7 +111,7 @@ class TestUniformGrid:
         kv = make_uniform_grid(-3, 7, 6, 2)
         base = np.concatenate([kv.extension_points()[0], kv.base_points(),
                                kv.extension_points()[1]])
-        assert apply_free_shift(kv).tolist() == base.tolist()
+        assert kv.effective_knots().tolist() == base.tolist()
 
 
 class TestFreeShift:
@@ -98,7 +119,7 @@ class TestFreeShift:
         kv = make_uniform_grid(0, 4, 4, 1)
         # interior points 1,2,3 shifted so that two of them swap
         kv.shift = np.array([0.0, 1.6, -0.1, -1.6, 0.0])
-        knots = apply_free_shift(kv)
+        knots = kv.effective_knots()
         assert np.all(np.diff(knots) > 0)
         # shifted multiset {0, 2.6, 1.9, 1.4, 4} sorted inside the extensions
         np.testing.assert_allclose(knots, [-1.0, 0.0, 1.4, 1.9, 2.6, 4.0, 5.0])
@@ -106,14 +127,14 @@ class TestFreeShift:
     def test_endpoints_stay_pinned(self):
         kv = make_uniform_grid(-2, 2, 5, 2)
         kv.shift = np.full(6, 0.3)
-        knots = apply_free_shift(kv)
+        knots = kv.effective_knots()
         assert knots[kv.K] == -2.0
         assert knots[kv.K + kv.G] == 2.0
 
     def test_min_gap_clamp_absorbs_collisions(self):
         kv = make_uniform_grid(0, 1, 4, 1)
         kv.shift = np.array([0.0, 0.25, 0.0, -0.25, 0.0])  # points 1 and 2 collide
-        knots = apply_free_shift(kv)
+        knots = kv.effective_knots()
         assert np.all(np.diff(knots) >= kv.min_gap * (1 - 1e-12))
         kv.assert_sorted()
 
@@ -126,7 +147,7 @@ class TestFreeShift:
         assert half == 0.125
         assert np.max(np.abs(s1)) <= half
         kv.shift = s1
-        knots = apply_free_shift(kv)
+        knots = kv.effective_knots()
         assert np.all(np.diff(knots) > 0)
         displace = np.abs(knots - make_uniform_grid(-10, 10, 20, 3).effective_knots())
         assert np.max(displace) <= half
@@ -397,6 +418,59 @@ class TestTapeSpline:
         x = tp.constant(5.0)
         node = spline_on_tape(tp, knot_ids, knot_vals, kv.K, coef_ids, x)
         assert tp.value(node) == 0.0
+
+
+@st.composite
+def _shifted_grids(draw):
+    """((a, b, G, K), shifts): h = 1..8 shift rows that either move points
+    by whole multiples of dg, so that they collide and get clamped, or by
+    any amount within three grid widths; now and then one entry is NaN."""
+    h, G, K = draw(st.integers(1, 8)), draw(st.integers(1, 24)), draw(st.integers(1, 3))
+    a, width = draw(st.floats(-50, 50)), draw(st.floats(1e-3, 100))
+    if draw(st.booleans()):
+        dg = ((a + width) - a) / G
+        shifts = draw(arrays(np.int64, (h, G + 1), elements=st.integers(-3, 3))) * dg
+    else:
+        reach = 3.0 * width
+        shifts = draw(arrays(float, (h, G + 1), elements=st.floats(-reach, reach)))
+    if draw(st.booleans()):
+        shifts[draw(st.integers(0, h - 1)), draw(st.integers(0, G))] = np.nan
+    return (a, a + width, G, K), shifts
+
+
+class TestKnotMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_shifted_grids())
+    # a shifted point lands on an extension point, and min_gap added to the
+    # knot before it rounds down to that knot's ulp
+    @example(case=((8.0, 8.001, 3, 2), np.array([[0.0, 0.0, 0.001, 0.0]])))
+    @example(case=((-1.0, 1.0, 4, 1), np.array([[0.0, 0.1, np.nan, -0.2, 0.0],
+                                                [0.0, 0.5, 0.5, -0.5, 0.0]])))
+    def test_rows_match_the_sequential_clamp(self, case):
+        (a, b, G, K), shifts = case
+        kv = make_uniform_grid(a, b, G, K)
+        T = kv.knot_matrix(shifts)
+        assert T.shape == (shifts.shape[0], G + 2 * K + 1)
+        for row, shift in zip(T, shifts):
+            assert np.array_equal(row, _reference_knots(kv, shift), equal_nan=True)
+        kv.shift = shifts[0]
+        assert np.array_equal(kv.effective_knots(), T[0], equal_nan=True)
+
+    def test_knot_matrix_gaps_are_checked_per_row(self):
+        kv = make_uniform_grid(0.0, 1.0, 4, 1)
+        T = kv.knot_matrix(np.array([[0.0, 0.25, 0.0, -0.25, 0.0], np.zeros(5)]))
+        kv.assert_sorted(T)
+        T[1, 3] = T[1, 2]
+        with pytest.raises(InvalidRange):
+            kv.assert_sorted(T)
+
+    @pytest.mark.parametrize("a,b,G,K", [(0.0, 1.0, 0, 1), (0.0, 1.0, 3.5, 1),
+                                         (0.0, 1.0, True, 1), (0.0, 1.0, 4, 0),
+                                         (np.nan, 1.0, 4, 1), (0.0, np.inf, 4, 1),
+                                         ("0", 1.0, 4, 1), (1.0, -1.0, 4, 1)])
+    def test_grid_fields_are_validated(self, a, b, G, K):
+        with pytest.raises(InvalidRange):
+            make_uniform_grid(a, b, G, K)
 
 
 class _FixedDraw:
