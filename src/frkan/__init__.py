@@ -12,8 +12,6 @@ from .splines import (
     KnotVector,
     SplineGroup,
     TooFewCoefficients,
-    basis,
-    basis_k0,
     basis_matrix,
     basis_window,
     coeff_second_difference_penalty,

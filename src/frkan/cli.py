@@ -280,6 +280,14 @@ def effective_config(args: argparse.Namespace) -> dict:
     for key, (ok, need) in KEY_CHECKS.items():
         if not ok(config[key]):
             raise ValidationError(f"{key}: need {need}, got {config[key]!r}")
+    # a classification dataset puts each class on a simplex vertex in dim
+    # dimensions and draws at least one sample of each
+    if config["command"] == "stability" or (config["command"] == "train"
+                                            and config["task"] == "classification"):
+        for key in ("dim", "n"):
+            if config[key] < config["classes"]:
+                raise ValidationError(f"{key}: need {key} >= classes "
+                                      f"({config['classes']}), got {config[key]!r}")
     if config["out"] is None:
         config["out"] = os.path.join("runs", config["command"])
     return config

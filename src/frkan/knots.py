@@ -40,8 +40,6 @@ interior breakpoints whose jump is nonzero at any size.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import floor
 
@@ -183,13 +181,6 @@ class BreakpointReport:
         }
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("FRKAN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _make_evaluator(f, lo: float, hi: float):
     """Wrap f so it maps an ndarray of points to an ndarray of values.
 
@@ -207,19 +198,6 @@ def _make_evaluator(f, lo: float, hi: float):
     return lambda pts: np.array([float(f(p)) for p in pts])
 
 
-def _eval_lattice(evalf, pts: np.ndarray) -> np.ndarray:
-    threads = _thread_count()
-    if threads <= 1 or pts.size < 4 * threads:
-        return evalf(pts)
-    # disjoint chunks with one overlapping sample; merged back in order
-    bounds = np.linspace(0, pts.size, threads + 1, dtype=int)
-    chunks = [pts[max(0, s - 1):e] for s, e in zip(bounds[:-1], bounds[1:])]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(evalf, chunks))
-    parts = [p if i == 0 else p[1:] for i, p in enumerate(parts)]
-    return np.concatenate(parts)
-
-
 def scan_breakpoints(f, lo: float, hi: float, samples: int = DEFAULT_SAMPLES,
                      slope_threshold: float | None = None,
                      merge_tolerance: float | None = None,
@@ -231,7 +209,7 @@ def scan_breakpoints(f, lo: float, hi: float, samples: int = DEFAULT_SAMPLES,
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
     evalf = _make_evaluator(f, lo, hi)
     t = np.linspace(lo, hi, samples)
-    y = _eval_lattice(evalf, t)
+    y = evalf(t)
     if not np.all(np.isfinite(y)):
         bad = t[~np.isfinite(y)][0]
         raise NonFiniteValue(f"function not finite near x={bad!r}")

@@ -9,12 +9,11 @@ Two kinds of spline layer coexist:
   group owning one coefficient set and one learnable knot shift; a single
   weight matrix A multiplies spline-plus-shortcut jointly.
 
-Both keep their grid -- [a, b], G and K -- in a ``KnotVector`` named
-``kv``.  A KAN layer is the fixed-grid case: one knot set, shifted by
-``kv.shift``, which is not trained and stays zero.  An FR-KAN layer shifts
-the grid once per group, by the rows of ``shifts``.  ``knots()`` returns
-a layer's effective knots from ``KnotVector.knot_matrix``, one row per
-knot set.
+Both keep their grid -- [a, b], G and K -- in an immutable ``KnotVector``
+named ``kv``.  A KAN layer is the fixed-grid case: one knot set, the grid
+row ``kv.row``.  An FR-KAN layer shifts the grid once per group, by the
+rows of ``shifts`` through ``KnotVector.knot_matrix``.  ``knots()``
+returns a layer's effective knots, one row per knot set.
 
 Every layer exposes two forward paths that must agree numerically:
 ``tape_forward`` records scalars on an autodiff tape (used for training
@@ -25,9 +24,8 @@ numpy (used for metrics, scanning and export; carries no gradients).
 from __future__ import annotations
 
 import json
-import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,15 +157,11 @@ class KANLayer:
         }
 
     def knots(self) -> np.ndarray:
-        """The shared grid's effective knots as a one-row knot matrix."""
-        return self.kv.knot_matrix(self.kv.shift[None, :])
+        """The shared grid's knot row as a one-row knot matrix."""
+        return self.kv.row[None, :]
 
     def spline_groups(self):
         return [SplineGroup(self.kv, self.coefficients[i, o])
-                for i in range(self.d_in) for o in range(self.d_out)]
-
-    def penalty_coef_ids(self, bind):
-        return [bind["coefficients"][i][o]
                 for i in range(self.d_in) for o in range(self.d_out)]
 
     def forward_batch(self, X):
@@ -263,11 +257,8 @@ class FRKANLayer:
         return self.kv.knot_matrix(self.shifts)
 
     def spline_groups(self):
-        return [SplineGroup(replace(self.kv, shift=shift.copy()), coef)
+        return [SplineGroup(self.kv, coef, shift)
                 for shift, coef in zip(self.shifts, self.coefficients)]
-
-    def penalty_coef_ids(self, bind):
-        return [bind["coefficients"][g] for g in range(self.h)]
 
     def forward_batch(self, X):
         pre = np.empty_like(X, dtype=float)
@@ -494,12 +485,10 @@ class GridConfig:
     Z: float = 8.0
 
     def __post_init__(self):
-        if not (isinstance(self.G, numbers.Integral) and self.G >= 1):
-            raise BadArchitecture(f"G: need an integer >= 1, got {self.G!r}")
-        if not (isinstance(self.K, numbers.Integral) and self.K >= 1):
-            raise BadArchitecture(f"K: need an integer >= 1, got {self.K!r}")
-        if not self.a < self.b:
-            raise BadArchitecture(f"range: need a < b, got [{self.a!r}, {self.b!r}]")
+        try:   # the grid's own checks name the field: a, b, G or K
+            make_uniform_grid(self.a, self.b, self.G, self.K)
+        except InvalidRange as exc:
+            raise BadArchitecture(str(exc)) from None
         # shifts start inside +-(b - a) / (Z * G)
         if not self.Z > 0:
             raise BadArchitecture(f"Z: need Z > 0, got {self.Z!r}")

@@ -4,13 +4,16 @@ Grid convention: G intervals on [a, b] give G+1 base points; K extra
 points per side extend the grid at the uniform spacing dg = (b-a)/G, for
 G+1+2K knots and G+K basis functions of order K.
 
-Free shifts: the learnable shift vector has one entry per base point
-(G+1 of them), but only interior base points actually move -- the two
-endpoint base points stay pinned at a and b so the basis partition of
-unity keeps holding on all of [a, b] no matter how the shifts train.
-The shifted points are sorted together with the (fixed) extension points
-and consecutive gaps are clamped to a minimum, so effective knots are
-always strictly increasing.
+Free shifts: a ``KnotVector`` is an immutable grid that holds no shift.
+It builds its unshifted knot ``row`` once, and ``knot_matrix(shifts)``
+builds every shifted knot set from it, so each caller passes its shifts
+in: an FR-KAN layer one row per group, a ``SplineGroup`` its own shift.
+A shift vector has one entry per base point (G+1 of them), but only
+interior base points actually move -- the two endpoint base points stay
+pinned at a and b so the basis partition of unity keeps holding on all
+of [a, b] no matter how the shifts train.  The shifted points are sorted
+together with the (fixed) extension points and consecutive gaps are
+clamped to a minimum, so effective knots are always strictly increasing.
 
 Basis evaluation: one array kernel finds each input's knot span and
 evaluates only the K+1 bases that can be nonzero there (de Boor's local
@@ -23,13 +26,16 @@ second denominator t[j+k+1] - t[j+1] is slot r+1's first.
 them, and ``basis_matrix`` is the window scattered into the dense
 (N, G+K) array, for callers that share one basis row across many
 coefficient sets.
+
+Smoothness penalty: ``second_difference_penalty`` gives the penalty of a
+whole coefficient array and its closed-form gradient.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,15 +62,20 @@ def _finite(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnotVector:
-    """A grid range, its learnable shift, and the derived sorted knots."""
+    """A grid range [a, b], G intervals and order K: an immutable value.
+
+    ``row`` holds the unshifted knots, built once at construction.
+    ``knot_matrix`` builds every shifted knot set from it; a shift is
+    always passed in, never stored here.
+    """
 
     a: float
     b: float
     G: int
     K: int
-    shift: np.ndarray = None  # (G+1,), entries 0 and G have no effect
+    row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         checks = (("a", _finite, "a finite number"), ("b", _finite, "a finite number"),
@@ -74,12 +85,17 @@ class KnotVector:
                 raise InvalidRange(f"{name}: need {need}, got {getattr(self, name)!r}")
         if not self.a < self.b:
             raise InvalidRange(f"b: need b > a, got [{self.a!r}, {self.b!r}]")
-        self.a, self.b, self.G, self.K = float(self.a), float(self.b), int(self.G), int(self.K)
-        if self.shift is None:
-            self.shift = np.zeros(self.G + 1)
-        self.shift = np.asarray(self.shift, dtype=float)
-        if self.shift.shape != (self.G + 1,):
-            raise InvalidRange(f"shift must have {self.G + 1} entries")
+        for name, cast in (("a", float), ("b", float), ("G", int), ("K", int)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
+        left, right = self.extension_points()
+        row = np.concatenate([left, self.base_points(), right])
+        # the clamp of knot_matrix leaves this row as it is: it is the
+        # zero-shift knot set, bit for bit
+        if np.any(row[1:] < self._floor(row[:-1])):
+            raise InvalidRange(f"G: {self.G} intervals on [{self.a!r}, {self.b!r}] "
+                               "are below the float resolution of the range")
+        row.flags.writeable = False
+        object.__setattr__(self, "row", row)
 
     @property
     def dg(self) -> float:
@@ -105,63 +121,55 @@ class KnotVector:
         right = self.b + dg * np.arange(1, self.K + 1)
         return left, right
 
+    def _floor(self, prev):
+        """The least knot allowed after ``prev``: prev + min_gap, one ulp up
+        where that sum rounds down to the ulp of a knot far larger than the
+        gap, so a stored gap is at least min_gap."""
+        min_gap = self.min_gap
+        lo = prev + min_gap
+        return np.where(lo - prev < min_gap, np.nextafter(lo, np.inf), lo)
+
     def knot_matrix(self, shifts) -> np.ndarray:
         """Effective knots, one row per row of a (rows, G+1) shift matrix.
 
-        Interior base points move by their shift, and each row is sorted
-        with the extension points.  Left to right, a knot below its clamped
-        predecessor + min_gap (one ulp up where that sum rounds down) is
-        raised to it, and a NaN knot stays.  The chain runs down the
-        columns for all rows at once, from the first column it changes.
+        Interior base points of ``row`` move by their shift, and each row
+        is sorted with the extension points.  Left to right, a knot below
+        the ``_floor`` of its clamped predecessor is raised to it, and a
+        NaN knot stays.  The chain runs down the columns for all rows at
+        once, from the first column it changes.
         """
         shifts = np.asarray(shifts, dtype=float)
-        left, right = self.extension_points()
-        t = np.tile(np.concatenate([left, self.base_points(), right]), (len(shifts), 1))
+        t = np.tile(self.row, (len(shifts), 1))
         t[:, self.K + 1:self.K + self.G] += shifts[:, 1:-1]
         t.sort(axis=1)
-        min_gap = self.min_gap
-
-        def floor(prev):
-            lo = prev + min_gap
-            # the sum rounded down to the ulp of a knot far larger than the
-            # gap; one ulp up makes the stored gap at least min_gap
-            return np.where(lo - prev < min_gap, np.nextafter(lo, np.inf), lo)
-
-        low = np.flatnonzero((t[:, 1:] < floor(t[:, :-1])).any(axis=0))
+        low = np.flatnonzero((t[:, 1:] < self._floor(t[:, :-1])).any(axis=0))
         for i in range(low[0] + 1 if low.size else t.shape[1], t.shape[1]):
-            lo = floor(t[:, i - 1])
+            lo = self._floor(t[:, i - 1])
             t[:, i] = np.where(t[:, i] < lo, lo, t[:, i])
         return t
 
-    def effective_knots(self) -> np.ndarray:
-        """Sorted, gap-clamped knot positions (plain values, no gradients)."""
-        return self.knot_matrix(self.shift[None, :])[0]
-
-    def assert_sorted(self, knots=None):
-        """Raise InvalidRange unless every gap of ``knots`` (the effective
-        knots by default; each row of a knot matrix) is at least min_gap."""
-        gaps = np.diff(self.effective_knots() if knots is None else knots, axis=-1)
+    def assert_sorted(self, knots):
+        """Raise InvalidRange unless every gap of ``knots`` (a knot row, or
+        each row of a knot matrix) is at least min_gap."""
+        gaps = np.diff(knots, axis=-1)
         if not np.all(gaps >= self.min_gap):
             raise InvalidRange(f"effective knots degenerate: min gap {gaps.min()!r}")
 
     def tape_knots(self, tape: Tape, shift_ids=None):
-        """Record the shift-sort-clamp transform; returns (ids, values).
+        """Record the knots on ``tape``; returns (ids, values).
 
         ``shift_ids`` holds G+1 tape node ids for the shift entries (the
-        endpoint entries are ignored, matching the pinned semantics).
-        With ``shift_ids=None`` the knots are recorded as constants.
+        endpoint entries are ignored, matching the pinned semantics), and
+        the shift-sort-clamp transform is recorded.  With
+        ``shift_ids=None`` the grid row is recorded as constants.
         """
-        left, right = self.extension_points()
-        base = self.base_points()
-        ids = [tape.constant(v) for v in left]
-        ids.append(tape.constant(base[0]))
-        for i in range(1, self.G):
-            if shift_ids is None:
-                ids.append(tape.constant(base[i] + self.shift[i]))
-            else:
-                ids.append(tape.add(tape.constant(base[i]), shift_ids[i]))
-        ids.append(tape.constant(base[-1]))
-        ids.extend(tape.constant(v) for v in right)
+        if shift_ids is None:
+            return [tape.constant(v) for v in self.row], self.row.tolist()
+        K, G = self.K, self.G
+        ids = [tape.constant(v) for v in self.row[:K + 1]]
+        for i in range(1, G):
+            ids.append(tape.add(tape.constant(self.row[K + i]), shift_ids[i]))
+        ids.extend(tape.constant(v) for v in self.row[K + G:])
 
         vals = tape.values(ids)
         perm = np.argsort(vals, kind="stable")
@@ -175,7 +183,7 @@ class KnotVector:
 
 
 def make_uniform_grid(a: float, b: float, G: int, K: int) -> KnotVector:
-    """Equispaced base points on [a, b] with zero shift."""
+    """Equispaced base points on [a, b]."""
     return KnotVector(a=a, b=b, G=G, K=K)
 
 
@@ -193,25 +201,6 @@ def init_shift(kv: KnotVector, Z: float, seed) -> np.ndarray:
 
 
 # -- basis evaluation --------------------------------------------------------
-
-
-def basis_k0(x: float, knots, j: int) -> float:
-    """Order-0 indicator: 1 on [knot_j, knot_{j+1}), else 0."""
-    return 1.0 if knots[j] <= x < knots[j + 1] else 0.0
-
-
-def basis(x: float, knots, j: int, k: int) -> float:
-    """Cox-de Boor recursion; 0/0 terms resolve to 0."""
-    if k == 0:
-        return basis_k0(x, knots, j)
-    v = 0.0
-    d1 = knots[j + k] - knots[j]
-    if abs(d1) > DIVIDING_FLOOR:
-        v += (x - knots[j]) / d1 * basis(x, knots, j, k - 1)
-    d2 = knots[j + k + 1] - knots[j + 1]
-    if abs(d2) > DIVIDING_FLOOR:
-        v += (knots[j + k + 1] - x) / d2 * basis(x, knots, j + 1, k - 1)
-    return v
 
 
 def _window_columns(x: np.ndarray, t: np.ndarray, K: int):
@@ -342,10 +331,12 @@ def basis_window_on_tape(tape: Tape, knot_ids, knot_values, K: int, x_id: int):
 
 @dataclass
 class SplineGroup:
-    """One activation: a knot vector plus its G+K combination coefficients."""
+    """One activation: a grid, its G+K combination coefficients and its
+    knot shift (None: the unshifted grid)."""
 
     knots: KnotVector
     coefficients: np.ndarray
+    shift: np.ndarray | None = None
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=float)
@@ -355,6 +346,12 @@ class SplineGroup:
 
     def __call__(self, x):
         return spline_eval(x, self)
+
+    def shifted_knots(self) -> np.ndarray:
+        """The group's effective knots: the grid row, moved by ``shift``."""
+        if self.shift is None:
+            return self.knots.row
+        return self.knots.knot_matrix([self.shift])[0]
 
 
 def spline_values(x, knots: np.ndarray, K: int, coefficients: np.ndarray) -> np.ndarray:
@@ -379,7 +376,7 @@ def spline_values(x, knots: np.ndarray, K: int, coefficients: np.ndarray) -> np.
 
 def spline_eval(x, sg: SplineGroup):
     """sum_j c_j B_{j,K}(x); scalar in, scalar out (arrays broadcast)."""
-    y = spline_values(x, sg.knots.effective_knots(), sg.knots.K, sg.coefficients)
+    y = spline_values(x, sg.shifted_knots(), sg.knots.K, sg.coefficients)
     return float(y) if np.ndim(x) == 0 else y
 
 
@@ -399,30 +396,28 @@ def spline_on_tape(tape: Tape, knot_ids, knot_values, K: int, coef_ids, x_id: in
 # -- smoothness penalty -------------------------------------------------------
 
 
-def coeff_second_difference_penalty(sg: SplineGroup) -> float:
-    """Squared second differences of the coefficients, scaled by 1/dg^2.
+def second_difference_penalty(c, dg: float):
+    """The smoothness penalty of coefficient rows and its gradient.
 
-    Zero exactly when the coefficient sequence is affine in j, positive
-    otherwise; drives the learned spline toward a continuous second
-    derivative.
+    P sums ((c[j-1] - 2 c[j] + c[j+1]) / dg^2)^2 along the last axis of
+    ``c`` and over every row.  It is zero exactly when each row is affine
+    in j and positive otherwise, and drives the learned splines toward a
+    continuous second derivative.  Returns ``(P, dP/dc)``, where
+    dP/dc = 2 D^T D c / dg^4 for the second-difference operator D.
     """
-    c = sg.coefficients
-    if c.size < 3:
-        raise TooFewCoefficients(f"need at least 3 coefficients, got {c.size}")
-    dg2 = sg.knots.dg ** 2
-    d2 = (c[:-2] - 2.0 * c[1:-1] + c[2:]) / dg2
-    return float(np.sum(d2 * d2))
+    c = np.asarray(c, dtype=float)
+    if c.shape[-1] < 3:
+        raise TooFewCoefficients(f"need at least 3 coefficients, got {c.shape[-1]}")
+    dg2 = dg ** 2
+    d2 = (c[..., :-2] - 2.0 * c[..., 1:-1] + c[..., 2:]) / dg2
+    w = d2 * (2.0 / dg2)
+    grad = np.zeros_like(c)
+    grad[..., :-2] += w
+    grad[..., 1:-1] -= 2.0 * w
+    grad[..., 2:] += w
+    return float(np.sum(d2 * d2)), grad
 
 
-def penalty_on_tape(tape: Tape, coef_ids, dg: float) -> int:
-    if len(coef_ids) < 3:
-        raise TooFewCoefficients(f"need at least 3 coefficients, got {len(coef_ids)}")
-    inv_dg2 = tape.constant(1.0 / dg ** 2)
-    two = tape.constant(2.0)
-    acc = None
-    for j in range(1, len(coef_ids) - 1):
-        d2 = tape.sub(tape.add(coef_ids[j - 1], coef_ids[j + 1]),
-                      tape.mul(two, coef_ids[j]))
-        term = tape.mul(d2, d2)
-        acc = term if acc is None else tape.add(acc, term)
-    return tape.mul(acc, tape.mul(inv_dg2, inv_dg2))
+def coeff_second_difference_penalty(sg: SplineGroup) -> float:
+    """The smoothness penalty of one spline group's coefficients."""
+    return second_difference_penalty(sg.coefficients, sg.knots.dg)[0]

@@ -2,10 +2,13 @@
 
 The loss is the task objective plus lambda times the summed
 coefficient-smoothness penalty over every spline group in the network.
-Gradients come from recording the whole mini-batch on one scalar tape;
-evaluation metrics use the vectorized forward path.  A non-finite loss or
-gradient halts the run and records the step index -- divergence is a
-measured outcome here, not an error.
+The task loss and its gradient come from recording the whole mini-batch
+on one scalar tape.  The penalty is not on the tape: it is quadratic in
+the coefficients, so its value and gradient have a closed form over each
+layer's coefficient array (``smoothness_penalty``).  Evaluation metrics
+use the vectorized forward path.  A non-finite loss or gradient halts the
+run and records the step index -- divergence is a measured outcome here,
+not an error.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .autodiff import AutodiffError, NonFiniteValue, Tape
-from .layers import Network
-from .splines import penalty_on_tape
+from .autodiff import AutodiffError, NonFiniteGradient, NonFiniteValue, Tape
+from .layers import SPLINE_KINDS, Network
+from .splines import second_difference_penalty
 from .tasks import DatasetSplit
 
 
@@ -90,37 +93,42 @@ def _tape_task_loss(tape: Tape, net: Network, tb, X, y, task: str) -> int:
     return tape.mul(total, inv_n)
 
 
-def _tape_penalty(tape: Tape, net: Network, tb) -> int:
-    total = None
-    for m, bind in zip(net.modules, tb.per_module):
-        if m.kind not in ("kan", "frkan"):
-            continue
-        for row in m.penalty_coef_ids(bind):
-            node = penalty_on_tape(tape, row, m.kv.dg)
-            total = node if total is None else tape.add(total, node)
-    return tape.constant(0.0) if total is None else total
+def smoothness_penalty(net: Network):
+    """The smoothness penalty summed over every spline group, and its
+    gradient laid out like ``net.get_flat()``."""
+    total, grads = 0.0, []
+    for m, name, arr in net.param_arrays():
+        if m.kind in SPLINE_KINDS and name == "coefficients":
+            p, g = second_difference_penalty(arr, m.kv.dg)
+            total += p
+            grads.append(g.ravel())
+        else:
+            grads.append(np.zeros(arr.size))
+    return total, np.concatenate(grads)
 
 
 def regularized_loss(net: Network, X: np.ndarray, y: np.ndarray, lam: float,
                      task: str = "regression"):
     """Loss value, flat gradient, and the (task, penalty) decomposition.
 
-    total = task loss + lam * penalty; with lam = 0 the total equals the
-    task loss exactly.
+    total = task loss + lam * penalty, and the gradient is the task loss's
+    tape gradient plus lam times the penalty's closed-form gradient; with
+    lam = 0 the total equals the task loss exactly.
     """
     if X.shape[0] == 0:
         raise EmptySplit("empty batch")
     tape = Tape()
     tb = net.bind_tape(tape)
     task_node = _tape_task_loss(tape, net, tb, X, y, task)
-    pen_node = _tape_penalty(tape, net, tb)
-    root = tape.add(task_node, tape.mul(tape.constant(lam), pen_node))
-    loss = tape.value(root)
+    penalty, penalty_grad = smoothness_penalty(net)
+    task_loss = tape.value(task_node)
+    loss = task_loss + lam * penalty
     if not np.isfinite(loss):
         raise NonFiniteValue(f"loss is {loss!r}")
-    grads = tape.gradient_vector(root, tb.n_params)
-    parts = {"task_loss": tape.value(task_node), "penalty": tape.value(pen_node)}
-    return loss, grads, parts
+    grads = tape.gradient_vector(task_node, tb.n_params) + lam * penalty_grad
+    if not np.all(np.isfinite(grads)):
+        raise NonFiniteGradient("penalty gradient is not finite")
+    return loss, grads, {"task_loss": task_loss, "penalty": penalty}
 
 
 def evaluate(net: Network, data: DatasetSplit, metric: str | None = None,
@@ -278,9 +286,7 @@ def train(net: Network, data: DatasetSplit, config: TrainConfig,
 
 def penalty_total(net: Network) -> float:
     """Current smoothness penalty summed over every spline group."""
-    from .splines import coeff_second_difference_penalty
-
-    return sum(coeff_second_difference_penalty(sg) for sg in net.spline_groups())
+    return smoothness_penalty(net)[0]
 
 
 def grid_range_experiment(ranges, depth: int, steps: int, seed: int,

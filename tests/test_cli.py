@@ -111,7 +111,10 @@ class TestTrainCommand:
                                      {"lr": "x"}, {"batch": "8"}, {"n": "x"},
                                      {"normalize": "yes"}, {"lr": 0}, {"n": 5},
                                      {"silu": "false"}, {"layernorm": "sometimes"},
-                                     {"model": "xyz"}, {"task": 3}])
+                                     {"model": "xyz"}, {"task": 3},
+                                     {"dim": 2, "task": "classification", "classes": 3},
+                                     {"n": 15, "task": "classification", "classes": 20,
+                                      "dim": 20}])
     def test_bad_training_config_is_named(self, tmp_path, capsys, bad):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"task": "runge", "model": "frkan", "arch": "4",
@@ -120,7 +123,7 @@ class TestTrainCommand:
         out = tmp_path / "r"
         rc = _run(["train", "--config", str(cfg), "--out", str(out)])
         assert rc == 1
-        (key,) = bad
+        key = next(iter(bad))   # the key the error names comes first
         assert f"error: {key}:" in capsys.readouterr().err
         assert not out.exists()
 
@@ -262,7 +265,8 @@ class TestStabilityCommand:
 
     @pytest.mark.parametrize("bad", [{"steps": "x"}, {"steps": 0}, {"depth": 2},
                                      {"width": "2"}, {"ranges": []},
-                                     {"ranges": [[1, -1]]}, {"classes": 1}, {"dim": 0}])
+                                     {"ranges": [[1, -1]]}, {"classes": 1}, {"dim": 0},
+                                     {"dim": 2}, {"n": 15, "classes": 20, "dim": 20}])
     def test_bad_stability_config_is_named(self, tmp_path, capsys, bad):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"ranges": [[-1, 1]], "depth": 3, "steps": 2,
@@ -271,7 +275,7 @@ class TestStabilityCommand:
         out = tmp_path / "s"
         rc = _run(["stability", "--config", str(cfg), "--out", str(out)])
         assert rc == 1
-        (key,) = bad
+        key = next(iter(bad))   # the key the error names comes first
         assert f"error: {key}:" in capsys.readouterr().err
         assert not out.exists()
 
@@ -303,6 +307,14 @@ class TestParamcountCommand:
         rc = _run(["paramcount", "--config", str(cfg), "--out", str(tmp_path / "pc")])
         assert rc == 1
         assert f"error: {key}:" in capsys.readouterr().err
+
+    def test_grid_below_float_resolution_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"G": 24, "range": [1e15, 1e15 + 1.0],
+                                   "arch": "in:2 -> frkan:4 -> out:1"}))
+        rc = _run(["paramcount", "--config", str(cfg), "--out", str(tmp_path / "pc")])
+        assert rc == 1
+        assert "error: G:" in capsys.readouterr().err
 
     def test_needs_full_descriptor(self, tmp_path, capsys):
         rc = _run(["paramcount", "--arch", "16", "--out", str(tmp_path / "pc")])

@@ -154,14 +154,6 @@ class TestScanBreakpoints:
         assert report.positions.size == knots.size  # precision and recall both 1
         np.testing.assert_allclose(report.positions, knots, atol=1e-6)
 
-    def test_thread_env_does_not_change_results(self, monkeypatch):
-        f = _piecewise_linear([-0.4, 0.1, 0.55], [1.0, -0.5, 0.8, -1.2])
-        base = scan_breakpoints(f, -1, 1, samples=20_000)
-        monkeypatch.setenv("FRKAN_THREADS", "3")
-        threaded = scan_breakpoints(f, -1, 1, samples=20_000)
-        np.testing.assert_array_equal(base.positions, threaded.positions)
-        np.testing.assert_array_equal(base.slope_jumps, threaded.slope_jumps)
-
     def test_kan_single_layer_breakpoints_at_grid(self):
         rng = np.random.default_rng(3)
         kv = make_uniform_grid(-1, 1, 5, 1)

@@ -82,7 +82,7 @@ class TestKANForward:
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(12)
         layer = _random_kan(rng, 3, 4)
-        t = layer.kv.effective_knots()
+        t = layer.kv.row
         nb = layer.kv.n_bases
         X = rng.uniform(-2.2, 2.2, size=(20, 3))
         got = layer.forward_batch(X)
@@ -107,7 +107,7 @@ class TestFRKANForward:
     @staticmethod
     def _check_direct_summation(layer, X):
         got = layer.forward_batch(X)
-        knots = [sg.knots.effective_knots() for sg in layer.spline_groups()]
+        knots = [sg.shifted_knots() for sg in layer.spline_groups()]
         for n in range(X.shape[0]):
             for o in range(layer.d_out):
                 want = 0.0
@@ -465,7 +465,7 @@ class TestCheckpoint:
         X = np.random.default_rng(0).uniform(-30.0, 30.0, size=(50, d_in))
         assert np.array_equal(back.forward_batch(X), net.forward_batch(X), equal_nan=True)
         for u, v in zip(back.spline_groups(), net.spline_groups(), strict=True):
-            assert np.array_equal(u.knots.effective_knots(), v.knots.effective_knots())
+            assert np.array_equal(u.shifted_knots(), v.shifted_knots())
 
     def test_round_trip_preserves_forward(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -1,5 +1,7 @@
 """Knot vectors, basis properties, free shifts, and the smoothness penalty."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,14 +14,12 @@ from frkan.splines import (
     KnotVector,
     SplineGroup,
     TooFewCoefficients,
-    basis,
-    basis_k0,
     basis_matrix,
     basis_window,
     coeff_second_difference_penalty,
     init_shift,
     make_uniform_grid,
-    penalty_on_tape,
+    second_difference_penalty,
     spline_eval,
     spline_on_tape,
     spline_values,
@@ -57,6 +57,11 @@ def _dense_basis(x, t, K):
     return B
 
 
+def _shifted(kv, shift):
+    # the effective knots of one shift vector
+    return kv.knot_matrix([shift])[0]
+
+
 def _clamp_gaps(g, min_gap):
     # The per-knot clamp chain that ``knot_matrix`` runs down the columns:
     # the reference it must match bit for bit, NaN included.
@@ -92,14 +97,14 @@ class TestUniformGrid:
         kv = make_uniform_grid(-1, 1, 4, 1)
         assert kv.base_points().tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
         np.testing.assert_allclose(
-            kv.effective_knots(), [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5], atol=0)
+            kv.row, [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5], atol=0)
         assert kv.n_bases == 5
 
     def test_paper_scale_grid(self):
         kv = make_uniform_grid(-10, 10, 20, 3)
         assert kv.dg == 1.0
         assert kv.n_bases == 23
-        assert kv.effective_knots().size == 20 + 1 + 2 * 3
+        assert kv.row.size == 20 + 1 + 2 * 3
 
     def test_degenerate_range_rejected(self):
         with pytest.raises(InvalidRange):
@@ -111,32 +116,29 @@ class TestUniformGrid:
         kv = make_uniform_grid(-3, 7, 6, 2)
         base = np.concatenate([kv.extension_points()[0], kv.base_points(),
                                kv.extension_points()[1]])
-        assert kv.effective_knots().tolist() == base.tolist()
+        assert kv.knot_matrix([np.zeros(kv.G + 1)])[0].tolist() == base.tolist()
 
 
 class TestFreeShift:
     def test_sorting_restores_order(self):
         kv = make_uniform_grid(0, 4, 4, 1)
         # interior points 1,2,3 shifted so that two of them swap
-        kv.shift = np.array([0.0, 1.6, -0.1, -1.6, 0.0])
-        knots = kv.effective_knots()
+        knots = _shifted(kv, np.array([0.0, 1.6, -0.1, -1.6, 0.0]))
         assert np.all(np.diff(knots) > 0)
         # shifted multiset {0, 2.6, 1.9, 1.4, 4} sorted inside the extensions
         np.testing.assert_allclose(knots, [-1.0, 0.0, 1.4, 1.9, 2.6, 4.0, 5.0])
 
     def test_endpoints_stay_pinned(self):
         kv = make_uniform_grid(-2, 2, 5, 2)
-        kv.shift = np.full(6, 0.3)
-        knots = kv.effective_knots()
+        knots = _shifted(kv, np.full(6, 0.3))
         assert knots[kv.K] == -2.0
         assert knots[kv.K + kv.G] == 2.0
 
     def test_min_gap_clamp_absorbs_collisions(self):
         kv = make_uniform_grid(0, 1, 4, 1)
-        kv.shift = np.array([0.0, 0.25, 0.0, -0.25, 0.0])  # points 1 and 2 collide
-        knots = kv.effective_knots()
+        knots = _shifted(kv, np.array([0.0, 0.25, 0.0, -0.25, 0.0]))  # points 1 and 2 collide
         assert np.all(np.diff(knots) >= kv.min_gap * (1 - 1e-12))
-        kv.assert_sorted()
+        kv.assert_sorted(knots)
 
     def test_init_shift_bound_and_determinism(self):
         kv = make_uniform_grid(-10, 10, 20, 3)
@@ -146,10 +148,9 @@ class TestFreeShift:
         half = (kv.b - kv.a) / (8.0 * kv.G)
         assert half == 0.125
         assert np.max(np.abs(s1)) <= half
-        kv.shift = s1
-        knots = kv.effective_knots()
+        knots = _shifted(kv, s1)
         assert np.all(np.diff(knots) > 0)
-        displace = np.abs(knots - make_uniform_grid(-10, 10, 20, 3).effective_knots())
+        displace = np.abs(knots - make_uniform_grid(-10, 10, 20, 3).row)
         assert np.max(displace) <= half
 
     def test_large_Z_recovers_fixed_grid(self):
@@ -159,26 +160,18 @@ class TestFreeShift:
 
 
 class TestBasis:
-    def test_indicator(self):
-        t = [0.0, 0.5, 1.0]
-        assert basis_k0(0.3, t, 0) == 1.0
-        assert basis_k0(0.7, t, 0) == 0.0
-        assert basis_k0(0.5, t, 0) == 0.0  # half-open at the right knot
-
     def test_hat_peak(self):
         kv = make_uniform_grid(0, 1, 4, 1)
-        t = kv.effective_knots()
+        t = kv.row
         # order-1 basis j peaks with value 1 at knot j+1
         for j in range(kv.n_bases):
-            assert basis(t[j + 1], t, j, 1) == pytest.approx(1.0)
+            assert _reference_basis(t[j + 1], t, j, 1) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("K", [1, 2, 3])
     @pytest.mark.parametrize("shifted", [False, True])
     def test_partition_of_unity(self, K, shifted):
         kv = make_uniform_grid(-2, 3, 7, K)
-        if shifted:
-            kv.shift = init_shift(kv, 8.0, seed=5)
-        t = kv.effective_knots()
+        t = _shifted(kv, init_shift(kv, 8.0, seed=5)) if shifted else kv.row
         x = np.linspace(kv.a, kv.b, 2001)
         sums = basis_matrix(x, t, K).sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-9
@@ -186,7 +179,7 @@ class TestBasis:
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_nonnegative_and_local_support(self, K):
         kv = make_uniform_grid(-1, 1, 6, K)
-        t = kv.effective_knots()
+        t = kv.row
         x = np.linspace(t[0] - 0.5, t[-1] + 0.5, 1500)
         B = basis_matrix(x, t, K)
         assert np.all(B >= 0)
@@ -197,8 +190,7 @@ class TestBasis:
     def test_matches_reference_recursion(self):
         rng = np.random.default_rng(2)
         kv = make_uniform_grid(-1, 2, 5, 3)
-        kv.shift = init_shift(kv, 8.0, seed=9)
-        t = kv.effective_knots()
+        t = _shifted(kv, init_shift(kv, 8.0, seed=9))
         xs = rng.uniform(t[0], t[-1], size=50)
         B = basis_matrix(xs, t, 3)
         for i, x in enumerate(xs):
@@ -212,9 +204,7 @@ class TestBasisWindow:
     @pytest.mark.parametrize("shifted", [False, True])
     def test_dense_scatter_is_bit_identical(self, K, G, shifted):
         kv = make_uniform_grid(-2, 3, G, K)
-        if shifted:
-            kv.shift = init_shift(kv, 2.0, seed=10 * G + K)
-        t = kv.effective_knots()
+        t = _shifted(kv, init_shift(kv, 2.0, seed=10 * G + K)) if shifted else kv.row
         x = _probe_points(t, np.random.default_rng(G))
         assert np.array_equal(basis_matrix(x, t, K), _dense_basis(x, t, K))
 
@@ -227,8 +217,7 @@ class TestBasisWindow:
     @pytest.mark.parametrize("K", [1, 3])
     def test_window_holds_the_dense_row(self, K):
         kv = make_uniform_grid(-1, 1, 6, K)
-        kv.shift = init_shift(kv, 8.0, seed=4)
-        t = kv.effective_knots()
+        t = _shifted(kv, init_shift(kv, 8.0, seed=4))
         x = _probe_points(t, np.random.default_rng(7))
         m, W = basis_window(x, t, K)
         B = _dense_basis(x, t, K)
@@ -246,7 +235,7 @@ class TestBasisWindow:
 
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_non_finite_inputs_give_nan_rows(self, K):
-        t = make_uniform_grid(-1, 1, 5, K).effective_knots()
+        t = make_uniform_grid(-1, 1, 5, K).row
         x = np.array([0.25, np.nan, np.inf, -np.inf])
         B = basis_matrix(x, t, K)
         assert np.all(np.isfinite(B[0]))
@@ -261,9 +250,8 @@ class TestBasisWindow:
     def test_partition_of_unity_under_arbitrary_shifts(self, K, G, a, width, data):
         kv = make_uniform_grid(a, a + width, G, K)
         reach = 3.0 * width
-        kv.shift = np.array(data.draw(st.lists(st.floats(-reach, reach),
-                                               min_size=G + 1, max_size=G + 1)))
-        t = kv.effective_knots()
+        t = _shifted(kv, np.array(data.draw(st.lists(st.floats(-reach, reach),
+                                                     min_size=G + 1, max_size=G + 1))))
         x = np.array(data.draw(st.lists(st.floats(kv.a, kv.b), min_size=1, max_size=50)))
         sums = basis_matrix(x, t, K).sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-9
@@ -293,10 +281,10 @@ class TestSplineEval:
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(42)
         kv = make_uniform_grid(-2, 2, 6, 3)
-        kv.shift = init_shift(kv, 8.0, seed=3)
+        shift = init_shift(kv, 8.0, seed=3)
         c = rng.normal(size=kv.n_bases)
-        sg = SplineGroup(kv, c)
-        t = kv.effective_knots()
+        sg = SplineGroup(kv, c, shift)
+        t = _shifted(kv, shift)
         xs = rng.uniform(-2.5, 2.5, size=200)
         got = spline_eval(xs, sg)
         naive = np.array([
@@ -309,8 +297,7 @@ class TestSplineEval:
     @pytest.mark.parametrize("G", [1, 2, 5, 20])
     def test_spline_values_match_the_dense_reference(self, K, G):
         kv = make_uniform_grid(-2, 3, G, K)
-        kv.shift = init_shift(kv, 2.0, seed=10 * G + K)
-        t = kv.effective_knots()
+        t = _shifted(kv, init_shift(kv, 2.0, seed=10 * G + K))
         rng = np.random.default_rng(G + K)
         c = rng.normal(size=kv.n_bases)
         x = np.concatenate([_probe_points(t, rng), [np.nan, np.inf, -np.inf]])
@@ -351,15 +338,15 @@ class TestPenalty:
         with pytest.raises(TooFewCoefficients):
             coeff_second_difference_penalty(SplineGroup(kv, np.ones(2)))
 
-    def test_tape_penalty_matches_value_path(self):
+    def test_array_penalty_sums_the_groups(self):
         rng = np.random.default_rng(0)
         kv = make_uniform_grid(-1, 3, 5, 2)
-        c = rng.normal(size=kv.n_bases)
-        sg = SplineGroup(kv, c)
-        tp = Tape()
-        tp.parameters_from(c)
-        node = penalty_on_tape(tp, list(range(c.size)), kv.dg)
-        assert tp.value(node) == pytest.approx(coeff_second_difference_penalty(sg), rel=1e-12)
+        c = rng.normal(size=(3, 2, kv.n_bases))
+        value, grad = second_difference_penalty(c, kv.dg)
+        groups = [SplineGroup(kv, row) for row in c.reshape(-1, kv.n_bases)]
+        assert value == pytest.approx(sum(map(coeff_second_difference_penalty, groups)),
+                                      rel=1e-12)
+        assert grad.shape == c.shape
 
 
 class TestTapeSpline:
@@ -374,8 +361,7 @@ class TestTapeSpline:
             tp.parameters_from(params)
             coef_ids = list(range(1, 1 + n_coef))
             shift_ids = list(range(1 + n_coef, params.size))
-            kv2 = KnotVector(kv.a, kv.b, kv.G, kv.K, shift.copy())
-            knot_ids, knot_vals = kv2.tape_knots(tp, shift_ids)
+            knot_ids, knot_vals = kv.tape_knots(tp, shift_ids)
             root = spline_on_tape(tp, knot_ids, knot_vals, K, coef_ids, 0)
             assert tp.value(0) == x0
             return tp.value(root), tp.gradient_vector(root, params.size)
@@ -385,27 +371,27 @@ class TestTapeSpline:
     def test_tape_value_matches_eval(self):
         rng = np.random.default_rng(8)
         kv = make_uniform_grid(-1, 1, 5, 3)
-        kv.shift = init_shift(kv, 8.0, seed=2)
+        shift = init_shift(kv, 8.0, seed=2)
         c = rng.normal(size=kv.n_bases)
-        sg = SplineGroup(kv, c)
+        sg = SplineGroup(kv, c, shift)
         f = self._flat_eval(kv, kv.n_bases, kv.K)
         for x in rng.uniform(-1.3, 1.3, size=40):
-            params = np.concatenate([[x], c, kv.shift])
+            params = np.concatenate([[x], c, shift])
             value, _ = f(params)
             assert value == pytest.approx(spline_eval(x, sg), abs=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
         kv = make_uniform_grid(-1, 1, 5, 2)
-        kv.shift = init_shift(kv, 8.0, seed=2)
+        shift = init_shift(kv, 8.0, seed=2)
         c = rng.normal(size=kv.n_bases)
-        knots = kv.effective_knots()
+        knots = _shifted(kv, shift)
         f = self._flat_eval(kv, kv.n_bases, kv.K)
         checked = 0
         for x in rng.uniform(-0.95, 0.95, size=12):
             if np.min(np.abs(knots - x)) < 1e-3:
                 continue
-            params = np.concatenate([[x], c, kv.shift])
+            params = np.concatenate([[x], c, shift])
             assert finite_difference_check(f, params, step=1e-5) < 1e-4
             checked += 1
         assert checked >= 8
@@ -453,8 +439,30 @@ class TestKnotMatrix:
         assert T.shape == (shifts.shape[0], G + 2 * K + 1)
         for row, shift in zip(T, shifts):
             assert np.array_equal(row, _reference_knots(kv, shift), equal_nan=True)
-        kv.shift = shifts[0]
-        assert np.array_equal(kv.effective_knots(), T[0], equal_nan=True)
+        assert np.array_equal(_shifted(kv, shifts[0]), T[0], equal_nan=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(-50, 50), width=st.floats(1e-3, 100), G=st.integers(1, 24),
+           K=st.integers(1, 3))
+    @example(a=8.0, width=0.001, G=3, K=2)
+    @example(a=-0.0, width=5.0, G=7, K=2)
+    def test_zero_shift_row_is_the_grid_row_bit_for_bit(self, a, width, G, K):
+        kv = make_uniform_grid(a, a + width, G, K)
+        assert kv.knot_matrix(np.zeros((1, G + 1)))[0].tobytes() == kv.row.tobytes()
+
+    def test_grid_is_an_immutable_value(self):
+        kv = make_uniform_grid(-1.0, 1.0, 4, 2)
+        with pytest.raises(FrozenInstanceError):
+            kv.G = 5
+        with pytest.raises(ValueError):
+            kv.row[0] = 0.0
+        assert kv == KnotVector(-1, 1, 4, 2)
+        assert not hasattr(kv, "shift")
+
+    def test_grid_below_float_resolution_is_rejected(self):
+        # a spacing of 1/24 next to 1e15, whose float spacing is 0.125
+        with pytest.raises(InvalidRange, match="G:"):
+            make_uniform_grid(1e15, 1e15 + 1.0, 24, 1)
 
     def test_knot_matrix_gaps_are_checked_per_row(self):
         kv = make_uniform_grid(0.0, 1.0, 4, 1)
@@ -495,25 +503,24 @@ class TestSortedInvariantUnderUpdates:
                                                                       width, data):
         kv = make_uniform_grid(a, a + width, G, K)
         reach = 3.0 * width
-        kv.shift = np.array(data.draw(st.lists(st.floats(-reach, reach),
-                                               min_size=G + 1, max_size=G + 1)))
-        gaps = np.diff(kv.effective_knots())
+        gaps = np.diff(_shifted(kv, np.array(data.draw(st.lists(
+            st.floats(-reach, reach), min_size=G + 1, max_size=G + 1)))))
         assert np.all(gaps > 0.0)
         assert np.all(gaps >= kv.min_gap * (1.0 - 1e-9))
 
     def test_clamped_gap_next_to_a_large_knot_is_at_least_min_gap(self):
         # 8.001667 + min_gap rounds down to the ulp of the knot
         kv = make_uniform_grid(8.0, 8.001, 3, 2)
-        kv.shift = np.array([0.0, 0.0, 0.001, 0.0])
-        kv.assert_sorted()
-        assert np.diff(kv.effective_knots()).min() >= kv.min_gap
+        knots = _shifted(kv, np.array([0.0, 0.0, 0.001, 0.0]))
+        kv.assert_sorted(knots)
+        assert np.diff(knots).min() >= kv.min_gap
 
     def test_random_walk_on_shift_keeps_knots_sorted(self):
         rng = np.random.default_rng(19)
         kv = make_uniform_grid(-5, 5, 8, 3)
-        kv.shift = init_shift(kv, 8.0, seed=1)
+        shift = init_shift(kv, 8.0, seed=1)
         for _ in range(200):
-            kv.shift = kv.shift + rng.normal(scale=0.4, size=kv.shift.shape)
-            knots = kv.effective_knots()
+            shift = shift + rng.normal(scale=0.4, size=shift.shape)
+            knots = _shifted(kv, shift)
             assert np.all(np.diff(knots) >= kv.min_gap * (1 - 1e-12))
-            kv.assert_sorted()
+            kv.assert_sorted(knots)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frkan.autodiff import finite_difference_check
 from frkan.layers import FRKANLayer, GridConfig, MLPLayer, Network, init_network
@@ -16,6 +18,7 @@ from frkan.training import (
     hash_config,
     penalty_total,
     regularized_loss,
+    smoothness_penalty,
     train,
 )
 
@@ -132,6 +135,56 @@ class TestRegularizedLoss:
         net = self._penalty48_net()
         with pytest.raises(EmptySplit):
             regularized_loss(net, np.zeros((0, 1)), np.zeros(0), 0.0, "regression")
+
+
+@st.composite
+def _spline_stacks(draw):
+    """A small stack of KAN, FR-KAN and MLP layers with at least one spline
+    layer, random G, K and range, and its parameters moved off the init."""
+    kinds = draw(st.lists(st.sampled_from(["kan", "frkan", "mlp"]), min_size=1, max_size=3))
+    if set(kinds) == {"mlp"}:
+        kinds.append(draw(st.sampled_from(["kan", "frkan"])))
+    widths = draw(st.lists(st.integers(1, 3), min_size=len(kinds), max_size=len(kinds)))
+    d_in, seed = draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 16))
+    a, width = draw(st.floats(-5.0, 0.0)), draw(st.floats(0.5, 10.0))
+    grid = GridConfig(G=draw(st.integers(2, 8)), K=draw(st.integers(1, 3)), a=a, b=a + width)
+    desc = " -> ".join([f"in:{d_in}"] + [f"{k}:{w}" for k, w in zip(kinds, widths)])
+    net = init_network(desc, grid, seed=seed, layernorm="off")
+    rng = np.random.default_rng(seed)
+    net.set_flat(net.get_flat() + rng.normal(scale=0.5, size=net.n_params()))
+    return net
+
+
+class TestClosedFormPenalty:
+    @settings(max_examples=40, deadline=None)
+    @given(net=_spline_stacks())
+    def test_gradient_matches_central_differences(self, net):
+        _, grad = smoothness_penalty(net)
+        p0, h = net.get_flat(), 1e-3
+        fd = np.empty_like(p0)
+        for i in range(p0.size):
+            p = p0.copy()
+            p[i] = p0[i] + h
+            net.set_flat(p)
+            up = penalty_total(net)
+            p[i] = p0[i] - h
+            net.set_flat(p)
+            fd[i] = (up - penalty_total(net)) / (2.0 * h)
+        net.set_flat(p0)
+        assert np.max(np.abs(fd - grad)) <= 1e-7 * max(1.0, np.max(np.abs(grad)))
+
+    @settings(max_examples=15, deadline=None)
+    @given(net=_spline_stacks(), lam=st.floats(1e-4, 10.0))
+    def test_loss_gradient_is_task_gradient_plus_lam_penalty_gradient(self, net, lam):
+        rng = np.random.default_rng(1)
+        X = rng.uniform(-3.0, 3.0, size=(3, net.d_in))
+        y = rng.normal(size=(3, net.d_out))
+        penalty, grad = smoothness_penalty(net)
+        loss0, g0, _ = regularized_loss(net, X, y, 0.0, "regression")
+        loss, g, parts = regularized_loss(net, X, y, lam, "regression")
+        assert parts["penalty"] == penalty
+        assert loss == pytest.approx(loss0 + lam * penalty, rel=1e-12)
+        np.testing.assert_allclose(g, g0 + lam * grad, rtol=1e-12, atol=0.0)
 
 
 class TestEvaluate:
