@@ -1,18 +1,25 @@
-"""Reverse-mode differentiation on an append-only scalar tape.
+"""Reverse-mode differentiation on a tape of scalar nodes, recorded in bulk.
 
-The tape stores one node per recorded primitive.  Every node keeps its
-eagerly computed value plus at most two (parent id, local partial) pairs,
-so a single reverse sweep accumulates d(root)/d(parameter) for every
-registered parameter.  Node storage is kept in parallel lists rather than
-objects: the hot training loop records a few hundred thousand nodes per
-step and object allocation would dominate.
+Every node keeps its eagerly computed value plus at most two (parent id,
+local partial) pairs.  Nodes are appended a *record* at a time: one call
+appends a whole array of independent nodes whose parents all come earlier
+on the tape, so a layer over a whole mini-batch costs a fixed number of
+records whatever the batch size.  A record keeps its parents and partials
+as flat arrays; values live in one growing buffer, so any node's value is
+an index away.  The reverse sweep visits the records last to first and
+scatters ``g[record] * partial`` into the parents with one ``np.add.at``
+per parent slot, which accumulates d(root)/d(parameter) for every
+registered parameter.
+
+Every op checks every element: a non-finite value or partial raises
+``NonFiniteValue``, and a division whose denominator is within
+``DIVIDING_FLOOR`` of 0 raises ``DivisionNearZero``.  Error messages name
+the op.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,376 +44,239 @@ class NonFiniteGradient(AutodiffError):
 # terms as 0 (the 0/0 := 0 convention) instead of recording them.
 DIVIDING_FLOOR = 1e-12
 
-# Op kinds, stored per node so a tape can be replayed/inspected.
-OP_CONST = 0
-OP_PARAM = 1
-OP_ADD = 2
-OP_SUB = 3
-OP_MUL = 4
-OP_DIV = 5
-OP_NEG = 6
-OP_MAX = 7
-OP_EXP = 8
-OP_LN = 9
-OP_SIN = 10
-OP_COS = 11
-OP_SQRT = 12
-OP_SIGMOID = 13
-OP_POWI = 14
-OP_SELECT = 15
 
-OP_NAMES = (
-    "const", "param", "add", "sub", "mul", "div", "neg", "max",
-    "exp", "ln", "sin", "cos", "sqrt", "sigmoid", "powi", "select",
-)
-
-_isfinite = math.isfinite
-
-
-@dataclass(frozen=True)
-class ScalarNode:
-    """Read-only view of one tape entry."""
-
-    id: int
-    value: float
-    op: str
-    parents: tuple  # ((parent id, local partial), ...)
+def _ids(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.intp)
 
 
 class Tape:
-    """Append-only record of a scalar computation.
+    """Append-only record of a scalar computation, built a record at a time.
 
-    A tape is single-threaded; build one per loss evaluation.  After
-    :meth:`backward` the returned gradient map is a plain dict and safe
-    to share.
+    Ops take node ids (an int or an array of ids) and broadcast them like
+    NumPy; they return an id array of the broadcast shape (0-d for scalar
+    operands).  A tape is single-threaded; build one per loss evaluation.
     """
 
-    __slots__ = ("_val", "_op", "_p1", "_w1", "_p2", "_w2",
-                 "_param_handles", "last_gradient")
+    __slots__ = ("_val", "_n", "_records", "_param_handles", "last_gradient")
 
     def __init__(self):
-        self._val = []
-        self._op = []
-        self._p1 = []
-        self._w1 = []
-        self._p2 = []
-        self._w2 = []
-        # parameter handle -> node id
-        self._param_handles = {}
+        self._val = np.empty(256)
+        self._n = 0
+        # (start, stop, p1, w1, p2, w2); p1 is None for leaves, p2 for unary ops
+        self._records = []
+        self._param_handles = {}    # parameter handle -> node id
         self.last_gradient = None
 
     def __len__(self):
-        return len(self._val)
-
-    def value(self, i: int) -> float:
-        return self._val[i]
-
-    def values(self, ids) -> list:
-        val = self._val
-        return [val[i] for i in ids]
+        return self._n
 
     @property
-    def parameter_index(self) -> dict:
-        return dict(self._param_handles)
+    def record_count(self) -> int:
+        return len(self._records)
 
-    def node(self, i: int) -> ScalarNode:
-        parents = []
-        a = self._p1[i]
-        if a >= 0:
-            parents.append((a, self._w1[i]))
-            b = self._p2[i]
-            if b >= 0:
-                parents.append((b, self._w2[i]))
-        return ScalarNode(i, self._val[i], OP_NAMES[self._op[i]], tuple(parents))
+    def value(self, ids):
+        """Values of ``ids``, shaped like them (a float for one id)."""
+        return self._val[_ids(ids)]
 
-    # -- leaves ----------------------------------------------------------
+    def values(self, ids) -> list:
+        """Values of ``ids`` as a flat list of floats."""
+        return self._val[_ids(ids)].ravel().tolist()
 
-    def constant(self, v: float) -> int:
-        v = float(v)
-        if not _isfinite(v):
-            raise NonFiniteValue(f"constant is not finite: {v!r}")
-        i = len(self._val)
-        self._val.append(v)
-        self._op.append(OP_CONST)
-        self._p1.append(-1)
-        self._w1.append(0.0)
-        self._p2.append(-1)
-        self._w2.append(0.0)
-        return i
+    # -- records -----------------------------------------------------------
 
-    def parameter(self, v: float, handle=None) -> int:
-        v = float(v)
-        if not _isfinite(v):
-            raise NonFiniteValue(f"parameter is not finite: {v!r}")
-        i = len(self._val)
+    def record(self, op: str, val, p1=None, w1=None, p2=None, w2=None) -> np.ndarray:
+        """Append one node per entry of ``val``; returns their ids, shaped like it.
+
+        ``p1``/``p2`` are parent ids and ``w1``/``w2`` the local partials,
+        each broadcast to ``val``'s shape; every parent must already be on
+        the tape.  A non-finite value or partial raises ``NonFiniteValue``
+        naming ``op``.
+        """
+        val = np.asarray(val, dtype=float)
+        for what, arr in (("value", val), ("partial", w1), ("partial", w2)):
+            if arr is not None and not np.isfinite(arr).all():
+                bad = np.asarray(arr)[~np.isfinite(arr)]
+                raise NonFiniteValue(f"{op} produced a non-finite {what} "
+                                     f"({bad.size} of {np.size(arr)}, first {bad.flat[0]!r})")
+        start = self._n
+        stop = start + val.size
+        if stop > self._val.size:
+            grown = np.empty(max(2 * self._val.size, stop))
+            grown[:start] = self._val[:start]
+            self._val = grown
+        self._val[start:stop] = val.ravel()
+        edges = []
+        for p, w in ((p1, w1), (p2, w2)):
+            if p is not None:
+                p = _ids(p)
+                p = (p if p.shape == val.shape else np.broadcast_to(p, val.shape)).ravel()
+                if np.ndim(w):
+                    w = (w if w.shape == val.shape else np.broadcast_to(w, val.shape)).ravel()
+            edges += [p, w]
+        self._records.append((start, stop, *edges))
+        self._n = stop
+        return np.arange(start, stop).reshape(val.shape)
+
+    def constant(self, v) -> np.ndarray:
+        return self.record("constant", v)
+
+    def parameter(self, v: float, handle=None) -> np.ndarray:
+        i = self.record("parameter", float(v))
         if handle is None:
             handle = len(self._param_handles)
-        self._val.append(v)
-        self._op.append(OP_PARAM)
-        self._p1.append(-1)
-        self._w1.append(0.0)
-        self._p2.append(-1)
-        self._w2.append(0.0)
-        self._param_handles[handle] = i
+        self._param_handles[handle] = int(i)
         return i
 
     def parameters_from(self, values) -> int:
-        """Register a flat batch of parameters with handles 0..P-1.
+        """Record a flat parameter vector as nodes 0..P-1 of an empty tape.
 
-        Returns the id of the first node; ids are contiguous.  Intended
-        for binding a network's flat parameter vector at the start of a
-        fresh tape.
+        Returns the id of the first node.  ``gradient_vector`` reads the
+        gradient of these nodes.
         """
-        if self._val or self._param_handles:
+        if self._n or self._param_handles:
             raise AutodiffError("bulk parameter binding requires an empty tape")
-        first = 0
-        append_v = self._val.append
-        append_o = self._op.append
-        ap1, aw1 = self._p1.append, self._w1.append
-        ap2, aw2 = self._p2.append, self._w2.append
-        handles = self._param_handles
-        for k, v in enumerate(values):
-            v = float(v)
-            if not _isfinite(v):
-                raise NonFiniteValue(f"parameter {k} is not finite: {v!r}")
-            append_v(v)
-            append_o(OP_PARAM)
-            ap1(-1); aw1(0.0)
-            ap2(-1); aw2(0.0)
-            handles[k] = k
-        return first
+        self.record("parameter", np.asarray(values, dtype=float).ravel())
+        return 0
 
-    # -- primitive records -------------------------------------------------
+    # -- primitive ops -------------------------------------------------------
 
-    def _push2(self, op, v, a, wa, b, wb):
-        if not (_isfinite(v) and _isfinite(wa) and _isfinite(wb)):
-            raise NonFiniteValue(f"{OP_NAMES[op]} produced a non-finite value/partial")
-        i = len(self._val)
-        self._val.append(v)
-        self._op.append(op)
-        self._p1.append(a)
-        self._w1.append(wa)
-        self._p2.append(b)
-        self._w2.append(wb)
-        return i
+    def add(self, a, b):
+        return self.record("add", self.value(a) + self.value(b), a, 1.0, b, 1.0)
 
-    def _push1(self, op, v, a, wa):
-        if not (_isfinite(v) and _isfinite(wa)):
-            raise NonFiniteValue(f"{OP_NAMES[op]} produced a non-finite value/partial")
-        i = len(self._val)
-        self._val.append(v)
-        self._op.append(op)
-        self._p1.append(a)
-        self._w1.append(wa)
-        self._p2.append(-1)
-        self._w2.append(0.0)
-        return i
+    def sub(self, a, b):
+        return self.record("sub", self.value(a) - self.value(b), a, 1.0, b, -1.0)
 
-    def add(self, a: int, b: int) -> int:
-        val = self._val
-        return self._push2(OP_ADD, val[a] + val[b], a, 1.0, b, 1.0)
+    def mul(self, a, b):
+        va, vb = self.value(a), self.value(b)
+        return self.record("mul", va * vb, a, vb, b, va)
 
-    def sub(self, a: int, b: int) -> int:
-        val = self._val
-        return self._push2(OP_SUB, val[a] - val[b], a, 1.0, b, -1.0)
-
-    def mul(self, a: int, b: int) -> int:
-        val = self._val
-        va = val[a]
-        vb = val[b]
-        return self._push2(OP_MUL, va * vb, a, vb, b, va)
-
-    def div(self, a: int, b: int) -> int:
-        val = self._val
-        vb = val[b]
-        if -DIVIDING_FLOOR <= vb <= DIVIDING_FLOOR:
-            raise DivisionNearZero(f"|denominator| = {abs(vb)!r} <= {DIVIDING_FLOOR}")
-        va = val[a]
-        inv = 1.0 / vb
-        return self._push2(OP_DIV, va * inv, a, inv, b, -va * inv * inv)
-
-    def neg(self, a: int) -> int:
-        return self._push1(OP_NEG, -self._val[a], a, -1.0)
-
-    def maximum(self, a: int, b: int) -> int:
-        # Subgradient at a tie goes to the first argument.
-        val = self._val
-        va = val[a]
-        vb = val[b]
-        if va >= vb:
-            return self._push2(OP_MAX, va, a, 1.0, b, 0.0)
-        return self._push2(OP_MAX, vb, a, 0.0, b, 1.0)
-
-    def exp(self, a: int) -> int:
-        try:
-            v = math.exp(self._val[a])
-        except OverflowError:
-            raise NonFiniteValue("exp overflow") from None
-        return self._push1(OP_EXP, v, a, v)
-
-    def log(self, a: int) -> int:
-        va = self._val[a]
-        if va <= 0.0:
-            raise NonFiniteValue(f"ln of non-positive value {va!r}")
-        return self._push1(OP_LN, math.log(va), a, 1.0 / va)
-
-    def sin(self, a: int) -> int:
-        va = self._val[a]
-        return self._push1(OP_SIN, math.sin(va), a, math.cos(va))
-
-    def cos(self, a: int) -> int:
-        va = self._val[a]
-        return self._push1(OP_COS, math.cos(va), a, -math.sin(va))
-
-    def sqrt(self, a: int) -> int:
-        va = self._val[a]
-        if va < 0.0:
-            raise NonFiniteValue(f"sqrt of negative value {va!r}")
-        v = math.sqrt(va)
-        if v == 0.0:
-            raise NonFiniteValue("sqrt partial diverges at 0")
-        return self._push1(OP_SQRT, v, a, 0.5 / v)
-
-    def sigmoid(self, a: int) -> int:
-        va = self._val[a]
-        if va >= 0.0:
-            s = 1.0 / (1.0 + math.exp(-va))
+    def div(self, a, b, where=None):
+        """a / b.  Where ``where`` is False the node is 0 with zero partials
+        and its denominator is not checked."""
+        va, vb = self.value(a), self.value(b)
+        live = np.abs(vb) > DIVIDING_FLOOR
+        if where is not None:
+            live = live | ~np.asarray(where)
+        if not live.all():
+            raise DivisionNearZero(f"div: |denominator| = {np.abs(vb)[~live].flat[0]!r} "
+                                   f"<= {DIVIDING_FLOOR}")
+        if where is None:
+            inv = 1.0 / vb
         else:
-            e = math.exp(va)
-            s = e / (1.0 + e)
-        return self._push1(OP_SIGMOID, s, a, s * (1.0 - s))
+            inv = np.where(where, 1.0 / np.where(where, vb, 1.0), 0.0)
+        q = va * inv
+        return self.record("div", q, a, inv, b, -q * inv)
 
-    def silu(self, a: int) -> int:
+    def neg(self, a):
+        return self.record("neg", -self.value(a), a, -1.0)
+
+    def maximum(self, a, b):
+        # Subgradient at a tie goes to the first argument.
+        va, vb = self.value(a), self.value(b)
+        first = va >= vb
+        return self.record("max", np.where(first, va, vb), a, first * 1.0, b, ~first * 1.0)
+
+    def exp(self, a):
+        with np.errstate(over="ignore"):
+            v = np.exp(self.value(a))
+        return self.record("exp", v, a, v)
+
+    def log(self, a):
+        va = self.value(a)
+        if np.any(va <= 0.0):
+            raise NonFiniteValue(f"log of non-positive value {np.min(va)!r}")
+        return self.record("log", np.log(va), a, 1.0 / va)
+
+    def sin(self, a):
+        va = self.value(a)
+        return self.record("sin", np.sin(va), a, np.cos(va))
+
+    def cos(self, a):
+        va = self.value(a)
+        return self.record("cos", np.cos(va), a, -np.sin(va))
+
+    def sqrt(self, a):
+        va = self.value(a)
+        if np.any(va < 0.0):
+            raise NonFiniteValue(f"sqrt of negative value {np.min(va)!r}")
+        v = np.sqrt(va)
+        if np.any(v == 0.0):
+            raise NonFiniteValue("sqrt partial diverges at 0")
+        return self.record("sqrt", v, a, 0.5 / v)
+
+    def sigmoid(self, a):
+        # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) otherwise
+        va = self.value(a)
+        e = np.exp(-np.abs(va))
+        s = np.where(va >= 0.0, 1.0, e) / (1.0 + e)
+        return self.record("sigmoid", s, a, s * (1.0 - s))
+
+    def silu(self, a):
         """x * sigmoid(x), composed from the primitive set."""
         return self.mul(a, self.sigmoid(a))
 
-    def powi(self, a: int, n: int) -> int:
+    def powi(self, a, n: int):
         if n != int(n):
             raise AutodiffError("powi exponent must be an integer")
         n = int(n)
-        va = self._val[a]
-        if va == 0.0 and n < 0:
-            raise DivisionNearZero("0 raised to a negative power")
-        v = va ** n
-        if n == 0:
-            w = 0.0
-        else:
-            w = n * va ** (n - 1)
-        return self._push2(OP_POWI, v, a, w, -1, 0.0)
+        va = self.value(a)
+        if n < 0 and np.any(va == 0.0):
+            raise DivisionNearZero("powi: 0 raised to a negative power")
+        w = 0.0 if n == 0 else n * va ** (n - 1)
+        return self.record("powi", va ** n, a, w)
 
-    def select_permutation(self, ids, perm) -> list:
-        """Route existing nodes through a permutation.
-
-        Output k takes its value (and gradient) from ``ids[perm[k]]``.
-        """
-        if sorted(perm) != list(range(len(ids))):
-            raise AutodiffError("not a permutation of the input nodes")
-        return [self._push1(OP_SELECT, self._val[ids[p]], ids[p], 1.0)
-                for p in perm]
+    def sum(self, ids, axis: int = -1):
+        """Sum along ``axis`` as a pairwise tree: ceil(log2(n)) add records."""
+        ids = np.moveaxis(_ids(ids), axis, -1)
+        while ids.shape[-1] > 1:
+            even = ids.shape[-1] & ~1
+            pairs = self.add(ids[..., 0:even:2], ids[..., 1:even:2])
+            ids = np.concatenate([pairs, ids[..., even:]], axis=-1)
+        return ids[..., 0]
 
     # -- reverse sweep -----------------------------------------------------
 
-    def backward(self, root: int) -> dict:
-        """Gradient of node ``root`` w.r.t. every registered parameter.
+    def _sweep(self, root) -> np.ndarray:
+        """d(sum of the root nodes)/d(node) for every node on the tape."""
+        root = _ids(root).ravel()
+        if root.size == 0 or root.min() < 0 or root.max() >= self._n:
+            raise AutodiffError(f"root {root} not on tape")
+        g = np.zeros(self._n)
+        np.add.at(g, root, 1.0)
+        top = root.max()
+        for start, stop, p1, w1, p2, w2 in reversed(self._records):
+            if start > top or p1 is None:
+                continue
+            gi = g[start:stop]
+            np.add.at(g, p1, gi * w1)
+            if p2 is not None:
+                np.add.at(g, p2, gi * w2)
+        self.last_gradient = g
+        return g
+
+    def backward(self, root) -> dict:
+        """Gradient of ``root`` w.r.t. every parameter registered with
+        :meth:`parameter`, by handle; an array of roots means their sum.
 
         Parameters the root does not depend on map to 0.
         """
-        n = len(self._val)
-        if not 0 <= root < n:
-            raise AutodiffError(f"root {root} not on tape")
-        g = [0.0] * n
-        g[root] = 1.0
-        p1 = self._p1
-        w1 = self._w1
-        p2 = self._p2
-        w2 = self._w2
-        for i in range(root, -1, -1):
-            gi = g[i]
-            if gi != 0.0:
-                a = p1[i]
-                if a >= 0:
-                    g[a] += gi * w1[i]
-                    b = p2[i]
-                    if b >= 0:
-                        g[b] += gi * w2[i]
-        self.last_gradient = g
+        g = self._sweep(root)
         out = {}
         for handle, node_id in self._param_handles.items():
-            gv = g[node_id]
-            if not _isfinite(gv):
+            gv = float(g[node_id])
+            if not math.isfinite(gv):
                 raise NonFiniteGradient(f"gradient of parameter {handle!r} is {gv!r}")
             out[handle] = gv
         return out
 
-    def gradient_vector(self, root: int, count: int) -> np.ndarray:
-        """Dense gradient for parameters bound via :meth:`parameters_from`."""
-        self.backward(root)
-        g = np.asarray(self.last_gradient[:count], dtype=float)
+    def gradient_vector(self, root, count: int) -> np.ndarray:
+        """Dense gradient of ``root`` (the sum, for an array of roots) for
+        the parameters bound via :meth:`parameters_from`."""
+        g = self._sweep(root)[:count].copy()
         if not np.all(np.isfinite(g)):
             bad = int(np.flatnonzero(~np.isfinite(g))[0])
             raise NonFiniteGradient(f"gradient of parameter {bad} is not finite")
         return g
-
-    def replay_values(self) -> list:
-        """Recompute every node value from its parents (consistency check).
-
-        Constants/parameters replay as stored.  For interior nodes the
-        recorded op is re-evaluated from parent values; used by tests to
-        assert the tape reproduces itself exactly.
-        """
-        out = []
-        for i in range(len(self._val)):
-            op = self._op[i]
-            if op in (OP_CONST, OP_PARAM):
-                out.append(self._val[i])
-                continue
-            a = out[self._p1[i]]
-            if op == OP_ADD:
-                v = a + out[self._p2[i]]
-            elif op == OP_SUB:
-                v = a - out[self._p2[i]]
-            elif op == OP_MUL:
-                v = a * out[self._p2[i]]
-            elif op == OP_DIV:
-                v = a / out[self._p2[i]]
-            elif op == OP_NEG:
-                v = -a
-            elif op == OP_MAX:
-                v = max(a, out[self._p2[i]])
-            elif op == OP_EXP:
-                v = math.exp(a)
-            elif op == OP_LN:
-                v = math.log(a)
-            elif op == OP_SIN:
-                v = math.sin(a)
-            elif op == OP_COS:
-                v = math.cos(a)
-            elif op == OP_SQRT:
-                v = math.sqrt(a)
-            elif op == OP_SIGMOID:
-                v = 1.0 / (1.0 + math.exp(-a)) if a >= 0 else math.exp(a) / (1.0 + math.exp(a))
-            elif op == OP_POWI:
-                # exponent is recoverable from value only up to sign; replay uses value
-                v = self._val[i]
-            elif op == OP_SELECT:
-                v = a
-            else:  # pragma: no cover
-                raise AutodiffError(f"unknown op code {op}")
-            out.append(v)
-        return out
-
-
-def locate_span(knot_values, x: float):
-    """Index m with knots[m] <= x < knots[m+1], or None outside the span.
-
-    Half-open on every interval, so x exactly at the last knot has no span.
-    """
-    if x < knot_values[0] or x >= knot_values[-1]:
-        return None
-    m = bisect_right(knot_values, x) - 1
-    if m >= len(knot_values) - 1:
-        return None
-    return m
 
 
 def finite_difference_check(f, params: np.ndarray, step: float = 1e-5) -> float:
@@ -422,7 +292,7 @@ def finite_difference_check(f, params: np.ndarray, step: float = 1e-5) -> float:
     params = np.asarray(params, dtype=float)
     value, grad = f(params)
     grad = np.asarray(grad, dtype=float)
-    if not (_isfinite(value) and np.all(np.isfinite(grad))):
+    if not (math.isfinite(value) and np.all(np.isfinite(grad))):
         raise NonFiniteValue("analytic evaluation is not finite")
     worst = 0.0
     for i in range(params.size):
@@ -431,7 +301,7 @@ def finite_difference_check(f, params: np.ndarray, step: float = 1e-5) -> float:
         fp = f(bumped)[0]
         bumped[i] = params[i] - step
         fm = f(bumped)[0]
-        if not (_isfinite(fp) and _isfinite(fm)):
+        if not (math.isfinite(fp) and math.isfinite(fm)):
             raise NonFiniteValue(f"function not finite at params +- step (coord {i})")
         fd = (fp - fm) / (2.0 * step)
         err = abs(grad[i] - fd) / max(1.0, abs(grad[i]))

@@ -280,6 +280,15 @@ def effective_config(args: argparse.Namespace) -> dict:
     for key, (ok, need) in KEY_CHECKS.items():
         if not ok(config[key]):
             raise ValidationError(f"{key}: need {need}, got {config[key]!r}")
+    # the smoothness penalty, computed on every training step, needs three
+    # coefficients per spline: G + K of them
+    arch = str(config["arch"])
+    spline = "kan:" in arch if "in:" in arch else config["model"] != "mlp"
+    trains_spline = (config["command"] == "stability"
+                     or config["command"] in ("train", "approx") and spline)
+    if trains_spline and config["G"] + config["K"] < 3:
+        raise ValidationError(f"G: need G + K >= 3 for a spline layer, got G={config['G']}, "
+                              f"K={config['K']}")
     # a classification dataset puts each class on a simplex vertex in dim
     # dimensions and draws at least one sample of each
     if config["command"] == "stability" or (config["command"] == "train"
@@ -368,8 +377,12 @@ def _train_command(config) -> int:
         summary["test_rmse"] = record.final_metric
     _write_json(os.path.join(out, "summary.json"), summary)
     print(f"{config['command']}: final {record.metric_name} = {record.final_metric!r} "
-          f"(nan_step={record.nan_step})")
+          f"(nan_step={record.nan_step}{_cause(record.nan_cause)})")
     return 0
+
+
+def _cause(nan_cause) -> str:
+    return "" if nan_cause is None else f", nan_cause={nan_cause!r}"
 
 
 def _checkpoint_from(config, command: str) -> Network:
@@ -420,8 +433,8 @@ def _stability_command(config) -> int:
         entry = res["record"].summary()
         entry["range"] = [a, b]
         summary["ranges"].append(entry)
-        print(f"stability range [{a:g}, {b:g}]: nan_step={entry['nan_step']} "
-              f"final={entry['final_metric']!r}")
+        print(f"stability range [{a:g}, {b:g}]: nan_step={entry['nan_step']}"
+              f"{_cause(entry['nan_cause'])} final={entry['final_metric']!r}")
     _write_json(os.path.join(out, "summary.json"), summary)
     return 0
 

@@ -16,9 +16,12 @@ rows of ``shifts`` through ``KnotVector.knot_matrix``.  ``knots()``
 returns a layer's effective knots, one row per knot set.
 
 Every layer exposes two forward paths that must agree numerically:
-``tape_forward`` records scalars on an autodiff tape (used for training
-gradients) and ``forward_batch`` evaluates a whole sample matrix with
-numpy (used for metrics, scanning and export; carries no gradients).
+``tape_forward`` records the whole mini-batch on an autodiff tape, a
+fixed number of bulk records per layer whatever the batch size (used for
+training gradients), and ``forward_batch`` evaluates a whole sample
+matrix with numpy (used for metrics, scanning and export; carries no
+gradients).  ``tape_forward`` takes and returns a flat id array,
+row-major over the batch.
 """
 
 from __future__ import annotations
@@ -35,9 +38,8 @@ from .splines import (
     KnotVector,
     SplineGroup,
     basis_matrix,
-    basis_window_on_tape,
-    init_shift,
     make_uniform_grid,
+    spline_on_tape,
     spline_values,
 )
 
@@ -61,14 +63,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _silu(x: np.ndarray) -> np.ndarray:
     return x * _sigmoid(x)
-
-
-def _spline_sum_on_tape(tape, coef_ids_row, bases) -> int | None:
-    acc = None
-    for j in sorted(bases):
-        term = tape.mul(coef_ids_row[j], bases[j])
-        acc = term if acc is None else tape.add(acc, term)
-    return acc
 
 
 class LayerNorm:
@@ -102,22 +96,13 @@ class LayerNorm:
         return None
 
     def tape_forward(self, tape, bind, cache, xs):
-        d = len(xs)
-        inv_d = tape.constant(1.0 / d)
-        acc = xs[0]
-        for x in xs[1:]:
-            acc = tape.add(acc, x)
-        mu = tape.mul(acc, inv_d)
-        diffs = [tape.sub(x, mu) for x in xs]
-        sq = None
-        for dnode in diffs:
-            term = tape.mul(dnode, dnode)
-            sq = term if sq is None else tape.add(sq, term)
-        var = tape.mul(sq, inv_d)
-        rstd = tape.div(tape.constant(1.0), tape.sqrt(tape.add(var, tape.constant(self.eps))))
-        gamma, beta = bind["gamma"], bind["beta"]
-        return [tape.add(tape.mul(gamma[i], tape.mul(diffs[i], rstd)), beta[i])
-                for i in range(d)]
+        X = xs.reshape(-1, self.d_in)
+        inv_d, eps, one = tape.constant([1.0 / self.d_in, self.eps, 1.0])
+        diff = tape.sub(X, tape.mul(tape.sum(X, axis=1), inv_d)[:, None])
+        var = tape.mul(tape.sum(tape.mul(diff, diff), axis=1), inv_d)
+        rstd = tape.div(one, tape.sqrt(tape.add(var, eps)))
+        out = tape.add(tape.mul(bind["gamma"], tape.mul(diff, rstd[:, None])), bind["beta"])
+        return out.ravel()
 
 
 class KANLayer:
@@ -179,29 +164,14 @@ class KANLayer:
         return self.kv.tape_knots(tape, None)
 
     def tape_forward(self, tape, bind, cache, xs):
-        knot_ids, knot_vals = cache
-        K = self.kv.K
-        coef = bind["coefficients"]
-        A_b, A_s = bind["A_b"], bind["A_s"]
-        outs = [None] * self.d_out
-        for i, x_id in enumerate(xs):
-            win = basis_window_on_tape(tape, knot_ids, knot_vals, K, x_id)
-            bases = win[1] if win is not None else None
-            silu_id = tape.silu(x_id) if self.silu_path else None
-            coef_i, A_b_i = coef[i], A_b[i]
-            A_s_i = A_s[i]
-            for o in range(self.d_out):
-                term = None
-                if bases is not None:
-                    s = _spline_sum_on_tape(tape, coef_i[o], bases)
-                    if s is not None:
-                        term = tape.mul(A_b_i[o], s)
-                if silu_id is not None:
-                    t2 = tape.mul(A_s_i[o], silu_id)
-                    term = t2 if term is None else tape.add(term, t2)
-                if term is not None:
-                    outs[o] = term if outs[o] is None else tape.add(outs[o], term)
-        return [tape.constant(0.0) if t is None else t for t in outs]
+        # edge (i, o) of every sample: input i's window meets d_out coefficient sets
+        i = np.tile(np.arange(self.d_in), len(xs) // self.d_in)
+        s = spline_on_tape(tape, cache, self.kv.K, bind["coefficients"][i], xs,
+                           np.zeros_like(i))
+        term = tape.mul(bind["A_b"][i], s)
+        if self.silu_path:
+            term = tape.add(term, tape.mul(bind["A_s"][i], tape.silu(xs)[:, None]))
+        return tape.sum(term.reshape(-1, self.d_in, self.d_out), axis=1).ravel()
 
 
 class FRKANLayer:
@@ -233,7 +203,7 @@ class FRKANLayer:
         if self.A.shape != (d_in, d_out):
             raise BadArchitecture(f"A must be {(d_in, d_out)}")
 
-    def group_of(self, i: int) -> int:
+    def group_of(self, i):
         return i * self.h // self.d_in
 
     def group_columns(self, g: int) -> slice:
@@ -271,30 +241,15 @@ class FRKANLayer:
         return pre @ self.A
 
     def prepare_tape(self, tape, bind):
-        return [self.kv.tape_knots(tape, bind["shifts"][g]) for g in range(self.h)]
+        return self.kv.tape_knots(tape, bind["shifts"])
 
     def tape_forward(self, tape, bind, cache, xs):
-        coef = bind["coefficients"]
-        A = bind["A"]
-        pre = []
-        for i, x_id in enumerate(xs):
-            g = self.group_of(i)
-            knot_ids, knot_vals = cache[g]
-            win = basis_window_on_tape(tape, knot_ids, knot_vals, self.kv.K, x_id)
-            s = _spline_sum_on_tape(tape, coef[g], win[1]) if win is not None else None
-            if self.silu_path:
-                silu_id = tape.silu(x_id)
-                s = silu_id if s is None else tape.add(s, silu_id)
-            pre.append(s)
-        outs = [None] * self.d_out
-        for i, p in enumerate(pre):
-            if p is None:
-                continue
-            A_i = A[i]
-            for o in range(self.d_out):
-                term = tape.mul(A_i[o], p)
-                outs[o] = term if outs[o] is None else tape.add(outs[o], term)
-        return [tape.constant(0.0) if t is None else t for t in outs]
+        rows = np.tile(self.group_of(np.arange(self.d_in)), len(xs) // self.d_in)
+        pre = spline_on_tape(tape, cache, self.kv.K, bind["coefficients"][rows], xs, rows)
+        if self.silu_path:
+            pre = tape.add(pre, tape.silu(xs))
+        terms = tape.mul(bind["A"], pre.reshape(-1, self.d_in, 1))
+        return tape.sum(terms, axis=1).ravel()
 
 
 class MLPLayer:
@@ -329,17 +284,12 @@ class MLPLayer:
         return None
 
     def tape_forward(self, tape, bind, cache, xs):
-        W, bias = bind["W"], bind["bias"]
-        outs = []
-        for o in range(self.d_out):
-            acc = bias[o]
-            for i, x_id in enumerate(xs):
-                acc = tape.add(acc, tape.mul(W[i][o], x_id))
-            outs.append(acc)
+        terms = tape.mul(bind["W"], xs.reshape(-1, self.d_in, 1))
+        bias = np.broadcast_to(bind["bias"], (len(terms), 1, self.d_out))
+        z = tape.sum(np.concatenate([bias, terms], axis=1), axis=1)
         if self.activation == "relu":
-            zero = tape.constant(0.0)
-            outs = [tape.maximum(z, zero) for z in outs]
-        return outs
+            z = tape.maximum(z, tape.constant(0.0))
+        return z.ravel()
 
 
 SPLINE_KINDS = ("kan", "frkan")
@@ -423,8 +373,7 @@ class Network:
         for m in self.modules:
             d = {}
             for name, arr in m.param_arrays():
-                ids = np.arange(off, off + arr.size).reshape(arr.shape)
-                d[name] = ids.tolist() if arr.ndim > 0 else int(ids)
+                d[name] = np.arange(off, off + arr.size).reshape(arr.shape)
                 off += arr.size
             per_module.append(d)
         caches = [m.prepare_tape(tape, b) for m, b in zip(self.modules, per_module)]
@@ -438,11 +387,14 @@ class Network:
             X = m.forward_batch(X)
         return X
 
-    def tape_forward(self, tape: Tape, tb: TapeBinding, x_row) -> list:
-        xs = [tape.constant(v) for v in x_row]
+    def tape_forward(self, tape: Tape, tb: TapeBinding, X) -> np.ndarray:
+        """Record the forward pass of every row of ``X``; returns the
+        (N, d_out) ids of the outputs."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        xs = tape.constant(X).ravel()
         for m, bind, cache in zip(self.modules, tb.per_module, tb.caches):
             xs = m.tape_forward(tape, bind, cache, xs)
-        return xs
+        return xs.reshape(len(X), self.d_out)
 
 
 def sum_outputs(net: Network) -> Network:

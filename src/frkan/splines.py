@@ -25,7 +25,10 @@ second denominator t[j+k+1] - t[j+1] is slot r+1's first.
 ``spline_values`` weights each column by its gathered coefficient and sums
 them, and ``basis_matrix`` is the window scattered into the dense
 (N, G+K) array, for callers that share one basis row across many
-coefficient sets.
+coefficient sets.  ``basis_window_on_tape`` records the same levels on an
+autodiff tape for every input of a layer at once, over the knots that
+``KnotVector.tape_knots`` records, and ``spline_on_tape`` contracts the
+recorded window with the coefficients.
 
 Smoothness penalty: ``second_difference_penalty`` gives the penalty of a
 whole coefficient array and its closed-form gradient.
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import DIVIDING_FLOOR, Tape, locate_span
+from .autodiff import DIVIDING_FLOOR
 
 
 class InvalidRange(Exception):
@@ -155,31 +158,35 @@ class KnotVector:
         if not np.all(gaps >= self.min_gap):
             raise InvalidRange(f"effective knots degenerate: min gap {gaps.min()!r}")
 
-    def tape_knots(self, tape: Tape, shift_ids=None):
-        """Record the knots on ``tape``; returns (ids, values).
+    def tape_knots(self, tape, shift_ids=None) -> np.ndarray:
+        """Record the knots on ``tape``: an (h, G+2K+1) id matrix.
 
-        ``shift_ids`` holds G+1 tape node ids for the shift entries (the
-        endpoint entries are ignored, matching the pinned semantics), and
-        the shift-sort-clamp transform is recorded.  With
-        ``shift_ids=None`` the grid row is recorded as constants.
+        ``shift_ids`` is an (h, G+1) id matrix of the shift entries, one
+        row per knot set; with ``shift_ids=None`` the grid row is recorded
+        as one constant knot set.  Values come from ``knot_matrix``, so
+        they are the knots ``forward_batch`` uses, bit for bit.  Each knot
+        has one parent with partial 1: the point the clamp chain carries to
+        it after the stable sort, which is a shift entry for a moved
+        interior base point and a constant for a fixed one (the active-max
+        derivative of the clamp).  Endpoint shift entries get no gradient.
         """
         if shift_ids is None:
-            return [tape.constant(v) for v in self.row], self.row.tolist()
+            return tape.constant(self.row[None, :])
         K, G = self.K, self.G
-        ids = [tape.constant(v) for v in self.row[:K + 1]]
-        for i in range(1, G):
-            ids.append(tape.add(tape.constant(self.row[K + i]), shift_ids[i]))
-        ids.extend(tape.constant(v) for v in self.row[K + G:])
-
-        vals = tape.values(ids)
-        perm = np.argsort(vals, kind="stable")
-        sorted_ids = tape.select_permutation(ids, perm.tolist())
-
-        gap_id = tape.constant(self.min_gap)
-        out = [sorted_ids[0]]
-        for i in range(1, len(sorted_ids)):
-            out.append(tape.maximum(sorted_ids[i], tape.add(out[-1], gap_id)))
-        return out, tape.values(out)
+        shift_ids = np.asarray(shift_ids)
+        knots = self.knot_matrix(tape.value(shift_ids))
+        points = np.tile(self.row, (len(knots), 1))
+        points[:, K + 1:K + G] += tape.value(shift_ids[:, 1:-1])
+        order = np.argsort(points, axis=1, kind="stable")
+        # a knot the clamp raised carries its predecessor's point
+        kept = knots == np.take_along_axis(points, order, axis=1)
+        cols = np.arange(knots.shape[1])
+        carried = np.maximum.accumulate(np.where(kept, cols, 0), axis=1)
+        source = np.take_along_axis(order, carried, axis=1)
+        moved = (source > K) & (source < K + G)
+        fixed = tape.constant(self.row)
+        shift_of = np.take_along_axis(shift_ids, np.clip(source - K, 0, G), axis=1)
+        return tape.record("knots", knots, np.where(moved, shift_of, fixed[source]), 1.0)
 
 
 def make_uniform_grid(a: float, b: float, G: int, K: int) -> KnotVector:
@@ -292,41 +299,74 @@ def basis_matrix(x: np.ndarray, knots: np.ndarray, K: int) -> np.ndarray:
     return B
 
 
-def basis_window_on_tape(tape: Tape, knot_ids, knot_values, K: int, x_id: int):
-    """Record the K+1 possibly-nonzero basis values at x.
+def basis_window_on_tape(tape, knot_ids, K: int, x_ids, rows):
+    """Record ``basis_window`` of every input at once; returns ``(m, W)``.
 
-    Returns ``(m, {j: node id})`` where m is the span index, or None when
-    x falls outside the knot span (all bases vanish there).  Bases outside
-    the window are identically zero near x and are simply not recorded.
+    ``knot_ids`` is an (h, n_knots) id matrix of knot sets and input n uses
+    row ``rows[n]``.  ``m`` is as in ``basis_window`` and ``W`` an (M, K+1)
+    id array of the window's bases.  The levels run in column form as in
+    ``_window_columns``, one record per op over all inputs and window
+    slots, so the record count depends on K alone.  A term whose
+    denominator t[j+k] - t[j] is within ``DIVIDING_FLOOR`` of 0 is 0 with
+    zero partials, as are the last level's slots that name no basis and
+    rows outside the span, so no gradient reaches what the window does
+    not use.  Outside the span the levels run on x = t[0], so a far-out
+    input cannot overflow a lane that is masked anyway.
     """
-    x = tape.value(x_id)
-    m = locate_span(knot_values, x)
-    if m is None:
-        return None
-    level = {m: tape.constant(1.0)}
+    x_ids = np.asarray(x_ids).ravel()
+    rows = np.asarray(rows).ravel()
+    t = tape.value(knot_ids)
+    x = tape.value(x_ids)
+    n_knots = t.shape[1]
+    n_bases = n_knots - K - 1
+    m = (t[rows] <= x[:, None]).sum(axis=1) - 1
+    inside = (m >= 0) & (m < n_knots - 1)
+    m = np.where(inside, m, -1)
+    base = np.maximum(m, 0)
+    xs = np.where(inside, x, t[rows, 0])[:, None]
+    dx = inside[:, None] * 1.0
+    # Padded knot p + K is knot p, edge copies beyond; window knot p of input
+    # n is padded knot base[n] + p, and x lies in [window knot K, K+1).
+    padded = np.clip(np.arange(-K, n_knots + K), 0, n_knots - 1)
+    tp, ip = t[:, padded], np.asarray(knot_ids)[:, padded]
+    width = tp.shape[1]
+    at = (rows * width + base)[:, None]
+    left, right = at + np.arange(1, K + 1), at + np.arange(K + 1, 2 * K + 1)
+    # numerators: columns p - 1 hold x - knot p (1 <= p <= K), columns K + q
+    # hold knot K+1+q - x (q < K)
+    x_col = x_ids[:, None]
+    num = tape.record(
+        "basis numerator",
+        np.concatenate([xs - tp.ravel()[left], tp.ravel()[right] - xs], axis=1),
+        np.concatenate([np.broadcast_to(x_col, left.shape), ip.ravel()[right]], axis=1),
+        np.concatenate([np.broadcast_to(dx, left.shape), np.ones(right.shape)], axis=1),
+        np.concatenate([ip.ravel()[left], np.broadcast_to(x_col, right.shape)], axis=1),
+        np.concatenate([-np.ones(left.shape), np.broadcast_to(-dx, right.shape)], axis=1))
+    # denominators t[p+k] - t[p] of every knot set and level, one record
+    den = tape.sub(np.concatenate([ip[:, k:].ravel() for k in range(1, K + 1)]),
+                   np.concatenate([ip[:, :-k].ravel() for k in range(1, K + 1)]))
+    # valid[r]: slot r names a basis (rows outside the span name none)
+    slot = m[:, None] - K + np.arange(K + 1)
+    valid = inside[:, None] & (slot >= 0) & (slot < n_bases)
+    W, off = None, 0
     for k in range(1, K + 1):
-        nxt = {}
-        for j in range(m - k, m + 1):
-            if j < 0 or j + k + 1 >= len(knot_ids):
-                continue
-            terms = []
-            bj = level.get(j)
-            if bj is not None and knot_values[j + k] - knot_values[j] > DIVIDING_FLOOR:
-                num = tape.sub(x_id, knot_ids[j])
-                den = tape.sub(knot_ids[j + k], knot_ids[j])
-                terms.append(tape.mul(tape.div(num, den), bj))
-            bj1 = level.get(j + 1)
-            if bj1 is not None and knot_values[j + k + 1] - knot_values[j + 1] > DIVIDING_FLOOR:
-                num = tape.sub(knot_ids[j + k + 1], x_id)
-                den = tape.sub(knot_ids[j + k + 1], knot_ids[j + 1])
-                terms.append(tape.mul(tape.div(num, den), bj1))
-            if terms:
-                node = terms[0]
-                for t_ in terms[1:]:
-                    node = tape.add(node, t_)
-                nxt[j] = node
-        level = nxt
-    return m, level
+        # Slot s + 1's left term and slot s's right term share the
+        # denominator at window position q = K - k + 1 + s.
+        q = K - k + 1 + np.arange(k)
+        d = den[off + (rows * (width - k))[:, None] + base[:, None] + q]
+        off += len(t) * (width - k)
+        d = np.concatenate([d, d], axis=1)
+        live = tape.value(d) > DIVIDING_FLOOR
+        if k == K:
+            live &= np.concatenate([valid[:, 1:], valid[:, :-1]], axis=1)
+        ratio = tape.div(num[:, np.concatenate([q - 1, K + np.arange(k)])], d, where=live)
+        if k == 1:
+            W = ratio[:, ::-1]      # the order-0 basis is 1
+            continue
+        terms = tape.mul(ratio, np.concatenate([W, W], axis=1))
+        inner = tape.add(terms[:, :k - 1], terms[:, k + 1:])
+        W = np.concatenate([terms[:, k:k + 1], inner, terms[:, k - 1:k]], axis=1)
+    return m, W
 
 
 @dataclass
@@ -380,17 +420,20 @@ def spline_eval(x, sg: SplineGroup):
     return float(y) if np.ndim(x) == 0 else y
 
 
-def spline_on_tape(tape: Tape, knot_ids, knot_values, K: int, coef_ids, x_id: int) -> int:
-    """Record sum_j c_j B_{j,K}(x) using only the active basis window."""
-    win = basis_window_on_tape(tape, knot_ids, knot_values, K, x_id)
-    if win is None:
-        return tape.constant(0.0)
-    _, bases = win
-    acc = None
-    for j in sorted(bases):
-        term = tape.mul(coef_ids[j], bases[j])
-        acc = term if acc is None else tape.add(acc, term)
-    return acc if acc is not None else tape.constant(0.0)
+def spline_on_tape(tape, knot_ids, K: int, coef_ids, x_ids, rows):
+    """Record sum_j c_j B_{j,K}(x) at every input, over its basis window.
+
+    ``coef_ids`` holds each input's coefficient ids, shaped (M, ..., G+K);
+    the result has shape (M, ...).  Knot rows are as in
+    ``basis_window_on_tape``.  Window slots that name no basis are 0 with
+    no gradient, so their coefficient index is clipped onto a neighbour.
+    """
+    m, W = basis_window_on_tape(tape, knot_ids, K, x_ids, rows)
+    coef_ids = np.asarray(coef_ids)
+    lead = (len(m),) + (1,) * (coef_ids.ndim - 2) + (K + 1,)
+    idx = np.clip(m[:, None] - K + np.arange(K + 1), 0, coef_ids.shape[-1] - 1)
+    c = np.take_along_axis(coef_ids, idx.reshape(lead), axis=-1)
+    return tape.sum(tape.mul(c, W.reshape(lead)), axis=-1)
 
 
 # -- smoothness penalty -------------------------------------------------------

@@ -3,12 +3,13 @@
 The loss is the task objective plus lambda times the summed
 coefficient-smoothness penalty over every spline group in the network.
 The task loss and its gradient come from recording the whole mini-batch
-on one scalar tape.  The penalty is not on the tape: it is quadratic in
-the coefficients, so its value and gradient have a closed form over each
+on one tape, in a fixed number of bulk records per layer and for the
+loss.  The penalty is not on the tape: it is quadratic in the
+coefficients, so its value and gradient have a closed form over each
 layer's coefficient array (``smoothness_penalty``).  Evaluation metrics
 use the vectorized forward path.  A non-finite loss or gradient halts the
-run and records the step index -- divergence is a measured outcome here,
-not an error.
+run and records the step index and the error that stopped it --
+divergence is a measured outcome here, not an error.
 """
 
 from __future__ import annotations
@@ -66,31 +67,21 @@ def hash_config(obj) -> str:
 # -- losses ---------------------------------------------------------------------
 
 
-def _tape_task_loss(tape: Tape, net: Network, tb, X, y, task: str) -> int:
-    inv_n = tape.constant(1.0 / X.shape[0])
-    total = None
-    for n in range(X.shape[0]):
-        outs = net.tape_forward(tape, tb, X[n])
-        if task == "regression":
-            sample = None
-            inv_d = tape.constant(1.0 / len(outs))
-            for o, out in enumerate(outs):
-                target = y[n] if np.ndim(y[n]) == 0 else y[n][o]
-                r = tape.sub(out, tape.constant(target))
-                sq = tape.mul(r, r)
-                sample = sq if sample is None else tape.add(sample, sq)
-            sample = tape.mul(sample, inv_d)
-        else:
-            vals = tape.values(outs)
-            m = int(np.argmax(vals))
-            exps = [tape.exp(tape.sub(z, outs[m])) for z in outs]
-            sumexp = exps[0]
-            for e in exps[1:]:
-                sumexp = tape.add(sumexp, e)
-            log_z = tape.add(tape.log(sumexp), outs[m])
-            sample = tape.sub(log_z, outs[int(y[n])])
-        total = sample if total is None else tape.add(total, sample)
-    return tape.mul(total, inv_n)
+def _tape_task_loss(tape: Tape, net: Network, tb, X, y, task: str) -> np.ndarray:
+    """Record each sample's task loss over N; returns their ids.  The
+    batch loss is their sum: a tree over N would cost log2(N) records."""
+    Z = net.tape_forward(tape, tb, X)
+    rows = np.arange(len(Z))
+    if task == "regression":
+        inv_d, inv_n = tape.constant([1.0 / Z.shape[1], 1.0 / len(Z)])
+        r = tape.sub(Z, tape.constant(np.reshape(y, (len(Z), -1))))
+        sample = tape.mul(tape.sum(tape.mul(r, r), axis=1), inv_d)
+    else:
+        inv_n = tape.constant(1.0 / len(Z))
+        top = Z[rows, np.argmax(tape.value(Z), axis=1)]
+        sumexp = tape.sum(tape.exp(tape.sub(Z, top[:, None])), axis=1)
+        sample = tape.sub(tape.add(tape.log(sumexp), top), Z[rows, y.astype(int)])
+    return tape.mul(sample, inv_n)
 
 
 def smoothness_penalty(net: Network):
@@ -119,13 +110,14 @@ def regularized_loss(net: Network, X: np.ndarray, y: np.ndarray, lam: float,
         raise EmptySplit("empty batch")
     tape = Tape()
     tb = net.bind_tape(tape)
-    task_node = _tape_task_loss(tape, net, tb, X, y, task)
+    with np.errstate(over="ignore", invalid="ignore"):   # the tape checks every value
+        samples = _tape_task_loss(tape, net, tb, X, y, task)
     penalty, penalty_grad = smoothness_penalty(net)
-    task_loss = tape.value(task_node)
+    task_loss = float(np.sum(tape.value(samples)))
     loss = task_loss + lam * penalty
     if not np.isfinite(loss):
         raise NonFiniteValue(f"loss is {loss!r}")
-    grads = tape.gradient_vector(task_node, tb.n_params) + lam * penalty_grad
+    grads = tape.gradient_vector(samples, tb.n_params) + lam * penalty_grad
     if not np.all(np.isfinite(grads)):
         raise NonFiniteGradient("penalty gradient is not finite")
     return loss, grads, {"task_loss": task_loss, "penalty": penalty}
@@ -189,6 +181,7 @@ class RunRecord:
     steps: list = field(default_factory=list)   # dicts: step, loss, penalty, metric
     epoch_metrics: list = field(default_factory=list)
     nan_step: int | None = None
+    nan_cause: str | None = None    # "<error class>: <message>" of the halting step
     wall_time: float = 0.0
     final_metric: float | None = None
     metric_name: str = "rmse"
@@ -213,6 +206,7 @@ class RunRecord:
             "final_metric": self.final_metric,
             "epoch_metrics": self.epoch_metrics,
             "nan_step": self.nan_step,
+            "nan_cause": self.nan_cause,
             "completed_steps": len(self.steps),
             "wall_time_s": self.wall_time,
         }
@@ -225,7 +219,7 @@ def train(net: Network, data: DatasetSplit, config: TrainConfig,
     Shuffling draws from a stream dedicated to the run seed, effective
     knots are re-sorted by construction on every forward pass, and the
     sorted-knot invariant is asserted after each update.  A non-finite
-    loss halts the run with nan_step set.
+    loss halts the run with nan_step and nan_cause set.
     """
     t0 = time.perf_counter()
     Xtr, ytr = data.split("train", normalized=config.normalize_inputs)
@@ -252,14 +246,16 @@ def train(net: Network, data: DatasetSplit, config: TrainConfig,
             try:
                 loss, grads, parts = regularized_loss(
                     net, Xtr[idx], ytr[idx], config.lam, config.task)
-            except AutodiffError:
+            except AutodiffError as exc:
                 record.nan_step = step
+                record.nan_cause = f"{type(exc).__name__}: {exc}"
                 done = True
                 break
             flat, state = adam_step(flat, grads, state, config.learning_rate,
                                     config.beta1, config.beta2, config.eps)
             if not np.all(np.isfinite(flat)):
                 record.nan_step = step
+                record.nan_cause = "NonFiniteValue: the Adam step left a parameter not finite"
                 done = True
                 break
             net.set_flat(flat)

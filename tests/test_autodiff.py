@@ -1,4 +1,4 @@
-"""Tape recording, backward sweep, and finite-difference agreement."""
+"""Tape records, the reverse sweep, and finite-difference agreement."""
 
 import math
 
@@ -52,24 +52,27 @@ class TestRecord:
         with pytest.raises(NonFiniteValue):
             tp.log(tp.constant(-1.0))
 
-    def test_node_view(self):
+    def test_error_names_the_op(self):
         tp = Tape()
-        a = tp.parameter(2.0, handle="p")
-        n = tp.mul(a, a)
-        view = tp.node(n)
-        assert view.op == "mul"
-        assert view.value == 4.0
-        assert view.parents == ((a, 2.0), (a, 2.0))
-        assert tp.node(a).parents == ()
-        assert tp.parameter_index == {"p": a}
+        big = tp.constant([1.0, 1e200])
+        with pytest.raises(NonFiniteValue, match="^mul"), np.errstate(over="ignore"):
+            tp.mul(big, big)
 
-    def test_replay_reproduces_values(self):
+    def test_masked_division_skips_the_floor(self):
         tp = Tape()
-        x = tp.parameter(0.7)
-        y = tp.sin(tp.mul(x, tp.exp(tp.constant(0.3))))
-        z = tp.add(y, tp.sqrt(tp.constant(2.0)))
-        tp.div(z, tp.cos(x))
-        assert tp.replay_values() == tp._val
+        q = tp.div(tp.constant([1.0, 1.0]), tp.constant([4.0, 0.0]),
+                   where=np.array([True, False]))
+        assert tp.values(q) == [0.25, 0.0]
+        with pytest.raises(DivisionNearZero):
+            tp.div(tp.constant([1.0, 1.0]), tp.constant([4.0, 0.0]),
+                   where=np.array([False, True]))
+
+    def test_record_count_is_one_per_op(self):
+        tp = Tape()
+        a = tp.constant(np.arange(1.0, 9.0))
+        tp.sum(tp.mul(a, a))
+        assert tp.record_count == 2 + 3   # constant, mul, then a tree over 8
+        assert len(tp) == 8 + 8 + 4 + 2 + 1
 
 
 class TestBackward:
@@ -113,7 +116,9 @@ class TestBackward:
         tp = Tape()
         ps = [tp.parameter(v, handle=f"p{i}") for i, v in enumerate([3.0, 1.0, 2.0])]
         perm = [1, 2, 0]  # sorted order of the values
-        sel = tp.select_permutation(ps, perm)
+        # a permutation is a one-parent record with partial 1
+        picked = np.array(ps)[perm]
+        sel = tp.record("select", tp.value(picked), picked, 1.0)
         assert tp.values(sel) == [1.0, 2.0, 3.0]
         # weight the sorted outputs differently so routing is visible
         w = [tp.constant(c) for c in (10.0, 100.0, 1000.0)]
@@ -121,6 +126,12 @@ class TestBackward:
                      tp.mul(sel[2], w[2]))
         grads = tp.backward(acc)
         assert grads == {"p0": 1000.0, "p1": 10.0, "p2": 100.0}
+
+    def test_array_root_is_the_sum(self):
+        tp = Tape()
+        p = tp.parameter(1.5, handle="p")
+        roots = tp.mul(tp.constant([1.0, 2.0, 3.0]), tp.mul(p, p))
+        assert tp.backward(roots) == {"p": 18.0}
 
     def test_gradient_buffer_spans_tape(self):
         tp = Tape()

@@ -97,6 +97,18 @@ class TestTrainCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["metric_name"] == "rmse"
 
+    def test_divergence_cause_is_printed_and_saved(self, tmp_path, capsys):
+        # an MLP has no spline layer, so G + K < 3 is no error for it
+        out = tmp_path / "nan"
+        rc = _run(["train", "--task", "runge", "--model", "mlp", "--arch", "4",
+                   "--G", "1", "--K", "1", "--n", "40", "--epochs", "5", "--batch", "16",
+                   "--lr", "1e300", "--out", str(out)])
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["nan_step"] is not None
+        assert summary["nan_cause"].startswith("NonFinite")
+        assert f"nan_cause={summary['nan_cause']!r}" in capsys.readouterr().out
+
     def test_classification_task(self, tmp_path):
         out = tmp_path / "cls"
         rc = _run(["train", "--task", "classification", "--model", "mlp",
@@ -114,7 +126,10 @@ class TestTrainCommand:
                                      {"model": "xyz"}, {"task": 3},
                                      {"dim": 2, "task": "classification", "classes": 3},
                                      {"n": 15, "task": "classification", "classes": 20,
-                                      "dim": 20}])
+                                      "dim": 20},
+                                     {"G": 1, "K": 1}, {"G": 1, "K": 1, "model": "kan",
+                                                        "lambda": 0},
+                                     {"G": 1, "arch": "in:1 -> mlp:3 -> kan:1"}])
     def test_bad_training_config_is_named(self, tmp_path, capsys, bad):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"task": "runge", "model": "frkan", "arch": "4",
@@ -266,7 +281,8 @@ class TestStabilityCommand:
     @pytest.mark.parametrize("bad", [{"steps": "x"}, {"steps": 0}, {"depth": 2},
                                      {"width": "2"}, {"ranges": []},
                                      {"ranges": [[1, -1]]}, {"classes": 1}, {"dim": 0},
-                                     {"dim": 2}, {"n": 15, "classes": 20, "dim": 20}])
+                                     {"dim": 2}, {"n": 15, "classes": 20, "dim": 20},
+                                     {"G": 1, "K": 1}])
     def test_bad_stability_config_is_named(self, tmp_path, capsys, bad):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"ranges": [[-1, 1]], "depth": 3, "steps": 2,

@@ -21,6 +21,7 @@ from frkan.splines import (
     make_uniform_grid,
     second_difference_penalty,
     spline_eval,
+    basis_window_on_tape,
     spline_on_tape,
     spline_values,
 )
@@ -359,10 +360,10 @@ class TestTapeSpline:
             shift = params[1 + n_coef:]
             tp = Tape()
             tp.parameters_from(params)
-            coef_ids = list(range(1, 1 + n_coef))
-            shift_ids = list(range(1 + n_coef, params.size))
-            knot_ids, knot_vals = kv.tape_knots(tp, shift_ids)
-            root = spline_on_tape(tp, knot_ids, knot_vals, K, coef_ids, 0)
+            coef_ids = np.arange(1, 1 + n_coef)
+            shift_ids = np.arange(1 + n_coef, params.size)
+            knot_ids = kv.tape_knots(tp, shift_ids[None, :])
+            root = spline_on_tape(tp, knot_ids, K, coef_ids[None, :], [0], [0])[0]
             assert tp.value(0) == x0
             return tp.value(root), tp.gradient_vector(root, params.size)
 
@@ -399,11 +400,46 @@ class TestTapeSpline:
     def test_outside_support_is_zero(self):
         kv = make_uniform_grid(-1, 1, 4, 1)
         tp = Tape()
-        knot_ids, knot_vals = kv.tape_knots(tp, None)
-        coef_ids = [tp.constant(1.0) for _ in range(kv.n_bases)]
+        knot_ids = kv.tape_knots(tp, None)
+        coef_ids = tp.constant(np.ones(kv.n_bases))
         x = tp.constant(5.0)
-        node = spline_on_tape(tp, knot_ids, knot_vals, kv.K, coef_ids, x)
+        node = spline_on_tape(tp, knot_ids, kv.K, coef_ids[None, :], [x], [0])[0]
         assert tp.value(node) == 0.0
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_bulk_window_matches_kernel(self, K):
+        """Every input of every knot row at once, clamped rows and inputs
+        outside the span included: the recorded window is the kernel's."""
+        rng = np.random.default_rng(K)
+        kv = make_uniform_grid(-1, 1, 6, K)
+        shifts = kv.dg * rng.integers(-2, 3, size=(3, kv.G + 1)) \
+            + rng.uniform(-0.3, 0.3, size=(3, kv.G + 1)) * kv.min_gap
+        knots = kv.knot_matrix(shifts)
+        tp = Tape()
+        knot_ids = kv.tape_knots(tp, tp.constant(shifts))
+        assert np.array_equal(tp.value(knot_ids), knots)
+        x = rng.uniform(-2.5, 2.5, size=60)
+        rows = rng.integers(0, 3, size=60)
+        m, W = basis_window_on_tape(tp, knot_ids, K, tp.constant(x), rows)
+        for g in range(3):
+            want_m, want_W = basis_window(x[rows == g], knots[g], K)
+            assert np.array_equal(m[rows == g], want_m)
+            np.testing.assert_allclose(tp.value(W[rows == g]), want_W, rtol=0, atol=1e-13)
+
+    def test_knot_gradient_follows_the_clamp(self):
+        """A knot the clamp raises carries its predecessor's shift."""
+        kv = make_uniform_grid(0, 4, 4, 1)
+        tp = Tape()
+        tp.parameters_from([0.0, 0.0, 1.0, 0.0, 0.0])
+        knot_ids = kv.tape_knots(tp, np.arange(5)[None, :])
+        # base point 2 moved onto base point 3, which the clamp raises by min_gap
+        assert tp.values(knot_ids[0, 1:6]) == [0.0, 1.0, 3.0, 3.0 + kv.min_gap, 4.0]
+        # each knot's gradient is one-hot on the shift entry its point came from
+        for k, entry in ((1, None), (2, 1), (3, 2), (4, 2), (5, None)):
+            want = np.zeros(5)
+            if entry is not None:
+                want[entry] = 1.0
+            assert tp.gradient_vector(knot_ids[0, k], 5).tolist() == want.tolist()
 
 
 @st.composite

@@ -268,6 +268,19 @@ class TestTrainLoop:
         assert record.nan_step is not None
         assert len(record.steps) <= record.nan_step + 1
 
+    def test_nan_cause_names_the_error(self, tmp_path):
+        data = _toy_regression(n=64, seed=3)
+        data.y[:] = 1e200    # the first residual's square overflows
+        net = init_network("in:2 -> frkan:3 -> out:1", GridConfig(G=5, K=2, a=-2, b=2), seed=0)
+        record, _ = train(net, data, TrainConfig(epochs=1, batch_size=16, seed=0, lam=0.0))
+        assert record.nan_step == 0 and record.steps == []
+        assert record.nan_cause.startswith("NonFiniteValue: mul produced a non-finite value")
+        summary = record.summary()
+        assert summary["nan_step"] == 0 and summary["nan_cause"] == record.nan_cause
+        clean, _ = train(init_network("in:2 -> mlp:3 -> out:1", seed=0), _toy_regression(),
+                         TrainConfig(epochs=1, batch_size=16, seed=0))
+        assert clean.nan_step is None and clean.summary()["nan_cause"] is None
+
     def test_run_record_csv(self, tmp_path):
         data = generate_runge(100, seed=0)
         net = init_network("in:1 -> frkan:3 -> out:1",
