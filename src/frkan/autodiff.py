@@ -1,15 +1,18 @@
 """Reverse-mode differentiation on a tape of scalar nodes, recorded in bulk.
 
-Every node keeps its eagerly computed value plus at most two (parent id,
-local partial) pairs.  Nodes are appended a *record* at a time: one call
+Every node keeps its eagerly computed value plus its (parent id, local
+partial) pairs.  Nodes are appended a *record* at a time: one call
 appends a whole array of independent nodes whose parents all come earlier
 on the tape, so a layer over a whole mini-batch costs a fixed number of
-records whatever the batch size.  A record keeps its parents and partials
-as flat arrays; values live in one growing buffer, so any node's value is
-an index away.  The reverse sweep visits the records last to first and
-scatters ``g[record] * partial`` into the parents with one ``np.add.at``
-per parent slot, which accumulates d(root)/d(parameter) for every
-registered parameter.
+records whatever the batch size.  A record takes one of two edge forms:
+up to two parents per node (the elementwise ops), or a fan of F parents
+per node along a trailing axis (a spline's basis window and its
+contraction, whose partials come in closed form).  A record keeps its
+parents and partials as arrays; values live in one growing buffer, so any
+node's value is an index away.  The reverse sweep visits the records
+last to first and scatters ``g[record] * partial`` into the parents, with
+one ``np.add.at`` per parent slot or per fan, which accumulates
+d(root)/d(parameter) for the parameters bound by ``parameters_from``.
 
 Every op checks every element: a non-finite value or partial raises
 ``NonFiniteValue``, and a division whose denominator is within
@@ -57,15 +60,14 @@ class Tape:
     operands).  A tape is single-threaded; build one per loss evaluation.
     """
 
-    __slots__ = ("_val", "_n", "_records", "_param_handles", "last_gradient")
+    __slots__ = ("_val", "_n", "_records")
 
     def __init__(self):
         self._val = np.empty(256)
         self._n = 0
-        # (start, stop, p1, w1, p2, w2); p1 is None for leaves, p2 for unary ops
+        # (start, stop, p1, w1, p2, w2); p1 is None for leaves, p2 for unary
+        # ops and fans, and p1 is 2-D, one row per node, for a fan
         self._records = []
-        self._param_handles = {}    # parameter handle -> node id
-        self.last_gradient = None
 
     def __len__(self):
         return self._n
@@ -89,8 +91,10 @@ class Tape:
 
         ``p1``/``p2`` are parent ids and ``w1``/``w2`` the local partials,
         each broadcast to ``val``'s shape; every parent must already be on
-        the tape.  A non-finite value or partial raises ``NonFiniteValue``
-        naming ``op``.
+        the tape.  A fan passes ``p1`` and ``w1`` with one more, trailing
+        axis than ``val`` and no ``p2``: node i then has the parents
+        ``p1[i, :]`` with the partials ``w1[i, :]``.  A non-finite value or
+        partial raises ``NonFiniteValue`` naming ``op``.
         """
         val = np.asarray(val, dtype=float)
         for what, arr in (("value", val), ("partial", w1), ("partial", w2)):
@@ -109,9 +113,12 @@ class Tape:
         for p, w in ((p1, w1), (p2, w2)):
             if p is not None:
                 p = _ids(p)
-                p = (p if p.shape == val.shape else np.broadcast_to(p, val.shape)).ravel()
+                fan = p.shape[val.ndim:]
+                shape = val.shape + fan
+                p = (p if p.shape == shape else np.broadcast_to(p, shape)).reshape(-1, *fan)
                 if np.ndim(w):
-                    w = (w if w.shape == val.shape else np.broadcast_to(w, val.shape)).ravel()
+                    w = np.asarray(w)
+                    w = (w if w.shape == shape else np.broadcast_to(w, shape)).reshape(p.shape)
             edges += [p, w]
         self._records.append((start, stop, *edges))
         self._n = stop
@@ -120,20 +127,13 @@ class Tape:
     def constant(self, v) -> np.ndarray:
         return self.record("constant", v)
 
-    def parameter(self, v: float, handle=None) -> np.ndarray:
-        i = self.record("parameter", float(v))
-        if handle is None:
-            handle = len(self._param_handles)
-        self._param_handles[handle] = int(i)
-        return i
-
     def parameters_from(self, values) -> int:
         """Record a flat parameter vector as nodes 0..P-1 of an empty tape.
 
         Returns the id of the first node.  ``gradient_vector`` reads the
         gradient of these nodes.
         """
-        if self._n or self._param_handles:
+        if self._n:
             raise AutodiffError("bulk parameter binding requires an empty tape")
         self.record("parameter", np.asarray(values, dtype=float).ravel())
         return 0
@@ -150,25 +150,15 @@ class Tape:
         va, vb = self.value(a), self.value(b)
         return self.record("mul", va * vb, a, vb, b, va)
 
-    def div(self, a, b, where=None):
-        """a / b.  Where ``where`` is False the node is 0 with zero partials
-        and its denominator is not checked."""
+    def div(self, a, b):
         va, vb = self.value(a), self.value(b)
-        live = np.abs(vb) > DIVIDING_FLOOR
-        if where is not None:
-            live = live | ~np.asarray(where)
-        if not live.all():
-            raise DivisionNearZero(f"div: |denominator| = {np.abs(vb)[~live].flat[0]!r} "
+        small = np.abs(vb) <= DIVIDING_FLOOR
+        if small.any():
+            raise DivisionNearZero(f"div: |denominator| = {np.abs(vb)[small].flat[0]!r} "
                                    f"<= {DIVIDING_FLOOR}")
-        if where is None:
-            inv = 1.0 / vb
-        else:
-            inv = np.where(where, 1.0 / np.where(where, vb, 1.0), 0.0)
+        inv = 1.0 / vb
         q = va * inv
         return self.record("div", q, a, inv, b, -q * inv)
-
-    def neg(self, a):
-        return self.record("neg", -self.value(a), a, -1.0)
 
     def maximum(self, a, b):
         # Subgradient at a tie goes to the first argument.
@@ -186,14 +176,6 @@ class Tape:
         if np.any(va <= 0.0):
             raise NonFiniteValue(f"log of non-positive value {np.min(va)!r}")
         return self.record("log", np.log(va), a, 1.0 / va)
-
-    def sin(self, a):
-        va = self.value(a)
-        return self.record("sin", np.sin(va), a, np.cos(va))
-
-    def cos(self, a):
-        va = self.value(a)
-        return self.record("cos", np.cos(va), a, -np.sin(va))
 
     def sqrt(self, a):
         va = self.value(a)
@@ -215,16 +197,6 @@ class Tape:
         """x * sigmoid(x), composed from the primitive set."""
         return self.mul(a, self.sigmoid(a))
 
-    def powi(self, a, n: int):
-        if n != int(n):
-            raise AutodiffError("powi exponent must be an integer")
-        n = int(n)
-        va = self.value(a)
-        if n < 0 and np.any(va == 0.0):
-            raise DivisionNearZero("powi: 0 raised to a negative power")
-        w = 0.0 if n == 0 else n * va ** (n - 1)
-        return self.record("powi", va ** n, a, w)
-
     def sum(self, ids, axis: int = -1):
         """Sum along ``axis`` as a pairwise tree: ceil(log2(n)) add records."""
         ids = np.moveaxis(_ids(ids), axis, -1)
@@ -236,8 +208,9 @@ class Tape:
 
     # -- reverse sweep -----------------------------------------------------
 
-    def _sweep(self, root) -> np.ndarray:
-        """d(sum of the root nodes)/d(node) for every node on the tape."""
+    def gradient_vector(self, root, count: int) -> np.ndarray:
+        """Dense gradient of ``root`` (the sum, for an array of roots) for
+        the parameters bound via :meth:`parameters_from`."""
         root = _ids(root).ravel()
         if root.size == 0 or root.min() < 0 or root.max() >= self._n:
             raise AutodiffError(f"root {root} not on tape")
@@ -248,31 +221,12 @@ class Tape:
             if start > top or p1 is None:
                 continue
             gi = g[start:stop]
+            if p1.ndim == 2:    # a fan
+                gi = gi[:, None]
             np.add.at(g, p1, gi * w1)
             if p2 is not None:
                 np.add.at(g, p2, gi * w2)
-        self.last_gradient = g
-        return g
-
-    def backward(self, root) -> dict:
-        """Gradient of ``root`` w.r.t. every parameter registered with
-        :meth:`parameter`, by handle; an array of roots means their sum.
-
-        Parameters the root does not depend on map to 0.
-        """
-        g = self._sweep(root)
-        out = {}
-        for handle, node_id in self._param_handles.items():
-            gv = float(g[node_id])
-            if not math.isfinite(gv):
-                raise NonFiniteGradient(f"gradient of parameter {handle!r} is {gv!r}")
-            out[handle] = gv
-        return out
-
-    def gradient_vector(self, root, count: int) -> np.ndarray:
-        """Dense gradient of ``root`` (the sum, for an array of roots) for
-        the parameters bound via :meth:`parameters_from`."""
-        g = self._sweep(root)[:count].copy()
+        g = g[:count].copy()
         if not np.all(np.isfinite(g)):
             bad = int(np.flatnonzero(~np.isfinite(g))[0])
             raise NonFiniteGradient(f"gradient of parameter {bad} is not finite")

@@ -21,7 +21,10 @@ fixed number of bulk records per layer whatever the batch size (used for
 training gradients), and ``forward_batch`` evaluates a whole sample
 matrix with numpy (used for metrics, scanning and export; carries no
 gradients).  ``tape_forward`` takes and returns a flat id array,
-row-major over the batch.
+row-major over the batch.  A spline layer records its splines with one
+call of the basis kernel over all its knot sets (every FR-KAN group at
+once): ``splines.spline_on_tape`` makes the basis window one record and
+the coefficient contraction another.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .splines import (
     KnotVector,
     SplineGroup,
     basis_matrix,
+    init_shift,
     make_uniform_grid,
     spline_on_tape,
     spline_values,
@@ -532,10 +536,9 @@ def init_network(descriptor: str, grid: GridConfig | None = None, seed: int = 0,
             modules.append(KANLayer(d, width, kv, coef, A_b, A_s, silu_path=silu))
         else:
             h = grid.groups_for(d)
-            nb = grid.G + grid.K
-            coef = rng.normal(size=(h, nb)) * (0.1 / np.sqrt(nb))
-            half = (grid.b - grid.a) / (grid.Z * grid.G)
-            shifts = half * rng.uniform(-1.0, 1.0, size=(h, grid.G + 1))
+            kv = make_uniform_grid(grid.a, grid.b, grid.G, grid.K)
+            coef = rng.normal(size=(h, kv.n_bases)) * (0.1 / np.sqrt(kv.n_bases))
+            shifts = np.stack([init_shift(kv, grid.Z, rng) for _ in range(h)])
             A = rng.uniform(-1, 1, size=(d, width)) / np.sqrt(d)
             modules.append(FRKANLayer(d, width, h, grid.a, grid.b, grid.G, grid.K,
                                       coef, shifts, A, silu_path=silu))

@@ -15,20 +15,24 @@ of [a, b] no matter how the shifts train.  The shifted points are sorted
 together with the (fixed) extension points and consecutive gaps are
 clamped to a minimum, so effective knots are always strictly increasing.
 
-Basis evaluation: one array kernel finds each input's knot span and
-evaluates only the K+1 bases that can be nonzero there (de Boor's local
-recursion, with the Cox-de Boor formulas and guards, so values are
-bit-identical to the full recursion).  It works in column form, one array
-per window slot, and gathers each level's denominators once: slot r's
-second denominator t[j+k+1] - t[j+1] is slot r+1's first.
-``basis_window`` stacks the columns into an (N, K+1) window,
-``spline_values`` weights each column by its gathered coefficient and sums
-them, and ``basis_matrix`` is the window scattered into the dense
-(N, G+K) array, for callers that share one basis row across many
-coefficient sets.  ``basis_window_on_tape`` records the same levels on an
-autodiff tape for every input of a layer at once, over the knots that
-``KnotVector.tape_knots`` records, and ``spline_on_tape`` contracts the
-recorded window with the coefficients.
+Basis evaluation: one array kernel, ``_window_columns``, finds each
+input's knot span and evaluates only the K+1 bases that can be nonzero
+there (de Boor's local recursion, with the Cox-de Boor formulas and
+guards, so values are bit-identical to the full recursion).  It works in
+column form, one array per window slot, and gathers each level's
+denominators once: slot r's second denominator t[j+k+1] - t[j+1] is slot
+r+1's first.  It is the only level recursion here.  ``basis_window``
+stacks the columns into an (N, K+1) window, ``spline_values`` weights
+each column by its gathered coefficient and sums them, and
+``basis_matrix`` is the window scattered into the dense (N, G+K) array,
+for callers that share one basis row across many coefficient sets.
+Asked to, the kernel keeps each level's ratios, and ``window_backward``
+runs the levels in reverse for the gradient with respect to x and the
+window's knots.  ``basis_window_on_tape`` records the kernel's window for
+every input of a layer at once, over the knots that
+``KnotVector.tape_knots`` records, as one tape record whose partials come
+from ``window_backward``; ``spline_on_tape`` contracts the recorded window
+with the coefficients in one more record.
 
 Smoothness penalty: ``second_difference_penalty`` gives the penalty of a
 whole coefficient array and its closed-form gradient.
@@ -198,7 +202,8 @@ def init_shift(kv: KnotVector, Z: float, seed) -> np.ndarray:
     """Draw i.i.d. uniform shifts with half-width (b - a) / (Z * G).
 
     The raw draws are scale-free uniforms on [-1, 1]; two grids sharing a
-    seed therefore differ only by the half-width factor.
+    seed therefore differ only by the half-width factor.  ``seed`` may be
+    a ``np.random.Generator``, which the draw advances.
     """
     if Z <= 0:
         raise InvalidRange(f"need Z > 0, got {Z}")
@@ -210,58 +215,112 @@ def init_shift(kv: KnotVector, Z: float, seed) -> np.ndarray:
 # -- basis evaluation --------------------------------------------------------
 
 
-def _window_columns(x: np.ndarray, t: np.ndarray, K: int):
-    """``basis_window`` in column form: ``(m, [K+1 arrays])``; x flat, K >= 1."""
-    n_bases = t.size - K - 1
-    m = np.searchsorted(t, x, side="right") - 1
-    inside = (m >= 0) & (m < t.size - 1)
+def _window_columns(x: np.ndarray, t: np.ndarray, K: int, levels=None, rows=None):
+    """``basis_window`` in column form: ``(m, [K+1 arrays])``; x flat, K >= 1.
+
+    With ``rows``, ``t`` is an (h, n_knots) knot matrix and input n uses
+    row ``rows[n]``.  Passed a list, ``levels`` receives one entry per
+    level k for ``window_backward``: its k denominators, its left and
+    right ratios (one per denominator) and the level below.
+    """
+    n_knots = t.shape[-1]
+    n_bases = n_knots - K - 1
+    if rows is None:
+        m = np.searchsorted(t, x, side="right") - 1
+        first = t[0]
+    else:
+        m = np.empty(x.shape, dtype=np.intp)
+        for g, row in enumerate(t):
+            at = rows == g
+            m[at] = np.searchsorted(row, x[at], side="right") - 1
+        first = t[rows, 0]
+    inside = (m >= 0) & (m < n_knots - 1)
     m = np.where(inside, m, -1)
     # Knots padded with K edge copies per side: padded index p = j + K, so
     # every window index is in bounds.  Padded knots only reach window
-    # slots that name no basis, which are zeroed at the end.
-    tp = np.pad(t, K, mode="edge")
+    # slots that name no basis, which are zeroed at the end.  Padded rows
+    # lie end to end, and no window reaches into the next row.
+    tp = np.pad(t, [(0, 0)] * (t.ndim - 1) + [(K, K)], mode="edge").ravel()
     base = np.maximum(m, 0)
-    xs = np.where(inside, x, t[0])
+    if rows is not None:
+        base += rows * (n_knots + 2 * K)
+    xs = np.where(inside, x, first)
     # Window knot p is tp[base + p], and x lies in [knot K, knot K+1):
     # left[p] = x - knot p for 1 <= p <= K, right[q] = knot K+1+q - x for
     # q < K.  No level reads left[0] or right[K].
     left = [None] + [xs - tp[p:].take(base) for p in range(1, K + 1)]
     right = [tp[p:].take(base) - xs for p in range(K + 1, 2 * K + 1)]
-    W = []
+    W = [1.0]   # the order-0 basis
     for k in range(1, K + 1):
         # A denominator within DIVIDING_FLOOR of 0 becomes inf, so its
         # weight is +0 as in the full recursion: numerators are >= 0.
-        # Slot r's second denominator t[j+k+1] - t[j+1] is slot r+1's
-        # first, so level k gathers its k distinct denominators once.
+        # Denominator j, knot p+k - knot p at p = K-k+1+j, divides slot
+        # j+1's left term and slot j's right term, so level k gathers its
+        # k distinct denominators once.
         d = tp[k:] - tp[:-k]
         d = np.where(np.abs(d) > DIVIDING_FLOOR, d, np.inf)
-        den = {p: d[p:].take(base) for p in range(K - k + 1, K + 1)}
-        nxt = []
-        for r in range(k + 1):
-            p = K - k + r   # padded index of basis m - k + r, relative to base
-            v = None
-            if r > 0:
-                v = left[p] / den[p]
-                if k > 1:   # the order-0 basis W[0] is 1
-                    v *= W[r - 1]
-            if r < k:
-                w2 = right[r] / den[p + 1]
-                if k > 1:
-                    w2 *= W[r]
-                v = w2 if v is None else v + w2
-            nxt.append(v)
+        den = [d[p:].take(base) for p in range(K - k + 1, K + 1)]
+        lo, ro, nxt = [], [], []
+        for j in range(k):
+            # b before a: the last b is dropped before a new array is made,
+            # which keeps the peak memory of summing slot by slot
+            b = right[j] / den[j]               # slot j's right ratio
+            a = left[K - k + 1 + j] / den[j]    # slot j+1's left ratio
+            if levels is not None:
+                lo.append(a)
+                ro.append(b)
+                a, b = a * W[j], b * W[j]
+            elif k > 1:
+                a *= W[j]
+                b *= W[j]
+            if j:
+                nxt[j] += b
+            else:
+                nxt.append(b)
+            nxt.append(a)
+        if levels is not None:
+            levels.append((den, lo, ro, W))
         W = nxt
     # Only rows outside the span or in its first or last K spans hold slots
     # that name no basis.  valid[m + 1, r]: slot r of span m names a basis
     # (row 0: no span).
     edge = np.flatnonzero((m < K) | (m > n_bases - 1))
-    cols = np.arange(-1, t.size - 1)[:, None] - K + np.arange(K + 1)
+    cols = np.arange(-1, n_knots - 1)[:, None] - K + np.arange(K + 1)
     valid = ((cols >= 0) & (cols < n_bases))[m[edge] + 1]
     bad = edge[~np.isfinite(x[edge])]   # non-finite x has no span: m = -1
     for r, w in enumerate(W):
         w[edge] *= valid[:, r]
         w[bad] = np.nan
     return m, W
+
+
+def window_backward(levels, K: int, gW):
+    """The levels of ``_window_columns`` run in reverse.
+
+    ``gW`` is the gradient of the window, shaped (..., K+1, N), with any
+    leading seed axes; a slot the kernel zeroed (one that names no basis,
+    or a row outside the span) must have zero gradient.  Returns
+    ``(gx, gT)``: the gradient for x, shaped (..., N), and for the padded
+    window knots 0..2K+1, shaped (..., 2K+2, N).  A ratio (x - knot p)/D
+    or (knot p+k - x)/D with D = knot p+k - knot p sends its gradient to
+    x, to both knots and, through D, to both knots again.  A guarded
+    denominator is inf, so its terms send nothing.
+    """
+    gx = 0.0
+    gT = np.zeros(gW.shape[:-2] + (2 * K + 2, gW.shape[-1]))
+    for k in range(K, 0, -1):
+        # (k, N) arrays; the order-0 level below level 1 is [1.0]
+        den, lo, ro, W = (np.asarray(v) for v in levels[k - 1])
+        wi = W / den
+        # denominator j's left ratio feeds slot j+1, its right ratio slot j
+        g_hi, g_lo = gW[..., 1:, :], gW[..., :-1, :]
+        ai, bi = g_hi * wi, g_lo * wi
+        gd = ai * lo + bi * ro      # minus the gradient for D
+        gx = gx + (ai - bi).sum(axis=-2)
+        gT[..., K - k + 1:K + 1, :] += gd - ai
+        gT[..., K + 1:K + k + 1, :] += bi - gd
+        gW = g_hi * lo + g_lo * ro
+    return gx, gT
 
 
 def basis_window(x: np.ndarray, knots: np.ndarray, K: int):
@@ -304,68 +363,27 @@ def basis_window_on_tape(tape, knot_ids, K: int, x_ids, rows):
 
     ``knot_ids`` is an (h, n_knots) id matrix of knot sets and input n uses
     row ``rows[n]``.  ``m`` is as in ``basis_window`` and ``W`` an (M, K+1)
-    id array of the window's bases.  The levels run in column form as in
-    ``_window_columns``, one record per op over all inputs and window
-    slots, so the record count depends on K alone.  A term whose
-    denominator t[j+k] - t[j] is within ``DIVIDING_FLOOR`` of 0 is 0 with
-    zero partials, as are the last level's slots that name no basis and
-    rows outside the span, so no gradient reaches what the window does
-    not use.  Outside the span the levels run on x = t[0], so a far-out
-    input cannot overflow a lane that is masked anyway.
+    id array of the window's bases.  One ``_window_columns`` call over all
+    knot rows gives the values, and ``window_backward`` with one unit seed
+    per slot gives each basis's partials for x and for window knots
+    1..2K, so the window is one record.  A slot that names no basis, and
+    every slot of a row outside the span, is 0 with zero partials, so no
+    gradient reaches what the window does not use.
     """
     x_ids = np.asarray(x_ids).ravel()
     rows = np.asarray(rows).ravel()
-    t = tape.value(knot_ids)
-    x = tape.value(x_ids)
-    n_knots = t.shape[1]
-    n_bases = n_knots - K - 1
-    m = (t[rows] <= x[:, None]).sum(axis=1) - 1
-    inside = (m >= 0) & (m < n_knots - 1)
-    m = np.where(inside, m, -1)
-    base = np.maximum(m, 0)
-    xs = np.where(inside, x, t[rows, 0])[:, None]
-    dx = inside[:, None] * 1.0
-    # Padded knot p + K is knot p, edge copies beyond; window knot p of input
-    # n is padded knot base[n] + p, and x lies in [window knot K, K+1).
-    padded = np.clip(np.arange(-K, n_knots + K), 0, n_knots - 1)
-    tp, ip = t[:, padded], np.asarray(knot_ids)[:, padded]
-    width = tp.shape[1]
-    at = (rows * width + base)[:, None]
-    left, right = at + np.arange(1, K + 1), at + np.arange(K + 1, 2 * K + 1)
-    # numerators: columns p - 1 hold x - knot p (1 <= p <= K), columns K + q
-    # hold knot K+1+q - x (q < K)
-    x_col = x_ids[:, None]
-    num = tape.record(
-        "basis numerator",
-        np.concatenate([xs - tp.ravel()[left], tp.ravel()[right] - xs], axis=1),
-        np.concatenate([np.broadcast_to(x_col, left.shape), ip.ravel()[right]], axis=1),
-        np.concatenate([np.broadcast_to(dx, left.shape), np.ones(right.shape)], axis=1),
-        np.concatenate([ip.ravel()[left], np.broadcast_to(x_col, right.shape)], axis=1),
-        np.concatenate([-np.ones(left.shape), np.broadcast_to(-dx, right.shape)], axis=1))
-    # denominators t[p+k] - t[p] of every knot set and level, one record
-    den = tape.sub(np.concatenate([ip[:, k:].ravel() for k in range(1, K + 1)]),
-                   np.concatenate([ip[:, :-k].ravel() for k in range(1, K + 1)]))
-    # valid[r]: slot r names a basis (rows outside the span name none)
-    slot = m[:, None] - K + np.arange(K + 1)
-    valid = inside[:, None] & (slot >= 0) & (slot < n_bases)
-    W, off = None, 0
-    for k in range(1, K + 1):
-        # Slot s + 1's left term and slot s's right term share the
-        # denominator at window position q = K - k + 1 + s.
-        q = K - k + 1 + np.arange(k)
-        d = den[off + (rows * (width - k))[:, None] + base[:, None] + q]
-        off += len(t) * (width - k)
-        d = np.concatenate([d, d], axis=1)
-        live = tape.value(d) > DIVIDING_FLOOR
-        if k == K:
-            live &= np.concatenate([valid[:, 1:], valid[:, :-1]], axis=1)
-        ratio = tape.div(num[:, np.concatenate([q - 1, K + np.arange(k)])], d, where=live)
-        if k == 1:
-            W = ratio[:, ::-1]      # the order-0 basis is 1
-            continue
-        terms = tape.mul(ratio, np.concatenate([W, W], axis=1))
-        inner = tape.add(terms[:, :k - 1], terms[:, k + 1:])
-        W = np.concatenate([terms[:, k:k + 1], inner, terms[:, k - 1:k]], axis=1)
+    knot_ids = np.asarray(knot_ids)
+    n_knots = knot_ids.shape[1]
+    levels = []
+    m, W = _window_columns(tape.value(x_ids), tape.value(knot_ids), K, levels, rows)
+    slot = m - K + np.arange(K + 1)[:, None]
+    seeds = np.eye(K + 1)[:, :, None] * ((slot >= 0) & (slot < n_knots - K - 1))
+    gx, gT = window_backward(levels, K, seeds)
+    partials = np.concatenate([gx[:, None], gT[:, 1:-1]], axis=1).transpose(2, 0, 1)
+    # window knot p of input n is knot base + p - K, edge copies beyond
+    knot = np.clip(np.maximum(m, 0)[:, None] + np.arange(1 - K, K + 1), 0, n_knots - 1)
+    parents = np.concatenate([x_ids[:, None], knot_ids[rows[:, None], knot]], axis=1)
+    W = tape.record("basis window", np.stack(W, axis=1), parents[:, None, :], partials)
     return m, W
 
 
@@ -425,15 +443,24 @@ def spline_on_tape(tape, knot_ids, K: int, coef_ids, x_ids, rows):
 
     ``coef_ids`` holds each input's coefficient ids, shaped (M, ..., G+K);
     the result has shape (M, ...).  Knot rows are as in
-    ``basis_window_on_tape``.  Window slots that name no basis are 0 with
-    no gradient, so their coefficient index is clipped onto a neighbour.
+    ``basis_window_on_tape``.  Each result is one node whose parents are
+    its K+1 window bases and coefficients, summed left to right as
+    ``spline_values`` does.  Window slots that name no basis are 0 with no
+    gradient, so their coefficient index is clipped onto a neighbour.
     """
     m, W = basis_window_on_tape(tape, knot_ids, K, x_ids, rows)
     coef_ids = np.asarray(coef_ids)
     lead = (len(m),) + (1,) * (coef_ids.ndim - 2) + (K + 1,)
     idx = np.clip(m[:, None] - K + np.arange(K + 1), 0, coef_ids.shape[-1] - 1)
     c = np.take_along_axis(coef_ids, idx.reshape(lead), axis=-1)
-    return tape.sum(tape.mul(c, W.reshape(lead)), axis=-1)
+    w = np.broadcast_to(W.reshape(lead), c.shape)
+    vc, vw = tape.value(c), tape.value(w)
+    terms = vw * vc
+    y = terms[..., 0]
+    for r in range(1, K + 1):
+        y += terms[..., r]
+    return tape.record("spline", y, np.concatenate([w, c], axis=-1),
+                       np.concatenate([vc, vw], axis=-1))
 
 
 # -- smoothness penalty -------------------------------------------------------

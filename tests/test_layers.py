@@ -1,5 +1,6 @@
 """Layer forward semantics, network assembly, parameter counts, checkpoints."""
 
+import hashlib
 import json
 import os
 import tempfile
@@ -364,6 +365,21 @@ class TestInitNetwork:
         n1 = init_network("in:3 -> frkan:8 -> out:2", grid, seed=5)
         n2 = init_network("in:3 -> frkan:8 -> out:2", grid, seed=5)
         np.testing.assert_array_equal(n1.get_flat(), n2.get_flat())
+
+    @pytest.mark.parametrize("seed, grid, digest", [
+        (0, GridConfig(), "2eadf59920b749f47b846fd0004a1cc40207475d858715869985d5058788691b"),
+        (1, GridConfig(G=5, K=1, a=-1, b=1, h=3),
+         "9ff9af40af262da3d4b2607d9b2a36e8240d95def28614db080eab760bf1a243"),
+        (7, GridConfig(G=11, K=2, a=-3.5, b=7.0, Z=3.0),
+         "3f776851c875099d5257702c9bbcb4cee56bd286a36f4eff21c6a2353b08d531"),
+    ])
+    def test_checkpoint_bytes_are_pinned(self, tmp_path, seed, grid, digest):
+        """The draws of init_network (knot shifts through init_shift, one
+        group at a time) keep every checkpoint byte."""
+        path = tmp_path / "net.json"
+        save_checkpoint(init_network("in:5 -> frkan:7 -> kan:3 -> frkan:2", grid, seed=seed),
+                        str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_descriptor_example(self):
         net = init_network("in:2 -> frkan:64 -> out:1", GridConfig(G=4, K=2), seed=0)

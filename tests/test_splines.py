@@ -24,6 +24,8 @@ from frkan.splines import (
     basis_window_on_tape,
     spline_on_tape,
     spline_values,
+    window_backward,
+    _window_columns,
 )
 
 
@@ -381,9 +383,10 @@ class TestTapeSpline:
             value, _ = f(params)
             assert value == pytest.approx(spline_eval(x, sg), abs=1e-12)
 
-    def test_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_gradients_match_finite_differences(self, K):
         rng = np.random.default_rng(4)
-        kv = make_uniform_grid(-1, 1, 5, 2)
+        kv = make_uniform_grid(-1, 1, 5, K)
         shift = init_shift(kv, 8.0, seed=2)
         c = rng.normal(size=kv.n_bases)
         knots = _shifted(kv, shift)
@@ -424,7 +427,19 @@ class TestTapeSpline:
         for g in range(3):
             want_m, want_W = basis_window(x[rows == g], knots[g], K)
             assert np.array_equal(m[rows == g], want_m)
-            np.testing.assert_allclose(tp.value(W[rows == g]), want_W, rtol=0, atol=1e-13)
+            assert np.array_equal(tp.value(W[rows == g]), want_W)
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_window_is_one_record(self, K):
+        """The window's values and partials come from the kernel, not from
+        an op-by-op replay of its levels."""
+        kv = make_uniform_grid(-1, 1, 6, K)
+        tp = Tape()
+        knot_ids = kv.tape_knots(tp, None)
+        x = tp.constant(np.linspace(-1.5, 1.5, 40))
+        before = tp.record_count
+        basis_window_on_tape(tp, knot_ids, K, x, np.zeros(40, dtype=int))
+        assert tp.record_count == before + 1
 
     def test_knot_gradient_follows_the_clamp(self):
         """A knot the clamp raises carries its predecessor's shift."""
@@ -440,6 +455,37 @@ class TestTapeSpline:
             if entry is not None:
                 want[entry] = 1.0
             assert tp.gradient_vector(knot_ids[0, k], 5).tolist() == want.tolist()
+
+
+class TestWindowBackward:
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_matches_central_differences(self, K):
+        """The reverse levels give each basis's derivative for x and for
+        every window knot, with one seed per slot on a leading axis."""
+        rng = np.random.default_rng(10 + K)
+        t = np.sort(rng.uniform(-2, 2, size=12))
+        # spans whose window knots m-K..m+K+1 are all inside t
+        x = rng.uniform(t[K], t[-K - 1], size=30)
+        levels = []
+        m, _ = _window_columns(x, t, K, levels)
+        gx, gT = window_backward(levels, K, np.eye(K + 1)[:, :, None] * np.ones(x.size))
+        step = 1e-6
+
+        def fd(bump):
+            up, down = bump(step), bump(-step)
+            return (basis_window(*up, K)[1] - basis_window(*down, K)[1]).T / (2 * step)
+
+        def close(got, want):
+            return np.max(np.abs(got - want)) < 1e-6 * max(1.0, np.max(np.abs(got)))
+
+        assert close(gx, fd(lambda h: (x + h, t)))
+        for p in range(2 * K + 2):
+            for n in range(x.size):
+                def bump(h):
+                    tb = t.copy()
+                    tb[m[n] - K + p] += h
+                    return x[n:n + 1], tb
+                assert close(gT[:, p, n], fd(bump)[:, 0]), (p, n)
 
 
 @st.composite
