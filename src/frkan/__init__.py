@@ -1,7 +1,6 @@
 """Free-knot Kolmogorov-Arnold layers, knot auditing, and training tools."""
 
 from .autodiff import (
-    DivisionNearZero,
     NonFiniteGradient,
     NonFiniteValue,
     Tape,

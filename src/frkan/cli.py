@@ -29,6 +29,7 @@ from .layers import (
     init_network,
     load_checkpoint,
     param_count,
+    parse_descriptor,
     save_checkpoint,
 )
 from .splines import _finite, spline_eval
@@ -311,6 +312,14 @@ def _grid_from(config) -> GridConfig:
 def _descriptor_from(config, d_in: int, d_out: int) -> str:
     arch = str(config["arch"])
     if "in:" in arch:
+        try:
+            got_in, tokens = parse_descriptor(arch)
+        except BadArchitecture as exc:
+            raise ValidationError(f"arch: {exc}") from None
+        got_out = [t for t in tokens if len(t) == 2][-1][1]
+        if (got_in, got_out) != (d_in, d_out):
+            raise ValidationError(f"arch: {arch!r} maps {got_in} inputs to {got_out} outputs; "
+                                  f"the data have {d_in} inputs and {d_out} outputs")
         return arch
     widths = [w.strip() for w in arch.split(",") if w.strip()]
     for w in widths:

@@ -16,15 +16,15 @@ rows of ``shifts`` through ``KnotVector.knot_matrix``.  ``knots()``
 returns a layer's effective knots, one row per knot set.
 
 Every layer exposes two forward paths that must agree numerically:
-``tape_forward`` records the whole mini-batch on an autodiff tape, a
-fixed number of bulk records per layer whatever the batch size (used for
-training gradients), and ``forward_batch`` evaluates a whole sample
-matrix with numpy (used for metrics, scanning and export; carries no
-gradients).  ``tape_forward`` takes and returns a flat id array,
-row-major over the batch.  A spline layer records its splines with one
-call of the basis kernel over all its knot sets (every FR-KAN group at
-once): ``splines.spline_on_tape`` makes the basis window one record and
-the coefficient contraction another.
+``forward_batch`` evaluates a whole sample matrix with numpy (metrics,
+scanning, export), and ``tape_forward`` records the whole mini-batch on
+an autodiff tape for training gradients, taking and returning a flat id
+array, row-major over the batch.  Each layer operation is one
+vector-Jacobian record, computed like ``forward_batch`` and carrying its
+closed-form backward: a spline layer's knots, its basis window (one
+kernel call over all knot sets), its coefficient contraction and its
+weighted sum with the SiLU shortcut; an MLP's affine map and ReLU; a
+LayerNorm.  Records are named "layer <index> (<kind>) <operation>".
 """
 
 from __future__ import annotations
@@ -69,6 +69,13 @@ def _silu(x: np.ndarray) -> np.ndarray:
     return x * _sigmoid(x)
 
 
+def _silu_slope(x: np.ndarray):
+    """silu(x) and its derivative sigmoid(x) + silu(x) (1 - sigmoid(x))."""
+    s = _sigmoid(x)
+    silu = x * s
+    return silu, s + silu * (1.0 - s)
+
+
 class LayerNorm:
     """Per-sample normalization with affine rescale; eps keeps the
     normalized variance within 1e-8 of 1 for unit-scale inputs."""
@@ -89,24 +96,29 @@ class LayerNorm:
     def param_items(self):
         return {"norm_gamma": self.d_in, "norm_beta": self.d_in}
 
-    def forward_batch(self, X):
-        mu = X.mean(axis=1, keepdims=True)
-        diff = X - mu
-        var = (diff * diff).mean(axis=1, keepdims=True)
-        rstd = 1.0 / np.sqrt(var + self.eps)
-        return self.gamma * (diff * rstd) + self.beta
+    def _normalize(self, X):
+        """(x - mean) / sqrt(var + eps) of each row, and the 1 / sqrt(var + eps)."""
+        diff = X - X.mean(axis=1, keepdims=True)
+        rstd = 1.0 / np.sqrt((diff * diff).mean(axis=1, keepdims=True) + self.eps)
+        return diff * rstd, rstd
 
-    def prepare_tape(self, tape, bind):
-        return None
+    def forward_batch(self, X):
+        return self.gamma * self._normalize(X)[0] + self.beta
 
     def tape_forward(self, tape, bind, cache, xs):
-        X = xs.reshape(-1, self.d_in)
-        inv_d, eps, one = tape.constant([1.0 / self.d_in, self.eps, 1.0])
-        diff = tape.sub(X, tape.mul(tape.sum(X, axis=1), inv_d)[:, None])
-        var = tape.mul(tape.sum(tape.mul(diff, diff), axis=1), inv_d)
-        rstd = tape.div(one, tape.sqrt(tape.add(var, eps)))
-        out = tape.add(tape.mul(bind["gamma"], tape.mul(diff, rstd[:, None])), bind["beta"])
-        return out.ravel()
+        label, _ = cache
+        xhat, rstd = self._normalize(tape.value(xs).reshape(-1, self.d_in))
+        gamma = tape.value(bind["gamma"])
+
+        def vjp(gY):
+            gxhat = gY * gamma
+            gX = rstd * (gxhat - gxhat.mean(axis=1, keepdims=True)
+                         - xhat * (gxhat * xhat).mean(axis=1, keepdims=True))
+            return [gX.ravel(), (gY * xhat).sum(axis=0), gY.sum(axis=0)]
+
+        out = gamma * xhat + tape.value(bind["beta"])
+        return tape.record(label + "normalize", out, [xs, bind["gamma"], bind["beta"]],
+                           vjp).ravel()
 
 
 class KANLayer:
@@ -164,18 +176,29 @@ class KANLayer:
             out = out + _silu(X) @ self.A_s
         return out
 
-    def prepare_tape(self, tape, bind):
-        return self.kv.tape_knots(tape, None)
-
     def tape_forward(self, tape, bind, cache, xs):
+        label, knot_ids = cache
         # edge (i, o) of every sample: input i's window meets d_out coefficient sets
         i = np.tile(np.arange(self.d_in), len(xs) // self.d_in)
-        s = spline_on_tape(tape, cache, self.kv.K, bind["coefficients"][i], xs,
-                           np.zeros_like(i))
-        term = tape.mul(bind["A_b"][i], s)
+        s = spline_on_tape(tape, knot_ids, self.kv.K, bind["coefficients"], xs,
+                           np.zeros_like(i), sets=i, prefix=label)
+        S = tape.value(s).reshape(-1, self.d_in, self.d_out)
+        A_b = tape.value(bind["A_b"])
+        out = (S * A_b).sum(axis=1)
+        parents = [s, bind["A_b"]]
         if self.silu_path:
-            term = tape.add(term, tape.mul(bind["A_s"][i], tape.silu(xs)[:, None]))
-        return tape.sum(term.reshape(-1, self.d_in, self.d_out), axis=1).ravel()
+            silu, slope = _silu_slope(tape.value(xs).reshape(-1, self.d_in))
+            A_s = tape.value(bind["A_s"])
+            out += silu @ A_s
+            parents += [xs, bind["A_s"]]
+
+        def vjp(gO):
+            grads = [(gO[:, None, :] * A_b).reshape(s.shape), (gO[:, None, :] * S).sum(axis=0)]
+            if self.silu_path:
+                grads += [((gO @ A_s.T) * slope).ravel(), silu.T @ gO]
+            return grads
+
+        return tape.record(label + "combine", out, parents, vjp).ravel()
 
 
 class FRKANLayer:
@@ -244,16 +267,25 @@ class FRKANLayer:
             pre += _silu(X)
         return pre @ self.A
 
-    def prepare_tape(self, tape, bind):
-        return self.kv.tape_knots(tape, bind["shifts"])
-
     def tape_forward(self, tape, bind, cache, xs):
+        label, knot_ids = cache
         rows = np.tile(self.group_of(np.arange(self.d_in)), len(xs) // self.d_in)
-        pre = spline_on_tape(tape, cache, self.kv.K, bind["coefficients"][rows], xs, rows)
+        s = spline_on_tape(tape, knot_ids, self.kv.K, bind["coefficients"], xs, rows,
+                           prefix=label)
+        pre = tape.value(s).reshape(-1, self.d_in)
+        A = tape.value(bind["A"])
         if self.silu_path:
-            pre = tape.add(pre, tape.silu(xs))
-        terms = tape.mul(bind["A"], pre.reshape(-1, self.d_in, 1))
-        return tape.sum(terms, axis=1).ravel()
+            silu, slope = _silu_slope(tape.value(xs).reshape(pre.shape))
+            pre += silu
+
+        def vjp(gO):
+            gpre = gO @ A.T
+            if self.silu_path:
+                return [gpre.ravel(), (gpre * slope).ravel(), pre.T @ gO]
+            return [gpre.ravel(), pre.T @ gO]
+
+        parents = [s, xs, bind["A"]] if self.silu_path else [s, bind["A"]]
+        return tape.record(label + "combine", pre @ A, parents, vjp).ravel()
 
 
 class MLPLayer:
@@ -284,16 +316,25 @@ class MLPLayer:
             np.maximum(Z, 0.0, out=Z)
         return Z
 
-    def prepare_tape(self, tape, bind):
-        return None
-
     def tape_forward(self, tape, bind, cache, xs):
-        terms = tape.mul(bind["W"], xs.reshape(-1, self.d_in, 1))
-        bias = np.broadcast_to(bind["bias"], (len(terms), 1, self.d_out))
-        z = tape.sum(np.concatenate([bias, terms], axis=1), axis=1)
-        if self.activation == "relu":
-            z = tape.maximum(z, tape.constant(0.0))
-        return z.ravel()
+        label, _ = cache
+        X = tape.value(xs).reshape(-1, self.d_in)
+        W = tape.value(bind["W"])
+        Z = X @ W
+        Z += tape.value(bind["bias"])
+        relu = self.activation == "relu"
+        if relu:
+            # at z = 0 the subgradient takes the z branch of max(z, 0)
+            on = Z >= 0.0
+            np.maximum(Z, 0.0, out=Z)
+
+        def vjp(gZ):
+            if relu:
+                gZ = gZ * on
+            return [(gZ @ W.T).ravel(), X.T @ gZ, gZ.sum(axis=0)]
+
+        op = label + ("affine + relu" if relu else "affine")
+        return tape.record(op, Z, [xs, bind["W"], bind["bias"]], vjp).ravel()
 
 
 SPLINE_KINDS = ("kan", "frkan")
@@ -301,7 +342,8 @@ SPLINE_KINDS = ("kan", "frkan")
 
 @dataclass
 class TapeBinding:
-    """Node-id mirrors of every parameter array, plus per-layer caches."""
+    """Node-id mirrors of every parameter array, plus per layer its record
+    label and, for a spline layer, its recorded knots."""
 
     n_params: int
     per_module: list
@@ -372,15 +414,19 @@ class Network:
     def bind_tape(self, tape: Tape) -> TapeBinding:
         flat = self.get_flat()
         tape.parameters_from(flat)
-        per_module = []
+        per_module, caches = [], []
         off = 0
-        for m in self.modules:
+        for k, m in enumerate(self.modules):
             d = {}
             for name, arr in m.param_arrays():
                 d[name] = np.arange(off, off + arr.size).reshape(arr.shape)
                 off += arr.size
             per_module.append(d)
-        caches = [m.prepare_tape(tape, b) for m, b in zip(self.modules, per_module)]
+            # records are named after their layer, so an error says where it arose
+            label = f"layer {k} ({m.kind}) "
+            knots = (m.kv.tape_knots(tape, d.get("shifts"), label + "knots")
+                     if m.kind in SPLINE_KINDS else None)
+            caches.append((label, knots))
         return TapeBinding(flat.size, per_module, caches)
 
     # -- forward paths -------------------------------------------------------
@@ -395,7 +441,7 @@ class Network:
         """Record the forward pass of every row of ``X``; returns the
         (N, d_out) ids of the outputs."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        xs = tape.constant(X).ravel()
+        xs = tape.record("input", X).ravel()
         for m, bind, cache in zip(self.modules, tb.per_module, tb.caches):
             xs = m.tape_forward(tape, bind, cache, xs)
         return xs.reshape(len(X), self.d_out)

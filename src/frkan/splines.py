@@ -30,9 +30,9 @@ Asked to, the kernel keeps each level's ratios, and ``window_backward``
 runs the levels in reverse for the gradient with respect to x and the
 window's knots.  ``basis_window_on_tape`` records the kernel's window for
 every input of a layer at once, over the knots that
-``KnotVector.tape_knots`` records, as one tape record whose partials come
-from ``window_backward``; ``spline_on_tape`` contracts the recorded window
-with the coefficients in one more record.
+``KnotVector.tape_knots`` records, as one tape record whose vjp passes
+the upstream gradient through ``window_backward``; ``spline_on_tape``
+contracts the recorded window with the coefficients in one more record.
 
 Smoothness penalty: ``second_difference_penalty`` gives the penalty of a
 whole coefficient array and its closed-form gradient.
@@ -162,25 +162,27 @@ class KnotVector:
         if not np.all(gaps >= self.min_gap):
             raise InvalidRange(f"effective knots degenerate: min gap {gaps.min()!r}")
 
-    def tape_knots(self, tape, shift_ids=None) -> np.ndarray:
-        """Record the knots on ``tape``: an (h, G+2K+1) id matrix.
+    def tape_knots(self, tape, shift_ids=None, op: str = "knots") -> np.ndarray:
+        """Record the knots on ``tape`` as one record: an (h, G+2K+1) id matrix.
 
         ``shift_ids`` is an (h, G+1) id matrix of the shift entries, one
         row per knot set; with ``shift_ids=None`` the grid row is recorded
         as one constant knot set.  Values come from ``knot_matrix``, so
-        they are the knots ``forward_batch`` uses, bit for bit.  Each knot
-        has one parent with partial 1: the point the clamp chain carries to
-        it after the stable sort, which is a shift entry for a moved
-        interior base point and a constant for a fixed one (the active-max
-        derivative of the clamp).  Endpoint shift entries get no gradient.
+        they are the knots ``forward_batch`` uses, bit for bit.  A knot's
+        gradient goes to the point the clamp chain carries to it after the
+        stable sort (the active-max derivative of the clamp): the shift
+        entry of a moved interior base point, and nowhere for a fixed one.
+        One ``bincount`` scatters the knot gradients onto the shift
+        entries; endpoint entries get none.
         """
         if shift_ids is None:
-            return tape.constant(self.row[None, :])
+            return tape.record(op, self.row[None, :])
         K, G = self.K, self.G
         shift_ids = np.asarray(shift_ids)
-        knots = self.knot_matrix(tape.value(shift_ids))
+        shifts = tape.value(shift_ids)
+        knots = self.knot_matrix(shifts)
         points = np.tile(self.row, (len(knots), 1))
-        points[:, K + 1:K + G] += tape.value(shift_ids[:, 1:-1])
+        points[:, K + 1:K + G] += shifts[:, 1:-1]
         order = np.argsort(points, axis=1, kind="stable")
         # a knot the clamp raised carries its predecessor's point
         kept = knots == np.take_along_axis(points, order, axis=1)
@@ -188,9 +190,14 @@ class KnotVector:
         carried = np.maximum.accumulate(np.where(kept, cols, 0), axis=1)
         source = np.take_along_axis(order, carried, axis=1)
         moved = (source > K) & (source < K + G)
-        fixed = tape.constant(self.row)
-        shift_of = np.take_along_axis(shift_ids, np.clip(source - K, 0, G), axis=1)
-        return tape.record("knots", knots, np.where(moved, shift_of, fixed[source]), 1.0)
+        # point K + j of row r is moved by shift entry (r, j)
+        entry = (source - K + (G + 1) * np.arange(len(knots))[:, None])[moved]
+
+        def vjp(g):
+            return [np.bincount(entry, g[moved], minlength=shift_ids.size)
+                    .reshape(shift_ids.shape)]
+
+        return tape.record(op, knots, [shift_ids], vjp)
 
 
 def make_uniform_grid(a: float, b: float, G: int, K: int) -> KnotVector:
@@ -358,16 +365,17 @@ def basis_matrix(x: np.ndarray, knots: np.ndarray, K: int) -> np.ndarray:
     return B
 
 
-def basis_window_on_tape(tape, knot_ids, K: int, x_ids, rows):
+def basis_window_on_tape(tape, knot_ids, K: int, x_ids, rows, prefix: str = ""):
     """Record ``basis_window`` of every input at once; returns ``(m, W)``.
 
     ``knot_ids`` is an (h, n_knots) id matrix of knot sets and input n uses
     row ``rows[n]``.  ``m`` is as in ``basis_window`` and ``W`` an (M, K+1)
-    id array of the window's bases.  One ``_window_columns`` call over all
-    knot rows gives the values, and ``window_backward`` with one unit seed
-    per slot gives each basis's partials for x and for window knots
-    1..2K, so the window is one record.  A slot that names no basis, and
-    every slot of a row outside the span, is 0 with zero partials, so no
+    id array of the window's bases, one record named ``prefix + "basis
+    window"``.  One ``_window_columns`` call over all knot rows gives the
+    values.  The vjp zeroes the upstream gradient of every slot that names
+    no basis (all slots of a row outside the span), passes it as a
+    (K+1, M) array to ``window_backward`` and scatters the gradient of
+    window knots 1..2K into the knot rows with one ``bincount``, so no
     gradient reaches what the window does not use.
     """
     x_ids = np.asarray(x_ids).ravel()
@@ -377,14 +385,17 @@ def basis_window_on_tape(tape, knot_ids, K: int, x_ids, rows):
     levels = []
     m, W = _window_columns(tape.value(x_ids), tape.value(knot_ids), K, levels, rows)
     slot = m - K + np.arange(K + 1)[:, None]
-    seeds = np.eye(K + 1)[:, :, None] * ((slot >= 0) & (slot < n_knots - K - 1))
-    gx, gT = window_backward(levels, K, seeds)
-    partials = np.concatenate([gx[:, None], gT[:, 1:-1]], axis=1).transpose(2, 0, 1)
-    # window knot p of input n is knot base + p - K, edge copies beyond
-    knot = np.clip(np.maximum(m, 0)[:, None] + np.arange(1 - K, K + 1), 0, n_knots - 1)
-    parents = np.concatenate([x_ids[:, None], knot_ids[rows[:, None], knot]], axis=1)
-    W = tape.record("basis window", np.stack(W, axis=1), parents[:, None, :], partials)
-    return m, W
+    used = (slot >= 0) & (slot < n_knots - K - 1)
+    # window knot p of input n is knot base + p - K of its row, edge copies beyond
+    knot = np.clip(np.maximum(m, 0) + np.arange(1 - K, K + 1)[:, None], 0, n_knots - 1)
+    knot += rows * n_knots
+
+    def vjp(gW):
+        gx, gT = window_backward(levels, K, gW.T * used)
+        gk = np.bincount(knot.ravel(), gT[1:-1].ravel(), minlength=knot_ids.size)
+        return [gx, gk.reshape(knot_ids.shape)]
+
+    return m, tape.record(prefix + "basis window", np.stack(W, axis=1), [x_ids, knot_ids], vjp)
 
 
 @dataclass
@@ -438,29 +449,42 @@ def spline_eval(x, sg: SplineGroup):
     return float(y) if np.ndim(x) == 0 else y
 
 
-def spline_on_tape(tape, knot_ids, K: int, coef_ids, x_ids, rows):
+def spline_on_tape(tape, knot_ids, K: int, coef_ids, x_ids, rows, sets=None,
+                   prefix: str = ""):
     """Record sum_j c_j B_{j,K}(x) at every input, over its basis window.
 
-    ``coef_ids`` holds each input's coefficient ids, shaped (M, ..., G+K);
-    the result has shape (M, ...).  Knot rows are as in
-    ``basis_window_on_tape``.  Each result is one node whose parents are
-    its K+1 window bases and coefficients, summed left to right as
-    ``spline_values`` does.  Window slots that name no basis are 0 with no
-    gradient, so their coefficient index is clipped onto a neighbour.
+    ``coef_ids`` holds S coefficient sets, shaped (S, ..., G+K), and input n
+    uses set ``sets[n]`` (by default its knot row ``rows[n]``); the result
+    has shape (M, ...).  Knot rows are as in ``basis_window_on_tape``.  The
+    result is one record, named ``prefix + "spline"``, whose parents are
+    the window and the coefficient array; each entry sums its K+1 window
+    terms left to right as ``spline_values`` does.  Window slots that name
+    no basis are 0, so their coefficient index is clipped onto a
+    neighbour, and the vjp scatters the coefficient gradient with one
+    ``bincount``.
     """
-    m, W = basis_window_on_tape(tape, knot_ids, K, x_ids, rows)
+    m, W = basis_window_on_tape(tape, knot_ids, K, x_ids, rows, prefix)
     coef_ids = np.asarray(coef_ids)
-    lead = (len(m),) + (1,) * (coef_ids.ndim - 2) + (K + 1,)
-    idx = np.clip(m[:, None] - K + np.arange(K + 1), 0, coef_ids.shape[-1] - 1)
-    c = np.take_along_axis(coef_ids, idx.reshape(lead), axis=-1)
-    w = np.broadcast_to(W.reshape(lead), c.shape)
-    vc, vw = tape.value(c), tape.value(w)
-    terms = vw * vc
+    sets = np.asarray(rows if sets is None else sets).ravel()
+    nb = coef_ids.shape[-1]
+    per_set = coef_ids[0].size // nb
+    idx = np.clip(m[:, None] - K + np.arange(K + 1), 0, nb - 1)
+    # flat coefficient index of term r of output (n, o): (M, per_set, K+1)
+    flat = ((sets * per_set)[:, None] + np.arange(per_set))[:, :, None] * nb + idx[:, None, :]
+    c = tape.value(coef_ids).ravel()[flat]
+    w = tape.value(W)[:, None, :]
+    terms = w * c
     y = terms[..., 0]
     for r in range(1, K + 1):
         y += terms[..., r]
-    return tape.record("spline", y, np.concatenate([w, c], axis=-1),
-                       np.concatenate([vc, vw], axis=-1))
+
+    def vjp(gy):
+        gy = gy.reshape(len(m), per_set, 1)
+        gc = np.bincount(flat.ravel(), (gy * w).ravel(), minlength=coef_ids.size)
+        return [(gy * c).sum(axis=1), gc.reshape(coef_ids.shape)]
+
+    return tape.record(prefix + "spline", y.reshape((len(m),) + coef_ids.shape[1:-1]),
+                       [W, coef_ids], vjp)
 
 
 # -- smoothness penalty -------------------------------------------------------

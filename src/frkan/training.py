@@ -3,13 +3,14 @@
 The loss is the task objective plus lambda times the summed
 coefficient-smoothness penalty over every spline group in the network.
 The task loss and its gradient come from recording the whole mini-batch
-on one tape, in a fixed number of bulk records per layer and for the
-loss.  The penalty is not on the tape: it is quadratic in the
-coefficients, so its value and gradient have a closed form over each
-layer's coefficient array (``smoothness_penalty``).  Evaluation metrics
-use the vectorized forward path.  A non-finite loss or gradient halts the
-run and records the step index and the error that stopped it --
-divergence is a measured outcome here, not an error.
+on one tape: one vector-Jacobian record per layer operation, and one for
+the loss (MSE, or cross-entropy shifted by each row's maximum).  The
+penalty is not on the tape: it is quadratic in the coefficients, so its
+value and gradient have a closed form over each layer's coefficient
+array (``smoothness_penalty``).  Evaluation metrics use the vectorized
+forward path.  A non-finite loss or gradient halts the run and records
+the step index and the error that stopped it, which names the layer or
+the loss -- divergence is a measured outcome here, not an error.
 """
 
 from __future__ import annotations
@@ -68,20 +69,30 @@ def hash_config(obj) -> str:
 
 
 def _tape_task_loss(tape: Tape, net: Network, tb, X, y, task: str) -> np.ndarray:
-    """Record each sample's task loss over N; returns their ids.  The
-    batch loss is their sum: a tree over N would cost log2(N) records."""
+    """Record each sample's task loss over N, as one record; returns their
+    ids.  The batch loss is their sum."""
     Z = net.tape_forward(tape, tb, X)
-    rows = np.arange(len(Z))
+    P = tape.value(Z)
+    n, d = P.shape
     if task == "regression":
-        inv_d, inv_n = tape.constant([1.0 / Z.shape[1], 1.0 / len(Z)])
-        r = tape.sub(Z, tape.constant(np.reshape(y, (len(Z), -1))))
-        sample = tape.mul(tape.sum(tape.mul(r, r), axis=1), inv_d)
-    else:
-        inv_n = tape.constant(1.0 / len(Z))
-        top = Z[rows, np.argmax(tape.value(Z), axis=1)]
-        sumexp = tape.sum(tape.exp(tape.sub(Z, top[:, None])), axis=1)
-        sample = tape.sub(tape.add(tape.log(sumexp), top), Z[rows, y.astype(int)])
-    return tape.mul(sample, inv_n)
+        R = P - np.reshape(y, (n, -1))
+        sample = (R * R).sum(axis=1) * (1.0 / d) * (1.0 / n)
+        scale = 2.0 / (d * n)
+        return tape.record("loss (mse)", sample, [Z],
+                           lambda g: [(scale * g)[:, None] * R])
+    # cross-entropy, shifted by each row's maximum so exp cannot overflow
+    rows, labels = np.arange(n), y.astype(int)
+    top = P.max(axis=1)
+    E = np.exp(P - top[:, None])
+    sumexp = E.sum(axis=1)
+    sample = (np.log(sumexp) + top - P[rows, labels]) * (1.0 / n)
+
+    def vjp(g):
+        G = E / sumexp[:, None]
+        G[rows, labels] -= 1.0
+        return [G * (g / n)[:, None]]
+
+    return tape.record("loss (cross-entropy)", sample, [Z], vjp)
 
 
 def smoothness_penalty(net: Network):
@@ -110,14 +121,15 @@ def regularized_loss(net: Network, X: np.ndarray, y: np.ndarray, lam: float,
         raise EmptySplit("empty batch")
     tape = Tape()
     tb = net.bind_tape(tape)
-    with np.errstate(over="ignore", invalid="ignore"):   # the tape checks every value
-        samples = _tape_task_loss(tape, net, tb, X, y, task)
     penalty, penalty_grad = smoothness_penalty(net)
-    task_loss = float(np.sum(tape.value(samples)))
-    loss = task_loss + lam * penalty
-    if not np.isfinite(loss):
-        raise NonFiniteValue(f"loss is {loss!r}")
-    grads = tape.gradient_vector(samples, tb.n_params) + lam * penalty_grad
+    # the tape checks every value and gradient
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = _tape_task_loss(tape, net, tb, X, y, task)
+        task_loss = float(np.sum(tape.value(samples)))
+        loss = task_loss + lam * penalty
+        if not np.isfinite(loss):
+            raise NonFiniteValue(f"loss is {loss!r}")
+        grads = tape.gradient_vector(samples, tb.n_params) + lam * penalty_grad
     if not np.all(np.isfinite(grads)):
         raise NonFiniteGradient("penalty gradient is not finite")
     return loss, grads, {"task_loss": task_loss, "penalty": penalty}

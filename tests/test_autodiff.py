@@ -1,41 +1,55 @@
 """Tape records, the reverse sweep, and finite-difference agreement.
 
 Parameters are bound with ``parameters_from`` as nodes 0..P-1 and read
-back with ``gradient_vector``, as the training loss does.
+back with ``gradient_vector``, as the training loss does.  The sweep is
+exercised through a few vector-Jacobian records defined here; the
+library's own records are the layer operations, which
+``tests/test_layers.py`` and ``tests/test_tape_properties.py`` check.
 """
 
 import numpy as np
 import pytest
 
 from frkan.autodiff import (
-    DivisionNearZero,
+    NonFiniteGradient,
     NonFiniteValue,
     Tape,
     finite_difference_check,
 )
+from frkan.layers import FRKANLayer, MLPLayer, Network
+from frkan.training import regularized_loss
+
+
+def _add(tp, a, b):
+    return tp.record("add", tp.value(a) + tp.value(b), [a, b], lambda g: [g, g])
+
+
+def _mul(tp, a, b):
+    va, vb = tp.value(a), tp.value(b)
+    return tp.record("mul", va * vb, [a, b], lambda g: [g * vb, g * va])
+
+
+def _exp(tp, a):
+    with np.errstate(over="ignore"):
+        v = np.exp(tp.value(a))
+    return tp.record("exp", v, [a], lambda g: [g * v])
+
+
+def _sigmoid(tp, a):
+    s = 1.0 / (1.0 + np.exp(-tp.value(a)))
+    return tp.record("sigmoid", s, [a], lambda g: [g * s * (1.0 - s)])
+
+
+def _sum(tp, a):
+    a = np.asarray(a)
+    return tp.record("sum", tp.value(a).sum(), [a], lambda g: [np.full(a.shape, g)])
 
 
 class TestRecord:
     def test_add_constants(self):
         tp = Tape()
-        n = tp.add(tp.constant(2.0), tp.constant(3.0))
+        n = _add(tp, tp.constant(2.0), tp.constant(3.0))
         assert tp.value(n) == 5.0
-
-    def test_sigmoid_at_zero(self):
-        tp = Tape()
-        assert tp.value(tp.sigmoid(tp.constant(0.0))) == 0.5
-
-    def test_division_by_zero_guarded(self):
-        tp = Tape()
-        one = tp.constant(1.0)
-        zero = tp.constant(0.0)
-        with pytest.raises(DivisionNearZero):
-            tp.div(one, zero)
-
-    def test_division_near_floor_guarded(self):
-        tp = Tape()
-        with pytest.raises(DivisionNearZero):
-            tp.div(tp.constant(1.0), tp.constant(1e-13))
 
     def test_nonfinite_constant_rejected(self):
         tp = Tape()
@@ -47,88 +61,90 @@ class TestRecord:
     def test_exp_overflow_raises(self):
         tp = Tape()
         with pytest.raises(NonFiniteValue):
-            tp.exp(tp.constant(1e4))
-
-    def test_log_domain(self):
-        tp = Tape()
-        with pytest.raises(NonFiniteValue):
-            tp.log(tp.constant(-1.0))
+            _exp(tp, tp.constant(1e4))
 
     def test_error_names_the_op(self):
         tp = Tape()
         big = tp.constant([1.0, 1e200])
         with pytest.raises(NonFiniteValue, match="^mul"), np.errstate(over="ignore"):
-            tp.mul(big, big)
+            _mul(tp, big, big)
+
+    def test_nonfinite_gradient_names_the_op(self):
+        tp = Tape()
+        p = tp.parameters_from([1.0])
+        root = tp.record("blowup", tp.value(p), [p], lambda g: [g * np.inf])
+        with pytest.raises(NonFiniteGradient, match="^blowup"):
+            tp.gradient_vector(root, 1)
 
     def test_record_count_is_one_per_op(self):
         tp = Tape()
         a = tp.constant(np.arange(1.0, 9.0))
-        tp.sum(tp.mul(a, a))
-        assert tp.record_count == 2 + 3   # constant, mul, then a tree over 8
-        assert len(tp) == 8 + 8 + 4 + 2 + 1
+        _sum(tp, _mul(tp, a, a))
+        assert tp.record_count == 3
+        assert len(tp) == 8 + 8 + 1
 
 
 class TestBackward:
     def test_square(self):
         tp = Tape()
         p = tp.parameters_from([3.0])
-        assert tp.gradient_vector(tp.mul(p, p), 1)[0] == pytest.approx(6.0, abs=1e-15)
+        assert tp.gradient_vector(_mul(tp, p, p), 1)[0] == pytest.approx(6.0, abs=1e-15)
 
     def test_silu_gradient_at_zero(self):
-        tp = Tape()
-        p = tp.parameters_from([0.0])
-        assert tp.gradient_vector(tp.silu(p), 1)[0] == pytest.approx(0.5, abs=1e-15)
+        """A layer's SiLU shortcut passes silu'(0) = 1/2 back to its input."""
+        G, K = 4, 1
+        fr = FRKANLayer(1, 1, 1, -1.0, 1.0, G, K, np.zeros((1, G + K)), np.zeros((1, G + 1)),
+                        [[1.0]])
+        net = Network([MLPLayer([[1.0]], [0.0], "identity"), fr])
+        # out = silu(0) = 0, so d(out - 1)^2/d(bias) = -2 silu'(0)
+        _, grad, _ = regularized_loss(net, np.zeros((1, 1)), np.ones(1), 0.0)
+        assert grad[1] == pytest.approx(-1.0, abs=1e-15)
 
     def test_unreachable_parameter_gets_zero(self):
         tp = Tape()
         tp.parameters_from([1.0, 5.0])
-        assert tp.gradient_vector(tp.mul(0, 0), 2)[1] == 0.0
+        assert tp.gradient_vector(_mul(tp, 0, 0), 2)[1] == 0.0
 
     def test_max_tie_takes_first_branch(self):
-        tp = Tape()
-        tp.parameters_from([1.0, 1.0])
-        assert tp.gradient_vector(tp.maximum(0, 1), 2).tolist() == [1.0, 0.0]
+        """A ReLU at z = 0 passes the gradient on, as max(z, 0) with the
+        tie going to its first argument."""
+        net = Network([MLPLayer([[1.0]], [0.0], "relu"),
+                       MLPLayer([[1.0]], [0.0], "identity")])
+        _, grad, _ = regularized_loss(net, np.zeros((1, 1)), np.ones(1), 0.0)
+        # W0, bias0, W1, bias1; d(out - 1)^2/d(out) = -2
+        assert grad.tolist() == [0.0, -2.0, 0.0, -2.0]
 
     def test_select_permutation_routes_gradients(self):
         tp = Tape()
         tp.parameters_from([3.0, 1.0, 2.0])
         picked = np.array([1, 2, 0])  # sorted order of the values
-        # a permutation is a one-parent record with partial 1
-        sel = tp.record("select", tp.value(picked), picked, 1.0)
+        sel = tp.record("select", tp.value(picked), [picked], lambda g: [g])
         assert tp.values(sel) == [1.0, 2.0, 3.0]
         # weight the sorted outputs differently so routing is visible
-        acc = tp.sum(tp.mul(sel, tp.constant([10.0, 100.0, 1000.0])))
+        acc = _sum(tp, _mul(tp, sel, tp.constant([10.0, 100.0, 1000.0])))
         assert tp.gradient_vector(acc, 3).tolist() == [1000.0, 10.0, 100.0]
 
     def test_array_root_is_the_sum(self):
         tp = Tape()
         p = tp.parameters_from([1.5])
-        roots = tp.mul(tp.constant([1.0, 2.0, 3.0]), tp.mul(p, p))
+        sq = _mul(tp, p, p)
+        k = np.array([1.0, 2.0, 3.0])
+        roots = tp.record("scale", k * tp.value(sq), [sq], lambda g: [(g * k).sum()])
         assert tp.gradient_vector(roots, 1).tolist() == [18.0]
-
-    def test_fan_record_routes_each_partial(self):
-        """A fan node has one parent per entry of its trailing axis, and
-        the sweep scatters a whole fan record, repeated parents included."""
-        tp = Tape()
-        tp.parameters_from([2.0, 3.0, 5.0])
-        parents = np.array([[0, 1, 2], [2, 2, 0]])
-        fan = tp.record("fan", [1.0, 2.0], parents, [[1.0, 10.0, 100.0], [1.0, 2.0, 4.0]])
-        assert tp.record_count == 2
-        root = tp.mul(fan, tp.constant([1.0, -1.0]))
-        assert tp.gradient_vector(root, 3).tolist() == [1.0 - 4.0, 10.0, 100.0 - 3.0]
 
 
 def _random_composite(params):
-    """A fixed 5-parameter scalar expression mixing most primitives."""
+    """A fixed 5-parameter scalar expression over the records above, with
+    nodes that feed several later records."""
     tp = Tape()
     first = tp.parameters_from(params)
     p = list(range(first, first + len(params)))
-    t1 = tp.mul(tp.sigmoid(p[0]), tp.exp(tp.mul(p[1], tp.constant(0.3))))
-    t2 = tp.div(p[2], tp.add(tp.constant(2.0), tp.mul(p[3], p[3])))
-    t3 = tp.sqrt(tp.add(tp.constant(1.0), tp.mul(p[4], p[4])))
-    t4 = tp.sigmoid(tp.sub(t1, t2))
-    t5 = tp.maximum(t3, tp.silu(p[0]))
-    root = tp.add(tp.mul(t4, t5), tp.log(tp.add(t3, tp.constant(0.5))))
+    t1 = _mul(tp, _sigmoid(tp, p[0]), _exp(tp, _mul(tp, p[1], tp.constant(0.3))))
+    t2 = _mul(tp, p[2], _exp(tp, _mul(tp, p[3], p[3])))
+    t3 = _add(tp, tp.constant(1.0), _mul(tp, p[4], p[4]))
+    t4 = _sigmoid(tp, _add(tp, t1, _mul(tp, t2, tp.constant(-1.0))))
+    t5 = _mul(tp, t3, _mul(tp, p[0], _sigmoid(tp, p[0])))
+    root = _add(tp, _mul(tp, t4, t5), _exp(tp, _mul(tp, t3, tp.constant(-0.5))))
     return tp.value(root), tp.gradient_vector(root, len(params))
 
 
@@ -137,7 +153,7 @@ class TestFiniteDifferences:
         def cube(params):
             tp = Tape()
             p = tp.parameters_from(params)
-            root = tp.mul(tp.mul(p, p), p)
+            root = _mul(tp, _mul(tp, p, p), p)
             return tp.value(root), tp.gradient_vector(root, 1)
 
         assert finite_difference_check(cube, np.array([2.0]), step=1e-5) < 1e-8
@@ -165,7 +181,7 @@ class TestConcurrency:
         def job(x0):
             tp = Tape()
             p = tp.parameters_from([x0])
-            root = tp.mul(tp.exp(tp.mul(p, p)), p)
+            root = _mul(tp, _exp(tp, _mul(tp, p, p)), p)
             return tp.gradient_vector(root, 1)[0]
 
         xs = np.linspace(-2, 2, 32)
@@ -183,10 +199,10 @@ class TestAlgebraicInvariants:
             a, b = rng.uniform(-3, 3, size=2)
 
             def f_graph(tp, x):
-                return tp.mul(tp.sigmoid(x), x)
+                return _mul(tp, _sigmoid(tp, x), x)
 
             def g_graph(tp, x):
-                return tp.exp(tp.mul(x, tp.constant(0.4)))
+                return _exp(tp, _mul(tp, x, tp.constant(0.4)))
 
             def grad(build):
                 tp = Tape()
@@ -194,8 +210,8 @@ class TestAlgebraicInvariants:
                 return tp.gradient_vector(build(tp, x), 1)[0]
 
             gf, gg = grad(f_graph), grad(g_graph)
-            gc = grad(lambda tp, x: tp.add(tp.mul(tp.constant(a), f_graph(tp, x)),
-                                           tp.mul(tp.constant(b), g_graph(tp, x))))
+            gc = grad(lambda tp, x: _add(tp, _mul(tp, tp.constant(a), f_graph(tp, x)),
+                                         _mul(tp, tp.constant(b), g_graph(tp, x))))
             expected = a * gf + b * gg
             assert abs(gc - expected) <= 1e-12 * max(1.0, abs(expected))
 
@@ -204,14 +220,14 @@ class TestAlgebraicInvariants:
 
         tp = Tape()
         x, y = tp.parameters_from([x0, y0]) + np.arange(2)
-        left = tp.mul(tp.sigmoid(x), y)
-        right = tp.exp(tp.mul(x, y))
-        g1 = tp.gradient_vector(tp.add(left, right), 2)
+        left = _mul(tp, _sigmoid(tp, x), y)
+        right = _exp(tp, _mul(tp, x, y))
+        g1 = tp.gradient_vector(_add(tp, left, right), 2)
 
         tp = Tape()
         y, x = tp.parameters_from([y0, x0]) + np.arange(2)
-        right = tp.exp(tp.mul(x, y))
-        left = tp.mul(tp.sigmoid(x), y)
-        g2 = tp.gradient_vector(tp.add(left, right), 2)[::-1]
+        right = _exp(tp, _mul(tp, x, y))
+        left = _mul(tp, _sigmoid(tp, x), y)
+        g2 = tp.gradient_vector(_add(tp, left, right), 2)[::-1]
 
         assert np.all(np.abs(g1 - g2) <= 1e-12 * np.maximum(1.0, np.abs(g1)))

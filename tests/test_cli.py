@@ -118,6 +118,18 @@ class TestTrainCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["metric_name"] == "accuracy"
 
+    @pytest.mark.parametrize("task, arch", [
+        (["--task", "feynman", "--equation", "I.6.2"], "in:5 -> mlp:3 -> out:1"),
+        (["--task", "feynman", "--equation", "I.6.2"], "in:2 -> mlp:3 -> out:4"),
+        (["--task", "classification", "--classes", "3", "--dim", "4"],
+         "in:4 -> mlp:3 -> out:2"),
+    ])
+    def test_descriptor_widths_must_match_the_data(self, tmp_path, capsys, task, arch):
+        rc = _run(["train", *task, "--arch", arch, "--n", "40", "--epochs", "1",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: arch: ")
+
 
     @pytest.mark.parametrize("bad", [{"epochs": "3"}, {"lambda": "x"}, {"groups": 0},
                                      {"lr": "x"}, {"batch": "8"}, {"n": "x"},

@@ -4,12 +4,14 @@ import hashlib
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frkan import splines
 from frkan.autodiff import Tape
 from frkan.layers import (
     BadArchitecture,
@@ -30,6 +32,7 @@ from frkan.layers import (
     sum_outputs,
 )
 from frkan.splines import init_shift, make_uniform_grid
+from frkan.training import regularized_loss
 
 
 def _silu(x):
@@ -271,6 +274,68 @@ class TestTapeAgreesWithBatch:
         tb = net.bind_tape(tape)
         got = tape.value(net.tape_forward(tape, tb, X))
         np.testing.assert_allclose(got, batch, rtol=1e-12, atol=1e-12)
+
+
+class TestOneRecordPerLayerOperation:
+    """A training step records each layer operation once, over the whole
+    batch: knots, basis window, spline and combination for a spline layer,
+    one record for an MLP or LayerNorm layer and one for the loss.  The
+    window's backward gets the real upstream gradient, (K+1, M), with no
+    axis of unit seeds."""
+
+    @staticmethod
+    def _expected(net, task):
+        """Op names in recording order: the parameters, each spline layer's
+        knots (bound before the forward pass), the input, each layer's
+        records and the loss."""
+        ops = ["parameter"]
+        ops += [f"layer {k} ({m.kind}) knots" for k, m in enumerate(net.modules)
+                if m.kind in ("kan", "frkan")]
+        ops.append("input")
+        for k, m in enumerate(net.modules):
+            if m.kind in ("kan", "frkan"):
+                names = ["basis window", "spline", "combine"]
+            elif m.kind == "ln":
+                names = ["normalize"]
+            else:
+                names = ["affine + relu" if m.activation == "relu" else "affine"]
+            ops += [f"layer {k} ({m.kind}) {name}" for name in names]
+        return ops + ["loss (mse)" if task == "regression" else "loss (cross-entropy)"]
+
+    @pytest.mark.parametrize("desc, grid, task", [
+        ("in:2 -> frkan:8 -> out:1", GridConfig(G=20, K=3, a=-10.0, b=10.0, h=2),
+         "regression"),
+        ("in:2 -> kan:3 -> out:1", GridConfig(G=20, K=3, a=-10.0, b=10.0), "regression"),
+        ("in:2 -> mlp:48 -> out:1", GridConfig(G=20, K=3, a=-10.0, b=10.0), "regression"),
+        ("in:4 -> frkan:4 -> frkan:3", GridConfig(G=5, K=2, a=-1.0, b=1.0),
+         "classification"),
+    ])
+    def test_records_and_window_gradient(self, desc, grid, task):
+        regression = task == "regression"
+        net = init_network(desc, grid, seed=1, layernorm="off" if regression else "auto")
+        assert regression or [m.kind for m in net.modules] == ["frkan", "ln", "frkan"]
+        rng = np.random.default_rng(1)
+        n = 8
+        X = rng.uniform(-1.0, 1.0, size=(n, net.d_in))
+        y = rng.normal(size=n) if regression else rng.integers(0, net.d_out, size=n) * 1.0
+        ops, seen = [], []
+        record, backward = Tape.record, splines.window_backward
+
+        def spy_record(tape, op, *args, **kwargs):
+            ops.append(op)
+            return record(tape, op, *args, **kwargs)
+
+        def spy_backward(levels, K, gW):
+            seen.append(gW.shape)
+            return backward(levels, K, gW)
+
+        with mock.patch.object(Tape, "record", spy_record), \
+                mock.patch.object(splines, "window_backward", spy_backward):
+            regularized_loss(net, X, y, 1e-3, task)
+        assert ops == self._expected(net, task)
+        # the reverse sweep meets the spline layers last to first
+        assert seen == [(m.kv.K + 1, n * m.d_in) for m in net.modules[::-1]
+                        if m.kind in ("kan", "frkan")]
 
 
 class TestSumOutputs:

@@ -274,12 +274,23 @@ class TestTrainLoop:
         net = init_network("in:2 -> frkan:3 -> out:1", GridConfig(G=5, K=2, a=-2, b=2), seed=0)
         record, _ = train(net, data, TrainConfig(epochs=1, batch_size=16, seed=0, lam=0.0))
         assert record.nan_step == 0 and record.steps == []
-        assert record.nan_cause.startswith("NonFiniteValue: mul produced a non-finite value")
+        assert record.nan_cause.startswith(
+            "NonFiniteValue: loss (mse) produced a non-finite value")
         summary = record.summary()
         assert summary["nan_step"] == 0 and summary["nan_cause"] == record.nan_cause
         clean, _ = train(init_network("in:2 -> mlp:3 -> out:1", seed=0), _toy_regression(),
                          TrainConfig(epochs=1, batch_size=16, seed=0))
         assert clean.nan_step is None and clean.summary()["nan_cause"] is None
+
+    def test_nan_cause_names_the_layer(self):
+        net = init_network("in:2 -> mlp:3 -> mlp:3 -> out:1", seed=0)
+        net.modules[0].bias[:] = 1e200    # finite, and past the ReLU
+        net.modules[1].W[:] = 1e200       # the hidden layer's product overflows
+        record, _ = train(net, _toy_regression(n=64, seed=3),
+                          TrainConfig(epochs=1, batch_size=16, seed=0, lam=0.0))
+        assert record.nan_step == 0
+        assert record.nan_cause.startswith(
+            "NonFiniteValue: layer 1 (mlp) affine + relu produced a non-finite value")
 
     def test_run_record_csv(self, tmp_path):
         data = generate_runge(100, seed=0)
