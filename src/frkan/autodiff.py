@@ -3,9 +3,9 @@
 Each record appends a whole array of values to the tape in one call,
 together with the id arrays of its parents and a *vjp*: a closure that
 maps the gradient of the record's output to one gradient per parent id
-array, in closed form.  A layer operation over a whole mini-batch (a
-spline's knots, its basis window, its contraction, a layer's combination
-weights, an affine map, a normalization or a loss) is one record, so a
+array, in closed form.  A layer over a whole mini-batch (a spline layer
+with its knots, basis window, contraction and combination weights, an
+affine map, a normalization) is one record and so is the loss, so a
 training step costs a fixed number of records whatever the batch size.
 Values live in one growing buffer, so any node's value is an index away.
 The reverse sweep visits the records last to first and adds each parent

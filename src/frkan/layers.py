@@ -19,12 +19,15 @@ Every layer exposes two forward paths that must agree numerically:
 ``forward_batch`` evaluates a whole sample matrix with numpy (metrics,
 scanning, export), and ``tape_forward`` records the whole mini-batch on
 an autodiff tape for training gradients, taking and returning a flat id
-array, row-major over the batch.  Each layer operation is one
-vector-Jacobian record, computed like ``forward_batch`` and carrying its
-closed-form backward: a spline layer's knots, its basis window (one
-kernel call over all knot sets), its coefficient contraction and its
-weighted sum with the SiLU shortcut; an MLP's affine map and ReLU; a
-LayerNorm.  Records are named "layer <index> (<kind>) <operation>".
+array, row-major over the batch.  Each layer is one vector-Jacobian
+record, computed like ``forward_batch``, named "layer <index> (<kind>)"
+and carrying its closed-form backward; its parents are the input and
+the layer's parameter arrays in ``param_arrays`` order, and its vjp
+returns one gradient for each.  A spline layer's record holds its knots,
+its basis window (one kernel call over all knot sets), its coefficient
+contraction and its weighted sum with the SiLU shortcut; an MLP's holds
+its affine map and ReLU.  ``Network.tape_forward`` binds the parameters
+itself, so a mini-batch costs one record per layer.
 """
 
 from __future__ import annotations
@@ -105,8 +108,7 @@ class LayerNorm:
     def forward_batch(self, X):
         return self.gamma * self._normalize(X)[0] + self.beta
 
-    def tape_forward(self, tape, bind, cache, xs):
-        label, _ = cache
+    def tape_forward(self, tape, bind, label, xs):
         xhat, rstd = self._normalize(tape.value(xs).reshape(-1, self.d_in))
         gamma = tape.value(bind["gamma"])
 
@@ -117,8 +119,7 @@ class LayerNorm:
             return [gX.ravel(), (gY * xhat).sum(axis=0), gY.sum(axis=0)]
 
         out = gamma * xhat + tape.value(bind["beta"])
-        return tape.record(label + "normalize", out, [xs, bind["gamma"], bind["beta"]],
-                           vjp).ravel()
+        return tape.record(label, out, [xs, *bind.values()], vjp).ravel()
 
 
 class KANLayer:
@@ -176,29 +177,28 @@ class KANLayer:
             out = out + _silu(X) @ self.A_s
         return out
 
-    def tape_forward(self, tape, bind, cache, xs):
-        label, knot_ids = cache
+    def tape_forward(self, tape, bind, label, xs):
         # edge (i, o) of every sample: input i's window meets d_out coefficient sets
         i = np.tile(np.arange(self.d_in), len(xs) // self.d_in)
-        s = spline_on_tape(tape, knot_ids, self.kv.K, bind["coefficients"], xs,
-                           np.zeros_like(i), sets=i, prefix=label)
-        S = tape.value(s).reshape(-1, self.d_in, self.d_out)
+        s, spline_back = spline_on_tape(tape, self.kv, bind["coefficients"], xs,
+                                        np.zeros_like(i), sets=i)
+        S = s.reshape(-1, self.d_in, self.d_out)
         A_b = tape.value(bind["A_b"])
         out = (S * A_b).sum(axis=1)
-        parents = [s, bind["A_b"]]
         if self.silu_path:
             silu, slope = _silu_slope(tape.value(xs).reshape(-1, self.d_in))
             A_s = tape.value(bind["A_s"])
             out += silu @ A_s
-            parents += [xs, bind["A_s"]]
 
         def vjp(gO):
-            grads = [(gO[:, None, :] * A_b).reshape(s.shape), (gO[:, None, :] * S).sum(axis=0)]
+            gx, gc, _ = spline_back((gO[:, None, :] * A_b).reshape(s.shape))
+            gA_s = 0.0
             if self.silu_path:
-                grads += [((gO @ A_s.T) * slope).ravel(), silu.T @ gO]
-            return grads
+                gx = gx + ((gO @ A_s.T) * slope).ravel()
+                gA_s = silu.T @ gO
+            return [gx, (gO[:, None, :] * S).sum(axis=0), gA_s, gc]
 
-        return tape.record(label + "combine", out, parents, vjp).ravel()
+        return tape.record(label, out, [xs, *bind.values()], vjp).ravel()
 
 
 class FRKANLayer:
@@ -267,12 +267,11 @@ class FRKANLayer:
             pre += _silu(X)
         return pre @ self.A
 
-    def tape_forward(self, tape, bind, cache, xs):
-        label, knot_ids = cache
+    def tape_forward(self, tape, bind, label, xs):
         rows = np.tile(self.group_of(np.arange(self.d_in)), len(xs) // self.d_in)
-        s = spline_on_tape(tape, knot_ids, self.kv.K, bind["coefficients"], xs, rows,
-                           prefix=label)
-        pre = tape.value(s).reshape(-1, self.d_in)
+        s, spline_back = spline_on_tape(tape, self.kv, bind["coefficients"], xs, rows,
+                                        shift_ids=bind["shifts"])
+        pre = s.reshape(-1, self.d_in)
         A = tape.value(bind["A"])
         if self.silu_path:
             silu, slope = _silu_slope(tape.value(xs).reshape(pre.shape))
@@ -280,12 +279,12 @@ class FRKANLayer:
 
         def vjp(gO):
             gpre = gO @ A.T
+            gx, gc, gs = spline_back(gpre.ravel())
             if self.silu_path:
-                return [gpre.ravel(), (gpre * slope).ravel(), pre.T @ gO]
-            return [gpre.ravel(), pre.T @ gO]
+                gx = gx + (gpre * slope).ravel()
+            return [gx, pre.T @ gO, gc, gs]
 
-        parents = [s, xs, bind["A"]] if self.silu_path else [s, bind["A"]]
-        return tape.record(label + "combine", pre @ A, parents, vjp).ravel()
+        return tape.record(label, pre @ A, [xs, *bind.values()], vjp).ravel()
 
 
 class MLPLayer:
@@ -316,8 +315,7 @@ class MLPLayer:
             np.maximum(Z, 0.0, out=Z)
         return Z
 
-    def tape_forward(self, tape, bind, cache, xs):
-        label, _ = cache
+    def tape_forward(self, tape, bind, label, xs):
         X = tape.value(xs).reshape(-1, self.d_in)
         W = tape.value(bind["W"])
         Z = X @ W
@@ -333,21 +331,10 @@ class MLPLayer:
                 gZ = gZ * on
             return [(gZ @ W.T).ravel(), X.T @ gZ, gZ.sum(axis=0)]
 
-        op = label + ("affine + relu" if relu else "affine")
-        return tape.record(op, Z, [xs, bind["W"], bind["bias"]], vjp).ravel()
+        return tape.record(label, Z, [xs, *bind.values()], vjp).ravel()
 
 
 SPLINE_KINDS = ("kan", "frkan")
-
-
-@dataclass
-class TapeBinding:
-    """Node-id mirrors of every parameter array, plus per layer its record
-    label and, for a spline layer, its recorded knots."""
-
-    n_params: int
-    per_module: list
-    caches: list
 
 
 class Network:
@@ -411,24 +398,6 @@ class Network:
         if off != flat.size:
             raise BadArchitecture(f"flat vector has {flat.size} entries, expected {off}")
 
-    def bind_tape(self, tape: Tape) -> TapeBinding:
-        flat = self.get_flat()
-        tape.parameters_from(flat)
-        per_module, caches = [], []
-        off = 0
-        for k, m in enumerate(self.modules):
-            d = {}
-            for name, arr in m.param_arrays():
-                d[name] = np.arange(off, off + arr.size).reshape(arr.shape)
-                off += arr.size
-            per_module.append(d)
-            # records are named after their layer, so an error says where it arose
-            label = f"layer {k} ({m.kind}) "
-            knots = (m.kv.tape_knots(tape, d.get("shifts"), label + "knots")
-                     if m.kind in SPLINE_KINDS else None)
-            caches.append((label, knots))
-        return TapeBinding(flat.size, per_module, caches)
-
     # -- forward paths -------------------------------------------------------
 
     def forward_batch(self, X: np.ndarray) -> np.ndarray:
@@ -437,13 +406,24 @@ class Network:
             X = m.forward_batch(X)
         return X
 
-    def tape_forward(self, tape: Tape, tb: TapeBinding, X) -> np.ndarray:
-        """Record the forward pass of every row of ``X``; returns the
-        (N, d_out) ids of the outputs."""
+    def tape_forward(self, tape: Tape, X) -> np.ndarray:
+        """Record the forward pass of every row of ``X`` on an empty tape;
+        returns the (N, d_out) ids of the outputs.
+
+        The parameters become nodes 0..P-1, laid out like ``get_flat``, then
+        come the input and one record per module.
+        """
+        tape.parameters_from(self.get_flat())
         X = np.atleast_2d(np.asarray(X, dtype=float))
         xs = tape.record("input", X).ravel()
-        for m, bind, cache in zip(self.modules, tb.per_module, tb.caches):
-            xs = m.tape_forward(tape, bind, cache, xs)
+        off = 0
+        for k, m in enumerate(self.modules):
+            bind = {}
+            for name, arr in m.param_arrays():
+                bind[name] = np.arange(off, off + arr.size).reshape(arr.shape)
+                off += arr.size
+            # records are named after their layer, so an error says where it arose
+            xs = m.tape_forward(tape, bind, f"layer {k} ({m.kind})", xs)
         return xs.reshape(len(X), self.d_out)
 
 

@@ -28,11 +28,12 @@ each column by its gathered coefficient and sums them, and
 for callers that share one basis row across many coefficient sets.
 Asked to, the kernel keeps each level's ratios, and ``window_backward``
 runs the levels in reverse for the gradient with respect to x and the
-window's knots.  ``basis_window_on_tape`` records the kernel's window for
-every input of a layer at once, over the knots that
-``KnotVector.tape_knots`` records, as one tape record whose vjp passes
-the upstream gradient through ``window_backward``; ``spline_on_tape``
-contracts the recorded window with the coefficients in one more record.
+window's knots.  For a layer's training record, ``basis_window_on_tape``
+builds the knots from the shifts and evaluates the window of every
+input at once; its backward runs ``window_backward`` and scatters the
+knot gradients straight onto the shift entries through the clamp.
+``spline_on_tape`` contracts that window with the coefficients.  Neither
+records anything: each returns its values and a backward closure.
 
 Smoothness penalty: ``second_difference_penalty`` gives the penalty of a
 whole coefficient array and its closed-form gradient.
@@ -162,43 +163,6 @@ class KnotVector:
         if not np.all(gaps >= self.min_gap):
             raise InvalidRange(f"effective knots degenerate: min gap {gaps.min()!r}")
 
-    def tape_knots(self, tape, shift_ids=None, op: str = "knots") -> np.ndarray:
-        """Record the knots on ``tape`` as one record: an (h, G+2K+1) id matrix.
-
-        ``shift_ids`` is an (h, G+1) id matrix of the shift entries, one
-        row per knot set; with ``shift_ids=None`` the grid row is recorded
-        as one constant knot set.  Values come from ``knot_matrix``, so
-        they are the knots ``forward_batch`` uses, bit for bit.  A knot's
-        gradient goes to the point the clamp chain carries to it after the
-        stable sort (the active-max derivative of the clamp): the shift
-        entry of a moved interior base point, and nowhere for a fixed one.
-        One ``bincount`` scatters the knot gradients onto the shift
-        entries; endpoint entries get none.
-        """
-        if shift_ids is None:
-            return tape.record(op, self.row[None, :])
-        K, G = self.K, self.G
-        shift_ids = np.asarray(shift_ids)
-        shifts = tape.value(shift_ids)
-        knots = self.knot_matrix(shifts)
-        points = np.tile(self.row, (len(knots), 1))
-        points[:, K + 1:K + G] += shifts[:, 1:-1]
-        order = np.argsort(points, axis=1, kind="stable")
-        # a knot the clamp raised carries its predecessor's point
-        kept = knots == np.take_along_axis(points, order, axis=1)
-        cols = np.arange(knots.shape[1])
-        carried = np.maximum.accumulate(np.where(kept, cols, 0), axis=1)
-        source = np.take_along_axis(order, carried, axis=1)
-        moved = (source > K) & (source < K + G)
-        # point K + j of row r is moved by shift entry (r, j)
-        entry = (source - K + (G + 1) * np.arange(len(knots))[:, None])[moved]
-
-        def vjp(g):
-            return [np.bincount(entry, g[moved], minlength=shift_ids.size)
-                    .reshape(shift_ids.shape)]
-
-        return tape.record(op, knots, [shift_ids], vjp)
-
 
 def make_uniform_grid(a: float, b: float, G: int, K: int) -> KnotVector:
     """Equispaced base points on [a, b]."""
@@ -247,7 +211,7 @@ def _window_columns(x: np.ndarray, t: np.ndarray, K: int, levels=None, rows=None
     # every window index is in bounds.  Padded knots only reach window
     # slots that name no basis, which are zeroed at the end.  Padded rows
     # lie end to end, and no window reaches into the next row.
-    tp = np.pad(t, [(0, 0)] * (t.ndim - 1) + [(K, K)], mode="edge").ravel()
+    tp = t[..., np.clip(np.arange(-K, n_knots + K), 0, n_knots - 1)].ravel()
     base = np.maximum(m, 0)
     if rows is not None:
         base += rows * (n_knots + 2 * K)
@@ -365,37 +329,60 @@ def basis_matrix(x: np.ndarray, knots: np.ndarray, K: int) -> np.ndarray:
     return B
 
 
-def basis_window_on_tape(tape, knot_ids, K: int, x_ids, rows, prefix: str = ""):
-    """Record ``basis_window`` of every input at once; returns ``(m, W)``.
+def basis_window_on_tape(tape, kv: KnotVector, x_ids, rows, shift_ids=None):
+    """``basis_window`` of every input of a layer at once, and its backward.
 
-    ``knot_ids`` is an (h, n_knots) id matrix of knot sets and input n uses
-    row ``rows[n]``.  ``m`` is as in ``basis_window`` and ``W`` an (M, K+1)
-    id array of the window's bases, one record named ``prefix + "basis
-    window"``.  One ``_window_columns`` call over all knot rows gives the
-    values.  The vjp zeroes the upstream gradient of every slot that names
-    no basis (all slots of a row outside the span), passes it as a
-    (K+1, M) array to ``window_backward`` and scatters the gradient of
-    window knots 1..2K into the knot rows with one ``bincount``, so no
-    gradient reaches what the window does not use.
+    Knot row g is ``kv.knot_matrix`` of row g of the (h, G+1) shift id
+    matrix ``shift_ids``, or the grid row when it is None, and input n
+    uses row ``rows[n]``; x and the shifts are read from ``tape``.  One
+    ``_window_columns`` call over all rows gives ``m``, as in
+    ``basis_window``, and the (M, K+1) window ``W``.  Returns
+    ``(m, W, backward)``.  ``backward(gW)`` zeroes the gradient of every
+    slot that names no basis (all slots of a row outside the span), runs
+    ``window_backward`` and returns ``(gx, gshifts)``.  Window knots 1..2K
+    send their gradient, with one ``bincount``, to the shift entry of the
+    point the clamp chain carries to them after the stable sort (the
+    active-max derivative of the clamp); a fixed point sends none, and
+    ``gshifts`` is None without shifts.
+
+    Nothing is recorded on ``tape``.  The function keeps its name because
+    the benchmark's tracer (``bench/benchlib/trace.py``) times it; the name
+    can go once the benchmark names the backward path (ROADMAP, item 1).
     """
-    x_ids = np.asarray(x_ids).ravel()
+    K, G = kv.K, kv.G
     rows = np.asarray(rows).ravel()
-    knot_ids = np.asarray(knot_ids)
-    n_knots = knot_ids.shape[1]
+    if shift_ids is None:
+        t = kv.row[None, :]
+    else:
+        shifts = tape.value(shift_ids)
+        t = kv.knot_matrix(shifts)
+    n_knots = t.shape[1]
     levels = []
-    m, W = _window_columns(tape.value(x_ids), tape.value(knot_ids), K, levels, rows)
+    m, W = _window_columns(tape.value(np.asarray(x_ids).ravel()), t, K, levels, rows)
     slot = m - K + np.arange(K + 1)[:, None]
     used = (slot >= 0) & (slot < n_knots - K - 1)
-    # window knot p of input n is knot base + p - K of its row, edge copies beyond
-    knot = np.clip(np.maximum(m, 0) + np.arange(1 - K, K + 1)[:, None], 0, n_knots - 1)
-    knot += rows * n_knots
+    if shift_ids is not None:
+        points = np.tile(kv.row, (len(t), 1))
+        points[:, K + 1:K + G] += shifts[:, 1:-1]
+        order = np.argsort(points, axis=1, kind="stable")
+        # a knot the clamp raised carries its predecessor's point
+        kept = t == np.take_along_axis(points, order, axis=1)
+        carried = np.maximum.accumulate(np.where(kept, np.arange(n_knots), 0), axis=1)
+        # window knot p of input n is knot base + p - K of its row, edge copies beyond
+        knot = np.clip(np.maximum(m, 0) + np.arange(1 - K, K + 1)[:, None], 0, n_knots - 1)
+        source = np.take_along_axis(order, carried, axis=1)[rows, knot]
+        moved = (source > K) & (source < K + G)
+        # point K + j of row r is moved by shift entry (r, j)
+        entry = (source - K + (G + 1) * rows)[moved]
 
-    def vjp(gW):
+    def backward(gW):
         gx, gT = window_backward(levels, K, gW.T * used)
-        gk = np.bincount(knot.ravel(), gT[1:-1].ravel(), minlength=knot_ids.size)
-        return [gx, gk.reshape(knot_ids.shape)]
+        if shift_ids is None:
+            return gx, None
+        gs = np.bincount(entry, gT[1:-1][moved], minlength=shifts.size)
+        return gx, gs.reshape(shifts.shape)
 
-    return m, tape.record(prefix + "basis window", np.stack(W, axis=1), [x_ids, knot_ids], vjp)
+    return m, np.stack(W, axis=1), backward
 
 
 @dataclass
@@ -449,21 +436,20 @@ def spline_eval(x, sg: SplineGroup):
     return float(y) if np.ndim(x) == 0 else y
 
 
-def spline_on_tape(tape, knot_ids, K: int, coef_ids, x_ids, rows, sets=None,
-                   prefix: str = ""):
-    """Record sum_j c_j B_{j,K}(x) at every input, over its basis window.
+def spline_on_tape(tape, kv: KnotVector, coef_ids, x_ids, rows, sets=None, shift_ids=None):
+    """sum_j c_j B_{j,K}(x) at every input, over its basis window, and its backward.
 
     ``coef_ids`` holds S coefficient sets, shaped (S, ..., G+K), and input n
-    uses set ``sets[n]`` (by default its knot row ``rows[n]``); the result
-    has shape (M, ...).  Knot rows are as in ``basis_window_on_tape``.  The
-    result is one record, named ``prefix + "spline"``, whose parents are
-    the window and the coefficient array; each entry sums its K+1 window
-    terms left to right as ``spline_values`` does.  Window slots that name
-    no basis are 0, so their coefficient index is clipped onto a
-    neighbour, and the vjp scatters the coefficient gradient with one
-    ``bincount``.
+    uses set ``sets[n]`` (by default its knot row ``rows[n]``); knot rows
+    are as in ``basis_window_on_tape``.  Returns ``(y, backward)``: y has
+    shape (M, ...), each entry summing its K+1 window terms left to right
+    as ``spline_values`` does, and ``backward(gy)`` returns ``(gx, gcoef,
+    gshifts)``.  Window slots that name no basis are 0, so their
+    coefficient index is clipped onto a neighbour, and the coefficient
+    gradient is scattered with one ``bincount``.  Nothing is recorded.
     """
-    m, W = basis_window_on_tape(tape, knot_ids, K, x_ids, rows, prefix)
+    m, W, window_back = basis_window_on_tape(tape, kv, x_ids, rows, shift_ids)
+    K = kv.K
     coef_ids = np.asarray(coef_ids)
     sets = np.asarray(rows if sets is None else sets).ravel()
     nb = coef_ids.shape[-1]
@@ -472,19 +458,19 @@ def spline_on_tape(tape, knot_ids, K: int, coef_ids, x_ids, rows, sets=None,
     # flat coefficient index of term r of output (n, o): (M, per_set, K+1)
     flat = ((sets * per_set)[:, None] + np.arange(per_set))[:, :, None] * nb + idx[:, None, :]
     c = tape.value(coef_ids).ravel()[flat]
-    w = tape.value(W)[:, None, :]
+    w = W[:, None, :]
     terms = w * c
     y = terms[..., 0]
     for r in range(1, K + 1):
         y += terms[..., r]
 
-    def vjp(gy):
+    def backward(gy):
         gy = gy.reshape(len(m), per_set, 1)
         gc = np.bincount(flat.ravel(), (gy * w).ravel(), minlength=coef_ids.size)
-        return [(gy * c).sum(axis=1), gc.reshape(coef_ids.shape)]
+        gx, gs = window_back((gy * c).sum(axis=1))
+        return gx, gc.reshape(coef_ids.shape), gs
 
-    return tape.record(prefix + "spline", y.reshape((len(m),) + coef_ids.shape[1:-1]),
-                       [W, coef_ids], vjp)
+    return y.reshape((len(m),) + coef_ids.shape[1:-1]), backward
 
 
 # -- smoothness penalty -------------------------------------------------------

@@ -3,14 +3,15 @@
 The loss is the task objective plus lambda times the summed
 coefficient-smoothness penalty over every spline group in the network.
 The task loss and its gradient come from recording the whole mini-batch
-on one tape: one vector-Jacobian record per layer operation, and one for
-the loss (MSE, or cross-entropy shifted by each row's maximum).  The
-penalty is not on the tape: it is quadratic in the coefficients, so its
-value and gradient have a closed form over each layer's coefficient
-array (``smoothness_penalty``).  Evaluation metrics use the vectorized
-forward path.  A non-finite loss or gradient halts the run and records
-the step index and the error that stopped it, which names the layer or
-the loss -- divergence is a measured outcome here, not an error.
+on one tape: the parameters, the input, one vector-Jacobian record per
+layer, and one for the loss (MSE, or cross-entropy shifted by each row's
+maximum).  The penalty is not on the tape: it is quadratic in the
+coefficients, so its value and gradient have a closed form over each
+layer's coefficient array (``smoothness_penalty``).  Evaluation metrics
+use the vectorized forward path.  A non-finite loss or gradient halts the
+run and records the step index and the error that stopped it, which
+names the layer or the loss -- divergence is a measured outcome here,
+not an error.
 """
 
 from __future__ import annotations
@@ -68,10 +69,10 @@ def hash_config(obj) -> str:
 # -- losses ---------------------------------------------------------------------
 
 
-def _tape_task_loss(tape: Tape, net: Network, tb, X, y, task: str) -> np.ndarray:
-    """Record each sample's task loss over N, as one record; returns their
-    ids.  The batch loss is their sum."""
-    Z = net.tape_forward(tape, tb, X)
+def _tape_task_loss(tape: Tape, net: Network, X, y, task: str) -> np.ndarray:
+    """Record the network and each sample's task loss over N, as one
+    record; returns their ids.  The batch loss is their sum."""
+    Z = net.tape_forward(tape, X)
     P = tape.value(Z)
     n, d = P.shape
     if task == "regression":
@@ -120,16 +121,15 @@ def regularized_loss(net: Network, X: np.ndarray, y: np.ndarray, lam: float,
     if X.shape[0] == 0:
         raise EmptySplit("empty batch")
     tape = Tape()
-    tb = net.bind_tape(tape)
     penalty, penalty_grad = smoothness_penalty(net)
     # the tape checks every value and gradient
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = _tape_task_loss(tape, net, tb, X, y, task)
+        samples = _tape_task_loss(tape, net, X, y, task)
         task_loss = float(np.sum(tape.value(samples)))
         loss = task_loss + lam * penalty
         if not np.isfinite(loss):
             raise NonFiniteValue(f"loss is {loss!r}")
-        grads = tape.gradient_vector(samples, tb.n_params) + lam * penalty_grad
+        grads = tape.gradient_vector(samples, penalty_grad.size) + lam * penalty_grad
     if not np.all(np.isfinite(grads)):
         raise NonFiniteGradient("penalty gradient is not finite")
     return loss, grads, {"task_loss": task_loss, "penalty": penalty}

@@ -64,3 +64,10 @@ def test_train_records_every_expected_span():
     assert tracer.total("splines.tape_inputs") == inputs
     assert 0 < tracer.total("splines.tape_in_span") <= inputs
     assert all(tracer.n[i] > 0 for i in tracer.spans_named("autodiff.Tape.gradient_vector"))
+    # one window per spline layer and step, one tape_forward per layer and step
+    modules = [m for net in nets + [classifier] for m in net.modules]
+    assert len(tracer.spans_named("splines.basis_window_on_tape")) == STEPS * sum(
+        m.kind in ("kan", "frkan") for m in modules)
+    for cls in ("KANLayer", "FRKANLayer", "MLPLayer", "LayerNorm"):
+        assert len(tracer.spans_named(f"layers.{cls}.tape_forward")) == STEPS * sum(
+            type(m).__name__ == cls for m in modules), cls

@@ -259,8 +259,7 @@ class TestTapeAgreesWithBatch:
         X = rng.uniform(-2, 2, size=(8, 3))
         batch = net.forward_batch(X)
         tape = Tape()
-        tb = net.bind_tape(tape)
-        got = tape.value(net.tape_forward(tape, tb, X))
+        got = tape.value(net.tape_forward(tape, X))
         np.testing.assert_allclose(got, batch, rtol=1e-12, atol=1e-12)
 
     def test_silu_path_off(self):
@@ -271,36 +270,21 @@ class TestTapeAgreesWithBatch:
         X = rng.uniform(-2, 2, size=(4, 2))
         batch = net.forward_batch(X)
         tape = Tape()
-        tb = net.bind_tape(tape)
-        got = tape.value(net.tape_forward(tape, tb, X))
+        got = tape.value(net.tape_forward(tape, X))
         np.testing.assert_allclose(got, batch, rtol=1e-12, atol=1e-12)
 
 
 class TestOneRecordPerLayerOperation:
-    """A training step records each layer operation once, over the whole
-    batch: knots, basis window, spline and combination for a spline layer,
-    one record for an MLP or LayerNorm layer and one for the loss.  The
-    window's backward gets the real upstream gradient, (K+1, M), with no
-    axis of unit seeds."""
+    """A training step records the parameters, the input, each layer once
+    over the whole batch and the loss.  A spline layer's window backward
+    gets the real upstream gradient, (K+1, M), with no axis of unit seeds."""
 
     @staticmethod
     def _expected(net, task):
-        """Op names in recording order: the parameters, each spline layer's
-        knots (bound before the forward pass), the input, each layer's
-        records and the loss."""
-        ops = ["parameter"]
-        ops += [f"layer {k} ({m.kind}) knots" for k, m in enumerate(net.modules)
-                if m.kind in ("kan", "frkan")]
-        ops.append("input")
-        for k, m in enumerate(net.modules):
-            if m.kind in ("kan", "frkan"):
-                names = ["basis window", "spline", "combine"]
-            elif m.kind == "ln":
-                names = ["normalize"]
-            else:
-                names = ["affine + relu" if m.activation == "relu" else "affine"]
-            ops += [f"layer {k} ({m.kind}) {name}" for name in names]
-        return ops + ["loss (mse)" if task == "regression" else "loss (cross-entropy)"]
+        """Op names in recording order."""
+        return (["parameter", "input"]
+                + [f"layer {k} ({m.kind})" for k, m in enumerate(net.modules)]
+                + ["loss (mse)" if task == "regression" else "loss (cross-entropy)"])
 
     @pytest.mark.parametrize("desc, grid, task", [
         ("in:2 -> frkan:8 -> out:1", GridConfig(G=20, K=3, a=-10.0, b=10.0, h=2),
@@ -333,6 +317,7 @@ class TestOneRecordPerLayerOperation:
                 mock.patch.object(splines, "window_backward", spy_backward):
             regularized_loss(net, X, y, 1e-3, task)
         assert ops == self._expected(net, task)
+        assert len(ops) == len(net.modules) + 3
         # the reverse sweep meets the spline layers last to first
         assert seen == [(m.kv.K + 1, n * m.d_in) for m in net.modules[::-1]
                         if m.kind in ("kan", "frkan")]

@@ -353,21 +353,21 @@ class TestPenalty:
 
 
 class TestTapeSpline:
+    """``spline_on_tape`` and ``basis_window_on_tape``: values read from a
+    tape, and the backward closures they return."""
+
     def _flat_eval(self, kv, n_coef, K):
         """Loss builder over flat params [x, coefficients..., shift...]."""
 
         def f(params):
-            x0 = params[0]
-            coef = params[1:1 + n_coef]
-            shift = params[1 + n_coef:]
             tp = Tape()
             tp.parameters_from(params)
             coef_ids = np.arange(1, 1 + n_coef)
             shift_ids = np.arange(1 + n_coef, params.size)
-            knot_ids = kv.tape_knots(tp, shift_ids[None, :])
-            root = spline_on_tape(tp, knot_ids, K, coef_ids[None, :], [0], [0])[0]
-            assert tp.value(0) == x0
-            return tp.value(root), tp.gradient_vector(root, params.size)
+            y, backward = spline_on_tape(tp, kv, coef_ids[None, :], [0], [0],
+                                         shift_ids=shift_ids[None, :])
+            gx, gc, gs = backward(np.ones(1))
+            return y[0], np.concatenate([gx, gc.ravel(), gs.ravel()])
 
         return f
 
@@ -403,58 +403,61 @@ class TestTapeSpline:
     def test_outside_support_is_zero(self):
         kv = make_uniform_grid(-1, 1, 4, 1)
         tp = Tape()
-        knot_ids = kv.tape_knots(tp, None)
         coef_ids = tp.constant(np.ones(kv.n_bases))
-        x = tp.constant(5.0)
-        node = spline_on_tape(tp, knot_ids, kv.K, coef_ids[None, :], [x], [0])[0]
-        assert tp.value(node) == 0.0
+        y, backward = spline_on_tape(tp, kv, coef_ids[None, :], tp.constant([5.0]), [0])
+        assert y.tolist() == [0.0]
+        gx, gc, gs = backward(np.ones(1))
+        assert gx.tolist() == [0.0] and not gc.any() and gs is None
 
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_bulk_window_matches_kernel(self, K):
         """Every input of every knot row at once, clamped rows and inputs
-        outside the span included: the recorded window is the kernel's."""
+        outside the span included: the window is the kernel's, bit for bit."""
         rng = np.random.default_rng(K)
         kv = make_uniform_grid(-1, 1, 6, K)
         shifts = kv.dg * rng.integers(-2, 3, size=(3, kv.G + 1)) \
             + rng.uniform(-0.3, 0.3, size=(3, kv.G + 1)) * kv.min_gap
         knots = kv.knot_matrix(shifts)
+        assert np.any(np.diff(knots) < 1.5 * kv.min_gap)   # the clamp moved knots
         tp = Tape()
-        knot_ids = kv.tape_knots(tp, tp.constant(shifts))
-        assert np.array_equal(tp.value(knot_ids), knots)
         x = rng.uniform(-2.5, 2.5, size=60)
         rows = rng.integers(0, 3, size=60)
-        m, W = basis_window_on_tape(tp, knot_ids, K, tp.constant(x), rows)
+        m, W, _ = basis_window_on_tape(tp, kv, tp.constant(x), rows, tp.constant(shifts))
         for g in range(3):
             want_m, want_W = basis_window(x[rows == g], knots[g], K)
             assert np.array_equal(m[rows == g], want_m)
-            assert np.array_equal(tp.value(W[rows == g]), want_W)
-
-    @pytest.mark.parametrize("K", [1, 3])
-    def test_window_is_one_record(self, K):
-        """The window's values and partials come from the kernel, not from
-        an op-by-op replay of its levels."""
-        kv = make_uniform_grid(-1, 1, 6, K)
-        tp = Tape()
-        knot_ids = kv.tape_knots(tp, None)
-        x = tp.constant(np.linspace(-1.5, 1.5, 40))
-        before = tp.record_count
-        basis_window_on_tape(tp, knot_ids, K, x, np.zeros(40, dtype=int))
-        assert tp.record_count == before + 1
+            assert np.array_equal(W[rows == g], want_W)
 
     def test_knot_gradient_follows_the_clamp(self):
-        """A knot the clamp raises carries its predecessor's shift."""
+        """A knot the clamp raises sends its gradient to its predecessor's
+        shift entry; a fixed point's knot sends none."""
         kv = make_uniform_grid(0, 4, 4, 1)
-        tp = Tape()
-        tp.parameters_from([0.0, 0.0, 1.0, 0.0, 0.0])
-        knot_ids = kv.tape_knots(tp, np.arange(5)[None, :])
+        shifts = np.array([[0.0, 0.0, 1.0, 0.0, 0.0]])
+        knots = kv.knot_matrix(shifts)[0]
         # base point 2 moved onto base point 3, which the clamp raises by min_gap
-        assert tp.values(knot_ids[0, 1:6]) == [0.0, 1.0, 3.0, 3.0 + kv.min_gap, 4.0]
-        # each knot's gradient is one-hot on the shift entry its point came from
-        for k, entry in ((1, None), (2, 1), (3, 2), (4, 2), (5, None)):
-            want = np.zeros(5)
-            if entry is not None:
-                want[entry] = 1.0
-            assert tp.gradient_vector(knot_ids[0, k], 5).tolist() == want.tolist()
+        assert knots[1:6].tolist() == [0.0, 1.0, 3.0, 3.0 + kv.min_gap, 4.0]
+        # knot -> the shift entry of the point it carries: knots 1 and 5 are
+        # the fixed endpoints, and the raised knot 4 carries base point 2
+        source = {2: 1, 3: 2, 4: 2}
+        # inputs whose window slots all name a basis, in spans 1 to 4
+        x = np.array([0.5, 1.5, 3.0 + kv.min_gap / 2, 3.0 + 2 * kv.min_gap, 3.5])
+        tp = Tape()
+        m, _, backward = basis_window_on_tape(tp, kv, tp.constant(x), np.zeros(x.size, dtype=int),
+                                              tp.constant(shifts))
+        gW = np.random.default_rng(0).normal(size=(2, x.size))
+        _, gs = backward(gW.T)
+        levels = []
+        _window_columns(x, knots, 1, levels)
+        _, gT = window_backward(levels, 1, gW)
+        want = np.zeros(5)
+        for n in range(x.size):
+            for p in (1, 2):                 # window knot p is knot m - 1 + p
+                k = m[n] - 1 + p
+                if k in source:
+                    want[source[k]] += gT[p, n]
+        assert gs.shape == (1, 5)
+        np.testing.assert_allclose(gs[0], want, rtol=1e-15, atol=0)
+        assert gs[0, 0] == gs[0, 3] == gs[0, 4] == 0.0 and gs[0, 1] != 0.0 != gs[0, 2]
 
 
 class TestWindowBackward:

@@ -290,7 +290,7 @@ class TestTrainLoop:
                           TrainConfig(epochs=1, batch_size=16, seed=0, lam=0.0))
         assert record.nan_step == 0
         assert record.nan_cause.startswith(
-            "NonFiniteValue: layer 1 (mlp) affine + relu produced a non-finite value")
+            "NonFiniteValue: layer 1 (mlp) produced a non-finite value")
 
     def test_run_record_csv(self, tmp_path):
         data = generate_runge(100, seed=0)
