@@ -26,6 +26,7 @@ from .layers import (
     CorruptCheckpoint,
     GridConfig,
     Network,
+    _silu,
     init_network,
     load_checkpoint,
     param_count,
@@ -487,7 +488,7 @@ def _export_activation_command(config) -> int:
     kv = sg.knots
     xs = np.linspace(kv.a - kv.K * kv.dg, kv.b + kv.K * kv.dg, config["samples"])
     spline_col = spline_eval(xs, sg)
-    silu_col = xs / (1.0 + np.exp(-xs))
+    silu_col = _silu(xs)
     combined = combine(spline_col, silu_col)
     path = os.path.join(config["out"], "activation.csv")
     with open(path, "w", encoding="utf-8") as fh:

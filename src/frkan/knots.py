@@ -46,7 +46,7 @@ from math import floor
 import numpy as np
 
 from .autodiff import NonFiniteValue
-from .layers import SPLINE_KINDS, KANLayer, MLPLayer, Network, _sigmoid, sum_outputs
+from .layers import SPLINE_KINDS, KANLayer, MLPLayer, Network, _silu_slope, sum_outputs
 from .splines import make_uniform_grid
 
 
@@ -377,11 +377,6 @@ def _pieces_through(mod, T, alpha, beta):
     if mod.kind == "kan":
         return T, alpha, beta, ya.sum(axis=1), yb.sum(axis=1)
     return T, alpha, beta, ya[..., 0] @ mod.A, yb[..., 0] @ mod.A
-
-
-def _silu_slope(x):
-    s = _sigmoid(x)
-    return s * (1.0 + x * (1.0 - s))
 
 
 def piecewise_linear_slice(net: Network) -> bool:

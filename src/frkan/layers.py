@@ -15,19 +15,21 @@ row ``kv.row``.  An FR-KAN layer shifts the grid once per group, by the
 rows of ``shifts`` through ``KnotVector.knot_matrix``.  ``knots()``
 returns a layer's effective knots, one row per knot set.
 
-Every layer exposes two forward paths that must agree numerically:
-``forward_batch`` evaluates a whole sample matrix with numpy (metrics,
-scanning, export), and ``tape_forward`` records the whole mini-batch on
-an autodiff tape for training gradients, taking and returning a flat id
-array, row-major over the batch.  Each layer is one vector-Jacobian
-record, computed like ``forward_batch``, named "layer <index> (<kind>)"
-and carrying its closed-form backward; its parents are the input and
-the layer's parameter arrays in ``param_arrays`` order, and its vjp
-returns one gradient for each.  A spline layer's record holds its knots,
-its basis window (one kernel call over all knot sets), its coefficient
-contraction and its weighted sum with the SiLU shortcut; an MLP's holds
-its affine map and ReLU.  ``Network.tape_forward`` binds the parameters
-itself, so a mini-batch costs one record per layer.
+Every layer computes its output in one place, ``forward_batch(X,
+cache=None)``, over a whole sample matrix.  Without a cache it serves
+metrics, scanning and export, and does only the forward work.  Given a
+list, it appends what the layer's ``backward(cache, gY)`` needs; that
+pops the entry and returns the gradient for X and one gradient per
+parameter array, in ``param_arrays`` order, in closed form.  A cached
+spline layer evaluates its basis window over all its knot sets in one
+kernel call that keeps the levels for the backward pass.
+
+Training records the network on an autodiff tape.  Each layer's
+``tape_forward`` is the one shared adapter ``_record_layer``: it runs
+``forward_batch`` with a cache on the input read from the tape and
+records the output as one vector-Jacobian record, named "layer <index>
+(<kind>)", whose vjp is ``backward``.  ``Network.tape_forward`` binds the
+parameters itself, so a mini-batch costs one record per layer.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ from .splines import (
     KnotVector,
     SplineGroup,
     basis_matrix,
+    basis_window_on_tape,
     init_shift,
     make_uniform_grid,
-    spline_on_tape,
+    scatter_window,
     spline_values,
 )
 
@@ -72,11 +75,31 @@ def _silu(x: np.ndarray) -> np.ndarray:
     return x * _sigmoid(x)
 
 
-def _silu_slope(x: np.ndarray):
-    """silu(x) and its derivative sigmoid(x) + silu(x) (1 - sigmoid(x))."""
+def _silu_slope(x: np.ndarray) -> np.ndarray:
+    """The derivative of silu: sigmoid(x) (1 + x (1 - sigmoid(x)))."""
     s = _sigmoid(x)
-    silu = x * s
-    return silu, s + silu * (1.0 - s)
+    return s * (1.0 + x * (1.0 - s))
+
+
+def _record_layer(self, tape, bind, label, xs):
+    """A layer's training record: ``forward_batch``, with a cache, of the
+    values of the flat input ids ``xs``, recorded as one record named
+    ``label`` whose parents are ``xs`` and the parameter ids ``bind`` (one
+    id array per ``param_arrays`` entry, in order) and whose vjp is
+    ``backward``.  Returns the flat output ids, row-major over the batch.
+
+    Every layer class holds it as its ``tape_forward``, which the
+    benchmark's tracer times per class; it can go with the tape (ROADMAP,
+    item 2).
+    """
+    cache = []
+    Y = self.forward_batch(tape.value(xs).reshape(-1, self.d_in), cache)
+
+    def vjp(gY):
+        gX, grads = self.backward(cache, gY)
+        return [gX.ravel(), *grads]
+
+    return tape.record(label, Y, [xs, *bind.values()], vjp).ravel()
 
 
 class LayerNorm:
@@ -105,21 +128,20 @@ class LayerNorm:
         rstd = 1.0 / np.sqrt((diff * diff).mean(axis=1, keepdims=True) + self.eps)
         return diff * rstd, rstd
 
-    def forward_batch(self, X):
-        return self.gamma * self._normalize(X)[0] + self.beta
+    def forward_batch(self, X, cache=None):
+        xhat, rstd = self._normalize(X)
+        if cache is not None:
+            cache.append((xhat, rstd))
+        return self.gamma * xhat + self.beta
 
-    def tape_forward(self, tape, bind, label, xs):
-        xhat, rstd = self._normalize(tape.value(xs).reshape(-1, self.d_in))
-        gamma = tape.value(bind["gamma"])
+    def backward(self, cache, gY):
+        xhat, rstd = cache.pop()
+        gxhat = gY * self.gamma
+        gX = rstd * (gxhat - gxhat.mean(axis=1, keepdims=True)
+                     - xhat * (gxhat * xhat).mean(axis=1, keepdims=True))
+        return gX, [(gY * xhat).sum(axis=0), gY.sum(axis=0)]
 
-        def vjp(gY):
-            gxhat = gY * gamma
-            gX = rstd * (gxhat - gxhat.mean(axis=1, keepdims=True)
-                         - xhat * (gxhat * xhat).mean(axis=1, keepdims=True))
-            return [gX.ravel(), (gY * xhat).sum(axis=0), gY.sum(axis=0)]
-
-        out = gamma * xhat + tape.value(bind["beta"])
-        return tape.record(label, out, [xs, *bind.values()], vjp).ravel()
+    tape_forward = _record_layer
 
 
 class KANLayer:
@@ -166,39 +188,39 @@ class KANLayer:
         return [SplineGroup(self.kv, self.coefficients[i, o])
                 for i in range(self.d_in) for o in range(self.d_out)]
 
-    def forward_batch(self, X):
+    def _edge_weights(self):
+        """coefficients * A_b laid out (i, b, o)."""
+        return (self.coefficients * self.A_b[:, :, None]).transpose(0, 2, 1)
+
+    def forward_batch(self, X, cache=None):
         # Every edge leaving input i shares its basis row, so the dense basis
         # of all inputs, laid out (n, i*b), meets all edges in one matmul.
-        B = basis_matrix(X.ravel(), self.knots()[0], self.kv.K)
-        B = B.reshape(X.shape[0], self.d_in * self.kv.n_bases)
-        M = (self.coefficients * self.A_b[:, :, None]).transpose(0, 2, 1)  # (i, b, o)
-        out = B @ M.reshape(-1, self.d_out)
+        x, nb = X.ravel(), self.kv.n_bases
+        if cache is None:
+            B = basis_matrix(x, self.knots()[0], self.kv.K)
+        else:
+            m, W, window_back = basis_window_on_tape(x, self.kv.row, self.kv.K)
+            B, flat = scatter_window(x, m, W, nb)
+            cache.append((X, B, flat, window_back))
+        B = B.reshape(X.shape[0], self.d_in * nb)
+        out = B @ self._edge_weights().reshape(-1, self.d_out)
         if self.silu_path:
             out = out + _silu(X) @ self.A_s
         return out
 
-    def tape_forward(self, tape, bind, label, xs):
-        # edge (i, o) of every sample: input i's window meets d_out coefficient sets
-        i = np.tile(np.arange(self.d_in), len(xs) // self.d_in)
-        s, spline_back = spline_on_tape(tape, self.kv, bind["coefficients"], xs,
-                                        np.zeros_like(i), sets=i)
-        S = s.reshape(-1, self.d_in, self.d_out)
-        A_b = tape.value(bind["A_b"])
-        out = (S * A_b).sum(axis=1)
+    def backward(self, cache, gO):
+        X, B, flat, window_back = cache.pop()
+        shape = (self.d_in, self.kv.n_bases, self.d_out)
+        gM = (B.reshape(len(X), -1).T @ gO).reshape(shape).transpose(0, 2, 1)  # (i, o, b)
+        gB = gO @ self._edge_weights().reshape(-1, self.d_out).T
+        gX = window_back(gB.ravel()[flat])[0].reshape(X.shape)
+        gA_s = np.zeros_like(self.A_s)
         if self.silu_path:
-            silu, slope = _silu_slope(tape.value(xs).reshape(-1, self.d_in))
-            A_s = tape.value(bind["A_s"])
-            out += silu @ A_s
+            gX = gX + (gO @ self.A_s.T) * _silu_slope(X)
+            gA_s = _silu(X).T @ gO
+        return gX, [(gM * self.coefficients).sum(axis=2), gA_s, gM * self.A_b[:, :, None]]
 
-        def vjp(gO):
-            gx, gc, _ = spline_back((gO[:, None, :] * A_b).reshape(s.shape))
-            gA_s = 0.0
-            if self.silu_path:
-                gx = gx + ((gO @ A_s.T) * slope).ravel()
-                gA_s = silu.T @ gO
-            return [gx, (gO[:, None, :] * S).sum(axis=0), gA_s, gc]
-
-        return tape.record(label, out, [xs, *bind.values()], vjp).ravel()
+    tape_forward = _record_layer
 
 
 class FRKANLayer:
@@ -257,34 +279,46 @@ class FRKANLayer:
         return [SplineGroup(self.kv, coef, shift)
                 for shift, coef in zip(self.shifts, self.coefficients)]
 
-    def forward_batch(self, X):
-        pre = np.empty_like(X, dtype=float)
-        knots = self.knots()
-        for g in range(self.h):
-            cols = self.group_columns(g)
-            pre[:, cols] = spline_values(X[:, cols], knots[g], self.kv.K, self.coefficients[g])
+    def forward_batch(self, X, cache=None):
+        knots, K = self.knots(), self.kv.K
+        if cache is None:
+            # one kernel call per group keeps the audit's peak memory down
+            pre = np.empty_like(X, dtype=float)
+            for g in range(self.h):
+                cols = self.group_columns(g)
+                pre[:, cols] = spline_values(X[:, cols], knots[g], K, self.coefficients[g])
+        else:
+            rows = np.tile(self.group_of(np.arange(self.d_in)), len(X))
+            m, W, window_back = basis_window_on_tape(X.ravel(), knots, K, rows)
+            # window slots that name no basis are 0, so their coefficient
+            # index is clipped onto a neighbour; terms sum left to right
+            nb = self.kv.n_bases
+            flat = rows[:, None] * nb + np.clip(m[:, None] - K + np.arange(K + 1), 0, nb - 1)
+            c = self.coefficients.ravel()[flat]
+            terms = W * c
+            pre = terms[:, 0].copy()   # contiguous, so pre @ A sums as uncached
+            for r in range(1, K + 1):
+                pre += terms[:, r]
+            pre = pre.reshape(X.shape)
         if self.silu_path:
             pre += _silu(X)
+        if cache is not None:
+            cache.append((X, knots, pre, flat, W, c, window_back))
         return pre @ self.A
 
-    def tape_forward(self, tape, bind, label, xs):
-        rows = np.tile(self.group_of(np.arange(self.d_in)), len(xs) // self.d_in)
-        s, spline_back = spline_on_tape(tape, self.kv, bind["coefficients"], xs, rows,
-                                        shift_ids=bind["shifts"])
-        pre = s.reshape(-1, self.d_in)
-        A = tape.value(bind["A"])
+    def backward(self, cache, gO):
+        X, knots, pre, flat, W, c, window_back = cache.pop()
+        gpre = gO @ self.A.T
+        gy = gpre.reshape(-1, 1)
+        gc = np.bincount(flat.ravel(), (gy * W).ravel(), minlength=self.coefficients.size)
+        gx, gt = window_back(gy * c)
+        gX = gx.reshape(X.shape)
         if self.silu_path:
-            silu, slope = _silu_slope(tape.value(xs).reshape(pre.shape))
-            pre += silu
+            gX = gX + gpre * _silu_slope(X)
+        return gX, [pre.T @ gO, gc.reshape(self.coefficients.shape),
+                    self.kv.shift_gradient(self.shifts, knots, gt)]
 
-        def vjp(gO):
-            gpre = gO @ A.T
-            gx, gc, gs = spline_back(gpre.ravel())
-            if self.silu_path:
-                gx = gx + (gpre * slope).ravel()
-            return [gx, pre.T @ gO, gc, gs]
-
-        return tape.record(label, pre @ A, [xs, *bind.values()], vjp).ravel()
+    tape_forward = _record_layer
 
 
 class MLPLayer:
@@ -308,30 +342,24 @@ class MLPLayer:
     def param_items(self):
         return {"W": self.d_in * self.d_out, "bias": self.d_out}
 
-    def forward_batch(self, X):
+    def forward_batch(self, X, cache=None):
         Z = X @ self.W
         Z += self.bias
-        if self.activation == "relu":
+        relu = self.activation == "relu"
+        if cache is not None:
+            # at z = 0 the subgradient takes the z branch of max(z, 0)
+            cache.append((X, Z >= 0.0 if relu else None))
+        if relu:
             np.maximum(Z, 0.0, out=Z)
         return Z
 
-    def tape_forward(self, tape, bind, label, xs):
-        X = tape.value(xs).reshape(-1, self.d_in)
-        W = tape.value(bind["W"])
-        Z = X @ W
-        Z += tape.value(bind["bias"])
-        relu = self.activation == "relu"
-        if relu:
-            # at z = 0 the subgradient takes the z branch of max(z, 0)
-            on = Z >= 0.0
-            np.maximum(Z, 0.0, out=Z)
+    def backward(self, cache, gZ):
+        X, on = cache.pop()
+        if on is not None:
+            gZ = gZ * on
+        return gZ @ self.W.T, [X.T @ gZ, gZ.sum(axis=0)]
 
-        def vjp(gZ):
-            if relu:
-                gZ = gZ * on
-            return [(gZ @ W.T).ravel(), X.T @ gZ, gZ.sum(axis=0)]
-
-        return tape.record(label, Z, [xs, *bind.values()], vjp).ravel()
+    tape_forward = _record_layer
 
 
 SPLINE_KINDS = ("kan", "frkan")
@@ -638,16 +666,19 @@ def load_checkpoint(path: str) -> Network:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CorruptCheckpoint(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("schema_version") != CHECKPOINT_SCHEMA:
+    if not isinstance(doc, dict):
+        raise CorruptCheckpoint(f"need an object holding 'layers', got {type(doc).__name__}")
+    if doc.get("schema_version") != CHECKPOINT_SCHEMA:
         raise CorruptCheckpoint(f"unsupported schema: {doc.get('schema_version')!r}")
     modules = []
-    try:
-        entries = doc["layers"]
-    except KeyError:
-        raise CorruptCheckpoint("missing 'layers'") from None
+    entries = doc.get("layers")
+    if not isinstance(entries, list):
+        raise CorruptCheckpoint(f"layers: need a list, got {entries!r}")
     for idx, e in enumerate(entries):
-        kind = e.get("kind")
         label = f"layers[{idx}]"
+        if not isinstance(e, dict):
+            raise CorruptCheckpoint(f"{label}: need an object, got {e!r}")
+        kind = e.get("kind")
         try:
             if kind == "ln":
                 m = LayerNorm(e["d_in"])

@@ -24,16 +24,15 @@ denominators once: slot r's second denominator t[j+k+1] - t[j+1] is slot
 r+1's first.  It is the only level recursion here.  ``basis_window``
 stacks the columns into an (N, K+1) window, ``spline_values`` weights
 each column by its gathered coefficient and sums them, and
-``basis_matrix`` is the window scattered into the dense (N, G+K) array,
-for callers that share one basis row across many coefficient sets.
-Asked to, the kernel keeps each level's ratios, and ``window_backward``
-runs the levels in reverse for the gradient with respect to x and the
-window's knots.  For a layer's training record, ``basis_window_on_tape``
-builds the knots from the shifts and evaluates the window of every
-input at once; its backward runs ``window_backward`` and scatters the
-knot gradients straight onto the shift entries through the clamp.
-``spline_on_tape`` contracts that window with the coefficients.  Neither
-records anything: each returns its values and a backward closure.
+``basis_matrix`` is the window scattered into the dense (N, G+K) array
+(``scatter_window``), for callers that share one basis row across many
+coefficient sets.  Asked to, the kernel keeps each level's ratios, and
+``window_backward`` runs the levels in reverse for the gradient with
+respect to x and the window's knots.  ``basis_window_on_tape`` is the
+kernel call that keeps the levels, over one knot row or a knot matrix;
+its backward scatters the window knots' gradients onto the knot matrix,
+and ``KnotVector.shift_gradient`` carries those onto the shifts through
+the clamp.
 
 Smoothness penalty: ``second_difference_penalty`` gives the penalty of a
 whole coefficient array and its closed-form gradient.
@@ -146,15 +145,43 @@ class KnotVector:
         NaN knot stays.  The chain runs down the columns for all rows at
         once, from the first column it changes.
         """
-        shifts = np.asarray(shifts, dtype=float)
-        t = np.tile(self.row, (len(shifts), 1))
-        t[:, self.K + 1:self.K + self.G] += shifts[:, 1:-1]
+        t = self._points(shifts)
         t.sort(axis=1)
         low = np.flatnonzero((t[:, 1:] < self._floor(t[:, :-1])).any(axis=0))
         for i in range(low[0] + 1 if low.size else t.shape[1], t.shape[1]):
             lo = self._floor(t[:, i - 1])
             t[:, i] = np.where(t[:, i] < lo, lo, t[:, i])
         return t
+
+    def _points(self, shifts):
+        """Each row of ``row`` with its interior base points moved by the
+        matching shift row: the points ``knot_matrix`` sorts."""
+        shifts = np.asarray(shifts, dtype=float)
+        t = np.tile(self.row, (len(shifts), 1))
+        t[:, self.K + 1:self.K + self.G] += shifts[:, 1:-1]
+        return t
+
+    def shift_gradient(self, shifts, knots, gknots):
+        """The gradient for a (rows, G+1) shift matrix, given the gradient
+        ``gknots`` for its knot matrix ``knots = knot_matrix(shifts)``.
+
+        Each knot sends its gradient, with one ``bincount``, to the shift
+        entry of the point the clamp chain carries to it after the stable
+        sort (the active-max derivative of the clamp); a knot carrying a
+        fixed point sends none.
+        """
+        K, G = self.K, self.G
+        points = self._points(shifts)
+        order = np.argsort(points, axis=1, kind="stable")
+        # a knot the clamp raised carries its predecessor's point
+        kept = knots == np.take_along_axis(points, order, axis=1)
+        carried = np.maximum.accumulate(np.where(kept, np.arange(knots.shape[1]), 0), axis=1)
+        source = np.take_along_axis(order, carried, axis=1)
+        moved = (source > K) & (source < K + G)
+        # point K + j of row r is moved by shift entry (r, j)
+        entry = (source - K + (G + 1) * np.arange(len(points))[:, None])[moved]
+        shape = (len(points), G + 1)
+        return np.bincount(entry, gknots[moved], minlength=shape[0] * shape[1]).reshape(shape)
 
     def assert_sorted(self, knots):
         """Raise InvalidRange unless every gap of ``knots`` (a knot row, or
@@ -311,14 +338,11 @@ def basis_window(x: np.ndarray, knots: np.ndarray, K: int):
     return m, np.stack(W, axis=1)
 
 
-def basis_matrix(x: np.ndarray, knots: np.ndarray, K: int) -> np.ndarray:
-    """All order-K basis values at once: shape (len(x), len(knots)-K-1).
-
-    The dense scatter of ``basis_window``; rows with non-finite x are NaN.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    m, W = basis_window(x, knots, K)
-    n_bases = len(knots) - K - 1
+def scatter_window(x: np.ndarray, m: np.ndarray, W: np.ndarray, n_bases: int):
+    """The (N, K+1) window ``W`` of spans ``m`` scattered into the dense
+    (N, n_bases) basis, and the flat index in it of each window slot;
+    rows with non-finite x are NaN."""
+    K = W.shape[1] - 1
     # Window slots that name no basis hold 0, so clipping them onto a
     # neighbouring column and summing leaves every basis value unchanged.
     cols = np.clip(m[:, None] - K + np.arange(K + 1), 0, n_bases - 1)
@@ -326,61 +350,50 @@ def basis_matrix(x: np.ndarray, knots: np.ndarray, K: int) -> np.ndarray:
     B = np.bincount(flat.ravel(), W.ravel(), minlength=x.size * n_bases)
     B = B.reshape(x.size, n_bases).astype(float, copy=False)  # int when x is empty
     B[~np.isfinite(x)] = np.nan
-    return B
+    return B, flat
 
 
-def basis_window_on_tape(tape, kv: KnotVector, x_ids, rows, shift_ids=None):
-    """``basis_window`` of every input of a layer at once, and its backward.
+def basis_matrix(x: np.ndarray, knots: np.ndarray, K: int) -> np.ndarray:
+    """All order-K basis values at once: shape (len(x), len(knots)-K-1).
 
-    Knot row g is ``kv.knot_matrix`` of row g of the (h, G+1) shift id
-    matrix ``shift_ids``, or the grid row when it is None, and input n
-    uses row ``rows[n]``; x and the shifts are read from ``tape``.  One
-    ``_window_columns`` call over all rows gives ``m``, as in
-    ``basis_window``, and the (M, K+1) window ``W``.  Returns
-    ``(m, W, backward)``.  ``backward(gW)`` zeroes the gradient of every
-    slot that names no basis (all slots of a row outside the span), runs
-    ``window_backward`` and returns ``(gx, gshifts)``.  Window knots 1..2K
-    send their gradient, with one ``bincount``, to the shift entry of the
-    point the clamp chain carries to them after the stable sort (the
-    active-max derivative of the clamp); a fixed point sends none, and
-    ``gshifts`` is None without shifts.
+    The dense scatter of ``basis_window``; rows with non-finite x are NaN.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    return scatter_window(x, *basis_window(x, knots, K), len(knots) - K - 1)[0]
 
-    Nothing is recorded on ``tape``.  The function keeps its name because
-    the benchmark's tracer (``bench/benchlib/trace.py``) times it; the name
+
+def basis_window_on_tape(x: np.ndarray, t: np.ndarray, K: int, rows=None):
+    """``basis_window`` of every flat input ``x`` at once, and its backward.
+
+    ``t`` is one knot row, or with ``rows`` an (h, n_knots) knot matrix
+    whose row ``rows[n]`` input n uses.  One ``_window_columns`` call,
+    keeping its levels, gives ``m`` as in ``basis_window`` and the (M, K+1)
+    window ``W``.  Returns ``(m, W, backward)``.  ``backward(gW)`` zeroes
+    the gradient of every slot that names no basis (all slots of a row
+    outside the span), runs ``window_backward`` and returns ``(gx, gt)``:
+    window knots 1..2K send their gradient to their knot of the knot
+    matrix, with one ``bincount``, and ``gt`` is shaped like ``t``.  A
+    single knot row is a fixed grid, and its ``gt`` is None.
+
+    The function keeps its name because the benchmark's tracer
+    (``bench/benchlib/trace.py``) times it on every training step; the name
     can go once the benchmark names the backward path (ROADMAP, item 1).
     """
-    K, G = kv.K, kv.G
-    rows = np.asarray(rows).ravel()
-    if shift_ids is None:
-        t = kv.row[None, :]
-    else:
-        shifts = tape.value(shift_ids)
-        t = kv.knot_matrix(shifts)
-    n_knots = t.shape[1]
     levels = []
-    m, W = _window_columns(tape.value(np.asarray(x_ids).ravel()), t, K, levels, rows)
+    m, W = _window_columns(x, t, K, levels, rows)
+    n_knots = t.shape[-1]
     slot = m - K + np.arange(K + 1)[:, None]
     used = (slot >= 0) & (slot < n_knots - K - 1)
-    if shift_ids is not None:
-        points = np.tile(kv.row, (len(t), 1))
-        points[:, K + 1:K + G] += shifts[:, 1:-1]
-        order = np.argsort(points, axis=1, kind="stable")
-        # a knot the clamp raised carries its predecessor's point
-        kept = t == np.take_along_axis(points, order, axis=1)
-        carried = np.maximum.accumulate(np.where(kept, np.arange(n_knots), 0), axis=1)
-        # window knot p of input n is knot base + p - K of its row, edge copies beyond
-        knot = np.clip(np.maximum(m, 0) + np.arange(1 - K, K + 1)[:, None], 0, n_knots - 1)
-        source = np.take_along_axis(order, carried, axis=1)[rows, knot]
-        moved = (source > K) & (source < K + G)
-        # point K + j of row r is moved by shift entry (r, j)
-        entry = (source - K + (G + 1) * rows)[moved]
 
     def backward(gW):
         gx, gT = window_backward(levels, K, gW.T * used)
-        if shift_ids is None:
+        if rows is None:
             return gx, None
-        gs = np.bincount(entry, gT[1:-1][moved], minlength=shifts.size)
-        return gx, gs.reshape(shifts.shape)
+        # window knot p of input n is knot base + p - K of its row, edge copies beyond
+        knot = np.clip(np.maximum(m, 0) + np.arange(1 - K, K + 1)[:, None], 0, n_knots - 1)
+        knot += rows * n_knots
+        gt = np.bincount(knot.ravel(), gT[1:-1].ravel(), minlength=t.size)
+        return gx, gt.reshape(t.shape)
 
     return m, np.stack(W, axis=1), backward
 
@@ -434,43 +447,6 @@ def spline_eval(x, sg: SplineGroup):
     """sum_j c_j B_{j,K}(x); scalar in, scalar out (arrays broadcast)."""
     y = spline_values(x, sg.shifted_knots(), sg.knots.K, sg.coefficients)
     return float(y) if np.ndim(x) == 0 else y
-
-
-def spline_on_tape(tape, kv: KnotVector, coef_ids, x_ids, rows, sets=None, shift_ids=None):
-    """sum_j c_j B_{j,K}(x) at every input, over its basis window, and its backward.
-
-    ``coef_ids`` holds S coefficient sets, shaped (S, ..., G+K), and input n
-    uses set ``sets[n]`` (by default its knot row ``rows[n]``); knot rows
-    are as in ``basis_window_on_tape``.  Returns ``(y, backward)``: y has
-    shape (M, ...), each entry summing its K+1 window terms left to right
-    as ``spline_values`` does, and ``backward(gy)`` returns ``(gx, gcoef,
-    gshifts)``.  Window slots that name no basis are 0, so their
-    coefficient index is clipped onto a neighbour, and the coefficient
-    gradient is scattered with one ``bincount``.  Nothing is recorded.
-    """
-    m, W, window_back = basis_window_on_tape(tape, kv, x_ids, rows, shift_ids)
-    K = kv.K
-    coef_ids = np.asarray(coef_ids)
-    sets = np.asarray(rows if sets is None else sets).ravel()
-    nb = coef_ids.shape[-1]
-    per_set = coef_ids[0].size // nb
-    idx = np.clip(m[:, None] - K + np.arange(K + 1), 0, nb - 1)
-    # flat coefficient index of term r of output (n, o): (M, per_set, K+1)
-    flat = ((sets * per_set)[:, None] + np.arange(per_set))[:, :, None] * nb + idx[:, None, :]
-    c = tape.value(coef_ids).ravel()[flat]
-    w = W[:, None, :]
-    terms = w * c
-    y = terms[..., 0]
-    for r in range(1, K + 1):
-        y += terms[..., r]
-
-    def backward(gy):
-        gy = gy.reshape(len(m), per_set, 1)
-        gc = np.bincount(flat.ravel(), (gy * w).ravel(), minlength=coef_ids.size)
-        gx, gs = window_back((gy * c).sum(axis=1))
-        return gx, gc.reshape(coef_ids.shape), gs
-
-    return y.reshape((len(m),) + coef_ids.shape[1:-1]), backward
 
 
 # -- smoothness penalty -------------------------------------------------------

@@ -69,5 +69,9 @@ def test_train_records_every_expected_span():
     assert len(tracer.spans_named("splines.basis_window_on_tape")) == STEPS * sum(
         m.kind in ("kan", "frkan") for m in modules)
     for cls in ("KANLayer", "FRKANLayer", "MLPLayer", "LayerNorm"):
-        assert len(tracer.spans_named(f"layers.{cls}.tape_forward")) == STEPS * sum(
-            type(m).__name__ == cls for m in modules), cls
+        recorded = tracer.spans_named(f"layers.{cls}.tape_forward")
+        assert len(recorded) == STEPS * sum(type(m).__name__ == cls for m in modules), cls
+        # the one value path: each recorded layer ran its own forward_batch
+        training_forward = [i for i in tracer.spans_named(f"layers.{cls}.forward_batch")
+                            if tracer.has_ancestor(i, "layers.Network.tape_forward")]
+        assert [tracer.parent[i] for i in training_forward] == recorded, cls

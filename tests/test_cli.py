@@ -8,7 +8,7 @@ import pytest
 
 from frkan.cli import main
 from frkan.knots import build_sawtooth_network
-from frkan.layers import FRKANLayer, KANLayer, Network, save_checkpoint
+from frkan.layers import FRKANLayer, KANLayer, Network, _silu, save_checkpoint
 from frkan.splines import make_uniform_grid, spline_eval
 
 
@@ -221,6 +221,19 @@ class TestKnotsCommand:
         err = capsys.readouterr().err
         assert "error: checkpoint:" in err and "A_s" in err
 
+    @pytest.mark.parametrize("doc, named", [
+        ([1, 2], "'layers'"),
+        ({"schema_version": 1, "architecture": "in:1", "layers": 5}, "layers:"),
+        ({"schema_version": 1, "architecture": "in:1", "layers": [1]}, "layers[0]:"),
+    ], ids=["top-level-array", "layers-not-a-list", "layer-not-an-object"])
+    def test_badly_shaped_checkpoint_is_named(self, tmp_path, capsys, doc, named):
+        ckpt = tmp_path / "net.json"
+        ckpt.write_text(json.dumps(doc))
+        rc = _run(["knots", "--checkpoint", str(ckpt), "--out", str(tmp_path / "a")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: checkpoint:" in err and named in err
+
     def test_bad_slice_dim(self, tmp_path, capsys):
         kv = make_uniform_grid(-1, 1, 4, 1)
         net = Network([KANLayer(1, 1, kv, np.zeros((1, 1, kv.n_bases)),
@@ -405,6 +418,22 @@ class TestExportActivation:
         (key,) = bad
         assert f"error: {key}:" in capsys.readouterr().err
         assert not (out / "activation.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_silu_column_is_the_layers_silu_on_a_wide_range(self, tmp_path):
+        kv = make_uniform_grid(-1000, 1000, 4, 2)
+        net = Network([KANLayer(1, 1, kv, np.zeros((1, 1, kv.n_bases)),
+                                np.ones((1, 1)), np.ones((1, 1)))])
+        ckpt = tmp_path / "net.json"
+        save_checkpoint(net, str(ckpt))
+        out = tmp_path / "act"
+        rc = _run(["export-activation", "--checkpoint", str(ckpt), "--samples", "101",
+                   "--out", str(out)])
+        assert rc == 0
+        lines = (out / "activation.csv").read_text().strip().splitlines()[1:]
+        rows = np.array([[float(v) for v in l.split(",")] for l in lines])
+        assert rows[0, 0] == -2000.0 and rows[-1, 0] == 2000.0
+        assert np.array_equal(rows[:, 2], _silu(rows[:, 0]))
 
     @pytest.mark.parametrize("kind", ["kan", "frkan"])
     def test_each_unit_exports_its_own_spline_group(self, tmp_path, kind):

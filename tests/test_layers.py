@@ -248,6 +248,10 @@ class TestLayerNorm:
 
 
 class TestTapeAgreesWithBatch:
+    def test_every_layer_records_through_one_adapter(self):
+        recorders = {cls.tape_forward for cls in (KANLayer, FRKANLayer, MLPLayer, LayerNorm)}
+        assert len(recorders) == 1
+
     def test_mixed_network(self):
         rng = np.random.default_rng(21)
         net = Network([
@@ -260,7 +264,7 @@ class TestTapeAgreesWithBatch:
         batch = net.forward_batch(X)
         tape = Tape()
         got = tape.value(net.tape_forward(tape, X))
-        np.testing.assert_allclose(got, batch, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(got, batch)
 
     def test_silu_path_off(self):
         rng = np.random.default_rng(2)
@@ -271,7 +275,94 @@ class TestTapeAgreesWithBatch:
         batch = net.forward_batch(X)
         tape = Tape()
         got = tape.value(net.tape_forward(tape, X))
-        np.testing.assert_allclose(got, batch, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(got, batch)
+
+
+@st.composite
+def _layer_cases(draw, kind):
+    """(layer, X, gY): one layer of ``kind`` at K 1-3 whose FR-KAN shifts the
+    clamp raises, and inputs inside the span, on knots and outside it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d_in, d_out, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    G, K = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    a = draw(st.floats(-2.0, 0.0))
+    b = a + draw(st.floats(1.0, 4.0))
+    kv = make_uniform_grid(a, b, G, K)
+    silu = draw(st.booleans())
+    if kind == "kan":
+        layer = KANLayer(d_in, d_out, kv, rng.normal(size=(d_in, d_out, kv.n_bases)),
+                         rng.normal(size=(d_in, d_out)), rng.normal(size=(d_in, d_out)),
+                         silu_path=silu)
+    elif kind == "frkan":
+        h = draw(st.integers(1, d_in))
+        moves = rng.integers(-2, 3, size=(h, G + 1)) * kv.dg
+        moves[:, 1:3] = [kv.dg, 0.0]   # base point 1 lands on base point 2
+        shifts = moves + rng.uniform(-0.3, 0.3, size=moves.shape) * kv.min_gap
+        layer = FRKANLayer(d_in, d_out, h, a, b, G, K, rng.normal(size=(h, kv.n_bases)),
+                           shifts, rng.normal(size=(d_in, d_out)), silu_path=silu)
+        assert np.all(np.diff(layer.knots()).min(axis=1) < 1.5 * kv.min_gap)
+    elif kind == "mlp":
+        layer = MLPLayer(rng.normal(size=(d_in, d_out)), rng.normal(size=d_out),
+                         draw(st.sampled_from(["relu", "identity"])))
+    else:
+        layer = LayerNorm(d_in)
+        layer.gamma, layer.beta = rng.normal(size=d_in), rng.normal(size=d_in)
+    # the knot row of each input column (the grid row where the layer has none)
+    knots = (layer.knots()[layer.group_of(np.arange(d_in))] if kind == "frkan"
+             else np.tile(kv.row, (d_in, 1)))
+    lo, hi = kv.row[0], kv.row[-1]
+    X = rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), size=(n, d_in))
+    on = rng.random(size=X.shape) < 0.3
+    cols = np.broadcast_to(np.arange(d_in), X.shape)
+    X[on] = knots[cols[on], rng.integers(0, kv.row.size, size=on.sum())]
+    return layer, X, rng.normal(size=(n, layer.d_out))
+
+
+def _matches_differences(f, v, g, step=1e-10, tol=1e-4):
+    """``g`` is the gradient of ``f()`` for every entry of the array ``v``:
+    its central difference where f is smooth, and where f has a kink (an
+    input on a knot of an order-1 spline) one of its one-sided differences.
+
+    The step is far below the clamp's least knot gap (min_gap is at least
+    1e-4 dg), across which a spline's slope can change by its whole range;
+    the tolerance allows for the rounding of f over that step."""
+    f0 = f()
+    scale = tol * max(1.0, float(np.max(np.abs(g), initial=0.0))) + 1e-15 * abs(f0) / step
+    for i in np.ndindex(v.shape):
+        keep = v[i]
+        v[i] = keep + step
+        up = f()
+        v[i] = keep - step
+        down = f()
+        v[i] = keep
+        diffs = np.array([(up - down) / 2, up - f0, f0 - down]) / step
+        if not np.any(np.abs(diffs - g[i]) <= scale):
+            return False
+    return True
+
+
+class TestForwardBatchCacheAndBackward:
+    """Each layer class: the cached forward is the plain one, and
+    ``backward`` is the derivative of sum(forward_batch(X) * gY)."""
+
+    @pytest.mark.parametrize("kind", ["kan", "frkan", "mlp", "ln"])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_cache_keeps_values_and_backward_matches_differences(self, kind, data):
+        layer, X, gY = data.draw(_layer_cases(kind))
+        cache = []
+        Y = layer.forward_batch(X, cache)
+        assert np.array_equal(Y, layer.forward_batch(X))
+        gX, grads = layer.backward(cache, gY)
+        assert cache == []
+        assert [np.shape(g) for g in grads] == [arr.shape for _, arr in layer.param_arrays()]
+
+        def f():
+            return float((layer.forward_batch(X) * gY).sum())
+
+        assert _matches_differences(f, X, gX), "X"
+        for (name, arr), g in zip(layer.param_arrays(), grads):
+            assert _matches_differences(f, arr, g), name
 
 
 class TestOneRecordPerLayerOperation:

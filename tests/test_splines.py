@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from frkan.autodiff import DIVIDING_FLOOR, Tape, finite_difference_check
+from frkan.autodiff import DIVIDING_FLOOR, finite_difference_check
 from frkan.splines import (
     InvalidRange,
     KnotVector,
@@ -22,7 +22,6 @@ from frkan.splines import (
     second_difference_penalty,
     spline_eval,
     basis_window_on_tape,
-    spline_on_tape,
     spline_values,
     window_backward,
     _window_columns,
@@ -353,21 +352,23 @@ class TestPenalty:
 
 
 class TestTapeSpline:
-    """``spline_on_tape`` and ``basis_window_on_tape``: values read from a
-    tape, and the backward closures they return."""
+    """``basis_window_on_tape`` and ``KnotVector.shift_gradient``: the
+    window of a layer's training pass, its backward closure, and the map of
+    knot gradients onto the shifts, under a spline contraction written here."""
 
-    def _flat_eval(self, kv, n_coef, K):
+    def _flat_eval(self, kv):
         """Loss builder over flat params [x, coefficients..., shift...]."""
+        nb, K = kv.n_bases, kv.K
 
         def f(params):
-            tp = Tape()
-            tp.parameters_from(params)
-            coef_ids = np.arange(1, 1 + n_coef)
-            shift_ids = np.arange(1 + n_coef, params.size)
-            y, backward = spline_on_tape(tp, kv, coef_ids[None, :], [0], [0],
-                                         shift_ids=shift_ids[None, :])
-            gx, gc, gs = backward(np.ones(1))
-            return y[0], np.concatenate([gx, gc.ravel(), gs.ravel()])
+            x, c, shifts = params[:1], params[1:1 + nb], params[None, 1 + nb:]
+            knots = kv.knot_matrix(shifts)
+            m, W, backward = basis_window_on_tape(x, knots, K, np.zeros(1, dtype=np.intp))
+            idx = np.clip(m[:, None] - K + np.arange(K + 1), 0, nb - 1)
+            gx, gt = backward(c[idx])
+            gc = np.bincount(idx.ravel(), W.ravel(), minlength=nb)
+            gs = kv.shift_gradient(shifts, knots, gt)
+            return (W * c[idx]).sum(), np.concatenate([gx, gc, gs.ravel()])
 
         return f
 
@@ -377,7 +378,7 @@ class TestTapeSpline:
         shift = init_shift(kv, 8.0, seed=2)
         c = rng.normal(size=kv.n_bases)
         sg = SplineGroup(kv, c, shift)
-        f = self._flat_eval(kv, kv.n_bases, kv.K)
+        f = self._flat_eval(kv)
         for x in rng.uniform(-1.3, 1.3, size=40):
             params = np.concatenate([[x], c, shift])
             value, _ = f(params)
@@ -390,7 +391,7 @@ class TestTapeSpline:
         shift = init_shift(kv, 8.0, seed=2)
         c = rng.normal(size=kv.n_bases)
         knots = _shifted(kv, shift)
-        f = self._flat_eval(kv, kv.n_bases, kv.K)
+        f = self._flat_eval(kv)
         checked = 0
         for x in rng.uniform(-0.95, 0.95, size=12):
             if np.min(np.abs(knots - x)) < 1e-3:
@@ -402,12 +403,10 @@ class TestTapeSpline:
 
     def test_outside_support_is_zero(self):
         kv = make_uniform_grid(-1, 1, 4, 1)
-        tp = Tape()
-        coef_ids = tp.constant(np.ones(kv.n_bases))
-        y, backward = spline_on_tape(tp, kv, coef_ids[None, :], tp.constant([5.0]), [0])
-        assert y.tolist() == [0.0]
-        gx, gc, gs = backward(np.ones(1))
-        assert gx.tolist() == [0.0] and not gc.any() and gs is None
+        m, W, backward = basis_window_on_tape(np.array([5.0]), kv.row, kv.K)
+        assert m.tolist() == [-1] and not W.any()   # no value, no coefficient gradient
+        gx, gt = backward(np.ones((1, kv.K + 1)))
+        assert gx.tolist() == [0.0] and gt is None
 
     @pytest.mark.parametrize("K", [1, 2, 3])
     def test_bulk_window_matches_kernel(self, K):
@@ -419,10 +418,9 @@ class TestTapeSpline:
             + rng.uniform(-0.3, 0.3, size=(3, kv.G + 1)) * kv.min_gap
         knots = kv.knot_matrix(shifts)
         assert np.any(np.diff(knots) < 1.5 * kv.min_gap)   # the clamp moved knots
-        tp = Tape()
         x = rng.uniform(-2.5, 2.5, size=60)
         rows = rng.integers(0, 3, size=60)
-        m, W, _ = basis_window_on_tape(tp, kv, tp.constant(x), rows, tp.constant(shifts))
+        m, W, _ = basis_window_on_tape(x, knots, K, rows)
         for g in range(3):
             want_m, want_W = basis_window(x[rows == g], knots[g], K)
             assert np.array_equal(m[rows == g], want_m)
@@ -441,20 +439,21 @@ class TestTapeSpline:
         source = {2: 1, 3: 2, 4: 2}
         # inputs whose window slots all name a basis, in spans 1 to 4
         x = np.array([0.5, 1.5, 3.0 + kv.min_gap / 2, 3.0 + 2 * kv.min_gap, 3.5])
-        tp = Tape()
-        m, _, backward = basis_window_on_tape(tp, kv, tp.constant(x), np.zeros(x.size, dtype=int),
-                                              tp.constant(shifts))
+        m, _, backward = basis_window_on_tape(x, knots[None, :], 1, np.zeros(x.size, dtype=int))
         gW = np.random.default_rng(0).normal(size=(2, x.size))
-        _, gs = backward(gW.T)
+        _, gt = backward(gW.T)
+        gs = kv.shift_gradient(shifts, knots[None, :], gt)
         levels = []
         _window_columns(x, knots, 1, levels)
         _, gT = window_backward(levels, 1, gW)
-        want = np.zeros(5)
+        want_t, want = np.zeros_like(knots), np.zeros(5)
         for n in range(x.size):
             for p in (1, 2):                 # window knot p is knot m - 1 + p
                 k = m[n] - 1 + p
+                want_t[k] += gT[p, n]
                 if k in source:
                     want[source[k]] += gT[p, n]
+        np.testing.assert_allclose(gt[0], want_t, rtol=1e-15, atol=0)
         assert gs.shape == (1, 5)
         np.testing.assert_allclose(gs[0], want, rtol=1e-15, atol=0)
         assert gs[0, 0] == gs[0, 3] == gs[0, 4] == 0.0 and gs[0, 1] != 0.0 != gs[0, 2]
