@@ -8,7 +8,8 @@ identity MLP), so every path works on one output column.  Detection is
 restricted to order-1 splines and ReLU networks; higher-order splines hide
 their knots behind K-1 continuous derivatives.
 
-Two detectors share one merge rule and one threshold rule:
+Two detectors find candidate breakpoints with their jumps, and both hand
+them to ``_report``, the one step that merges, thresholds and counts:
 
 * ``exact_breakpoints`` -- linear-region propagation.  It applies when
   every module before the last is a K=1 spline layer without the SiLU
@@ -25,7 +26,8 @@ Two detectors share one merge rule and one threshold rule:
   and for arbitrary callables.  Slope jumps above the threshold seed
   candidate brackets, each bracket is narrowed by intersecting the linear
   pieces on both sides, and refinement stops once no candidate moves by
-  more than the resolution (hi-lo)/2^refinement_depth.
+  more than the resolution (hi-lo)/2^40.  The depth 40 is a constant,
+  not a parameter; the report shows it as ``detector.refinement_depth``.
 
 Candidates closer than the merge tolerance (a fraction of the slice
 width) are merged and their jumps summed; a merged breakpoint counts when
@@ -58,7 +60,7 @@ DEFAULT_SAMPLES = 200_000
 MIN_SAMPLES = 1000
 RELATIVE_SLOPE_THRESHOLD = 1e-3   # x max slope estimate
 RELATIVE_MERGE_TOLERANCE = 1e-5   # x scan width
-DEFAULT_REFINEMENT_DEPTH = 40
+REFINEMENT_DEPTH = 40            # bisection resolution (hi-lo)/2^40
 # x max slope: smaller exact jumps are the rounding noise of smooth points
 RELATIVE_ROUNDING_FLOOR = 1e-9
 # silu''(x) = s(1-s)(2 + x(1-2s)), s = sigmoid(x), vanishes where x tanh(x/2) = 2
@@ -149,12 +151,12 @@ class BreakpointReport:
     interior_count: int
     merge_tolerance: float
     slope_threshold: float
-    samples: int
-    refinement_depth: int
-    flagged_samples: int      # lattice points whose slope jump passed the threshold
-    clusters: int             # runs of adjacent flagged points, one candidate each
     merged: int               # candidates absorbed into a neighbour by the merge
-    refinement_passes: int    # stencil passes run, at most refinement_depth
+    samples: int = 0
+    refinement_depth: int = 0
+    flagged_samples: int = 0  # lattice points whose slope jump passed the threshold
+    clusters: int = 0         # runs of adjacent flagged points, one candidate each
+    refinement_passes: int = 0  # stencil passes run, at most refinement_depth
     method: str = "scan"      # "exact": propagated pieces, no lattice ran
     nonzero_jumps: int | None = None   # exact path: interior jumps of any size
     notes: dict = field(default_factory=dict)
@@ -198,10 +200,40 @@ def _make_evaluator(f, lo: float, hi: float):
     return lambda pts: np.array([float(f(p)) for p in pts])
 
 
+def _report(lo, hi, candidates, jumps, tol, thr, floor=None, **detector) -> BreakpointReport:
+    """The one merge, threshold and count step of both detectors.
+
+    Sorted by position and then jump, candidates closer than ``tol`` to
+    their predecessor chain into one group, placed at the mean of its
+    positions and carrying the sum of its jumps; a group is kept when its
+    |jump| exceeds ``thr``.  With a ``floor``, ``nonzero_jumps`` counts
+    the interior groups whose |jump| exceeds it.  ``detector`` holds the
+    report's other fields.
+    """
+    order = np.lexsort((jumps, candidates))
+    candidates, jumps = candidates[order], jumps[order]
+    starts = np.flatnonzero(np.diff(candidates, prepend=-np.inf) > tol)
+    sizes = np.diff(starts, append=candidates.size)
+    pos = np.add.reduceat(candidates, starts) / sizes if starts.size else candidates
+    jump = np.add.reduceat(jumps, starts) if starts.size else jumps
+    interior = (pos > lo + tol) & (pos < hi - tol)
+    keep = np.abs(jump) > thr
+    nonzero = None if floor is None else int(np.sum(interior & (np.abs(jump) > floor)))
+    return BreakpointReport(
+        lo=float(lo), hi=float(hi), positions=pos[keep], slope_jumps=jump[keep],
+        interior_count=int(np.sum(keep & interior)), merge_tolerance=float(tol),
+        slope_threshold=float(thr), merged=int(candidates.size - starts.size),
+        nonzero_jumps=nonzero, **detector)
+
+
+def _runs(flagged):
+    """First and last index of each run of consecutive flagged points."""
+    return (flagged[np.diff(flagged, prepend=flagged[:1] - 2) > 1],
+            flagged[np.diff(flagged, append=flagged[-1:] + 2) > 1])
+
+
 def scan_breakpoints(f, lo: float, hi: float, samples: int = DEFAULT_SAMPLES,
-                     slope_threshold: float | None = None,
-                     merge_tolerance: float | None = None,
-                     refinement_depth: int = DEFAULT_REFINEMENT_DEPTH) -> BreakpointReport:
+                     merge_tolerance: float | None = None) -> BreakpointReport:
     """Locate slope discontinuities of a piecewise-linear scalar map."""
     if samples < MIN_SAMPLES:
         raise ValueError(f"need samples >= {MIN_SAMPLES}, got {samples}")
@@ -217,48 +249,31 @@ def scan_breakpoints(f, lo: float, hi: float, samples: int = DEFAULT_SAMPLES,
     dt = t[1] - t[0]
     slopes = np.diff(y) / dt
     max_slope = float(np.max(np.abs(slopes))) if slopes.size else 0.0
-    thr = slope_threshold if slope_threshold is not None else RELATIVE_SLOPE_THRESHOLD * max_slope
+    thr = RELATIVE_SLOPE_THRESHOLD * max_slope
     tol = merge_tolerance if merge_tolerance is not None else RELATIVE_MERGE_TOLERANCE * (hi - lo)
 
-    jumps = np.diff(slopes)
-    flagged = np.flatnonzero(np.abs(jumps) > thr)
-
-    clusters = []
-    if flagged.size:
-        start = prev = flagged[0]
-        for i in flagged[1:]:
-            if i == prev + 1:
-                prev = i
-                continue
-            clusters.append((start, prev))
-            start = prev = i
-        clusters.append((start, prev))
-
-    positions = []
-    cluster_jumps = []
+    flagged = np.flatnonzero(np.abs(np.diff(slopes)) > thr)
+    c0, c1 = _runs(flagged)       # one candidate bracket [L, R] per run
+    L, R = t[c0], t[c1 + 2]
+    tau = 0.5 * (L + R)
+    w = 0.5 * (R - L) + dt
+    jumps = slopes[c1 + 1] - slopes[c0]
     passes = 0
-    if clusters:
+    if c0.size:
         # Refine each bracket by intersecting the linear pieces on both
         # sides of the kink.  The stencil (tau-2w, tau-w, tau+w, tau+2w)
         # gives the one-sided slopes; the intersection of those two lines
         # is exact for piecewise-linear input and immune to any smooth
         # background (e.g. a SiLU shortcut) whose curvature cancels.
         # Each pass halves the localization width w, down to the bisection
-        # resolution (hi-lo)/2^refinement_depth, and the loop ends once no
+        # resolution (hi-lo)/2^REFINEMENT_DEPTH, and the loop ends once no
         # candidate moves by more than that resolution: for piecewise-linear
         # input the first intersection is already exact.
-        L = np.array([t[c0] for c0, _ in clusters])
-        R = np.array([t[c1 + 2] for _, c1 in clusters])
-        cluster_jumps = [float(slopes[c1 + 1] - slopes[c0]) for c0, c1 in clusters]
-        tau = 0.5 * (L + R)
-        w = 0.5 * (R - L) + dt
-        min_width = max((hi - lo) / 2.0 ** refinement_depth,
+        min_width = max((hi - lo) / 2.0 ** REFINEMENT_DEPTH,
                         8 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0))
-        for _ in range(refinement_depth):
+        for _ in range(REFINEMENT_DEPTH):
             vals = evalf(np.concatenate([tau - 2 * w, tau - w, tau + w, tau + 2 * w]))
-            n = tau.size
-            A2, A1 = vals[:n], vals[n:2 * n]
-            B1, B2 = vals[2 * n:3 * n], vals[3 * n:]
+            A2, A1, B1, B2 = vals.reshape(4, -1)
             s_l = (A1 - A2) / w
             s_r = (B2 - B1) / w
             denom = s_l - s_r
@@ -273,36 +288,10 @@ def scan_breakpoints(f, lo: float, hi: float, samples: int = DEFAULT_SAMPLES,
             if converged or np.max(w) <= min_width:
                 break
             w = np.maximum(w / 2.0, min_width)
-        positions = tau.tolist()
 
-    # merge nearby candidates; jumps of merged knots accumulate
-    merged_pos = []
-    merged_jump = []
-    for p, j in sorted(zip(positions, cluster_jumps)):
-        if merged_pos and p - merged_pos[-1][-1] <= tol:
-            merged_pos[-1].append(p)
-            merged_jump[-1] += j
-        else:
-            merged_pos.append([p])
-            merged_jump.append(j)
-    final_pos = []
-    final_jump = []
-    for group, j in zip(merged_pos, merged_jump):
-        if abs(j) > thr:
-            final_pos.append(float(np.mean(group)))
-            final_jump.append(j)
-
-    pos_arr = np.array(final_pos)
-    jump_arr = np.array(final_jump)
-    interior = int(np.sum((pos_arr > lo + tol) & (pos_arr < hi - tol))) if pos_arr.size else 0
-    return BreakpointReport(
-        lo=float(lo), hi=float(hi), positions=pos_arr, slope_jumps=jump_arr,
-        interior_count=interior, merge_tolerance=float(tol),
-        slope_threshold=float(thr), samples=samples,
-        refinement_depth=refinement_depth, flagged_samples=int(flagged.size),
-        clusters=len(clusters), merged=len(positions) - len(merged_pos),
-        refinement_passes=passes,
-    )
+    return _report(lo, hi, tau, jumps, tol, thr, samples=samples,
+                   refinement_depth=REFINEMENT_DEPTH, flagged_samples=int(flagged.size),
+                   clusters=int(c0.size), refinement_passes=passes)
 
 
 # -- exact path ---------------------------------------------------------------------
@@ -398,11 +387,11 @@ def exact_breakpoints(net: Network, lo: float, hi: float, direction=None,
                       anchor=None) -> BreakpointReport:
     """Breakpoints of the summed-output slice, propagated piece by piece.
 
-    Counts with the scanner's merge and threshold rules; the threshold's
-    largest slope is taken over the pieces between merged breakpoints
-    (the ones inside a merge are narrower than the tolerance), at their
-    ends and, with a last-layer SiLU, where a SiLU input crosses an
-    inflection point of silu.
+    Counts with ``_report``, like the scanner; the threshold's largest
+    slope is taken over the pieces between merged breakpoints (the ones
+    inside a merge are narrower than the tolerance), at their ends and,
+    with a last-layer SiLU, where a SiLU input crosses an inflection
+    point of silu.
     """
     if not piecewise_linear_slice(net):
         raise UnsupportedOrder("the exact path needs K=1 spline or MLP layers and "
@@ -445,20 +434,8 @@ def exact_breakpoints(net: Network, lo: float, hi: float, direction=None,
     max_slope = float(np.concatenate(seen).max())
     thr = RELATIVE_SLOPE_THRESHOLD * max_slope
 
-    groups = np.flatnonzero(np.diff(candidates, prepend=-np.inf) > tol)
-    sizes = np.diff(np.append(groups, candidates.size))
-    pos = np.add.reduceat(candidates, groups) / sizes if groups.size else candidates
-    jump = np.add.reduceat(jumps, groups) if groups.size else jumps
-    interior = (pos > lo + tol) & (pos < hi - tol)
-    keep = np.abs(jump) > thr
-    return BreakpointReport(
-        lo=float(lo), hi=float(hi), positions=pos[keep], slope_jumps=jump[keep],
-        interior_count=int(np.sum(keep & interior)), merge_tolerance=float(tol),
-        slope_threshold=float(thr), samples=0, refinement_depth=0, flagged_samples=0,
-        clusters=0, merged=int(candidates.size - groups.size), refinement_passes=0,
-        method="exact",
-        nonzero_jumps=int(np.sum(interior & (np.abs(jump) > RELATIVE_ROUNDING_FLOOR * max_slope))),
-    )
+    return _report(lo, hi, candidates, jumps, tol, thr, RELATIVE_ROUNDING_FLOOR * max_slope,
+                   method="exact")
 
 
 # -- constructions and audits -----------------------------------------------------
@@ -560,8 +537,7 @@ def slice_map(net: Network, direction=None, anchor=None):
 
 def audit_network_knots(net: Network, direction=None, anchor=None,
                         lo: float | None = None, hi: float | None = None,
-                        samples: int = DEFAULT_SAMPLES,
-                        refinement_depth: int = DEFAULT_REFINEMENT_DEPTH) -> KnotAudit:
+                        samples: int = DEFAULT_SAMPLES) -> KnotAudit:
     """Count the breakpoints of a 1-D affine slice and compare to the bounds.
 
     The scalar map is the sum of outputs at anchor + t * direction.  A
@@ -594,8 +570,7 @@ def audit_network_knots(net: Network, direction=None, anchor=None,
     if piecewise_linear_slice(net):
         report = exact_breakpoints(net, lo, hi, direction, anchor)
     else:
-        report = scan_breakpoints(slice_map(net, direction, anchor), lo, hi,
-                                  samples=samples, refinement_depth=refinement_depth)
+        report = scan_breakpoints(slice_map(net, direction, anchor), lo, hi, samples=samples)
     bounds = network_bounds(net)
     # the ReLU chain counts kinks themselves; the spline counts G+K include
     # the two boundary knots

@@ -45,6 +45,7 @@ from .splines import (
     InvalidRange,
     KnotVector,
     SplineGroup,
+    _count,
     basis_matrix,
     basis_window_on_tape,
     init_shift,
@@ -62,6 +63,13 @@ class BadArchitecture(Exception):
 
 class CorruptCheckpoint(Exception):
     pass
+
+
+def _check_widths(**widths):
+    """Raise BadArchitecture naming the first width that is not an integer >= 1."""
+    for name, v in widths.items():
+        if not _count(v):
+            raise BadArchitecture(f"{name}: need an integer >= 1, got {v!r}")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -110,8 +118,7 @@ class LayerNorm:
     eps = 1e-8
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise BadArchitecture(f"layernorm width must be positive, got {dim}")
+        _check_widths(dim=dim)
         self.d_in = self.d_out = dim
         self.gamma = np.ones(dim)
         self.beta = np.zeros(dim)
@@ -152,8 +159,7 @@ class KANLayer:
 
     def __init__(self, d_in, d_out, kv: KnotVector, coefficients, A_b, A_s,
                  silu_path: bool = True):
-        if d_in < 1 or d_out < 1:
-            raise BadArchitecture(f"layer dims must be positive, got {d_in}x{d_out}")
+        _check_widths(d_in=d_in, d_out=d_out)
         self.d_in, self.d_out = d_in, d_out
         self.kv = kv
         self.coefficients = np.asarray(coefficients, dtype=float)
@@ -234,9 +240,8 @@ class FRKANLayer:
 
     def __init__(self, d_in, d_out, h, a, b, G, K, coefficients, shifts, A,
                  silu_path: bool = True):
-        if d_in < 1 or d_out < 1:
-            raise BadArchitecture(f"layer dims must be positive, got {d_in}x{d_out}")
-        if not 1 <= h <= d_in:
+        _check_widths(d_in=d_in, d_out=d_out, h=h)
+        if h > d_in:
             raise BadArchitecture(f"group count h={h} must be in [1, d_in={d_in}]")
         self.d_in, self.d_out, self.h = d_in, d_out, h
         self.kv = make_uniform_grid(a, b, G, K)

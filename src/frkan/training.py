@@ -137,7 +137,7 @@ def regularized_loss(net: Network, X: np.ndarray, y: np.ndarray, lam: float,
 
 def evaluate(net: Network, data: DatasetSplit, metric: str | None = None,
              split: str = "test", normalized: bool = False) -> float:
-    """RMSE, accuracy, or mean cross-entropy on one split."""
+    """RMSE or accuracy on one split."""
     X, y = data.split(split, normalized=normalized)
     if X.shape[0] == 0:
         raise EmptySplit(f"split {split!r} is empty")
@@ -149,10 +149,6 @@ def evaluate(net: Network, data: DatasetSplit, metric: str | None = None,
         return float(np.sqrt(np.mean(err ** 2)))
     if metric == "accuracy":
         return float(np.mean(np.argmax(preds, axis=1) == y.astype(int)))
-    if metric == "cross_entropy":
-        z = preds - preds.max(axis=1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        return float(-np.mean(logp[np.arange(len(y)), y.astype(int)]))
     raise ValueError(f"unknown metric {metric!r}")
 
 

@@ -288,6 +288,28 @@ class TestKnotsCommand:
         err = capsys.readouterr().err
         assert "error: checkpoint: layers[0]: " in err and f" {field}: " in err
 
+    @pytest.mark.parametrize("kind,field,bad", [
+        ("kan", "d_in", 2.0), ("frkan", "h", 1.0), ("frkan", "d_out", 3.0)])
+    def test_non_integer_checkpoint_width_is_named(self, tmp_path, capsys, kind, field, bad):
+        # each value matches the layer's array shapes, so only the type is wrong
+        kv = make_uniform_grid(-1, 1, 4, 1)
+        if kind == "kan":
+            layer = KANLayer(2, 1, kv, np.ones((2, 1, kv.n_bases)), np.ones((2, 1)),
+                             np.ones((2, 1)))
+        else:
+            layer = FRKANLayer(2, 3, 1, -1, 1, 4, 1, np.ones((1, kv.n_bases)),
+                               np.zeros((1, 5)), np.ones((2, 3)))
+        ckpt = tmp_path / "net.json"
+        save_checkpoint(Network([layer]), str(ckpt))
+        doc = json.loads(ckpt.read_text())
+        doc["layers"][0][field] = bad
+        ckpt.write_text(json.dumps(doc))
+        rc = _run(["knots", "--checkpoint", str(ckpt), "--scan-samples", "2000",
+                   "--out", str(tmp_path / "a")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: checkpoint: layers[0]: {field}: need an integer >= 1" in err
+
 
 class TestStabilityCommand:
     def test_small_run(self, tmp_path):

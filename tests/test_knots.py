@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from frkan.autodiff import NonFiniteValue
 from frkan.knots import (
     UnsupportedOrder,
+    _report,
+    _runs,
     audit_network_knots,
     build_sawtooth_network,
     exact_breakpoints,
@@ -326,6 +328,114 @@ class TestDetectorStatistics:
         assert report.clusters - report.merged == 3
         assert report.positions.size == 2
         np.testing.assert_allclose(report.positions, [-0.3, 0.2 + d / 2], atol=1e-6)
+
+
+def _loop_runs(flagged):
+    """The scanner's former loop: (first, last) of each run of adjacent points."""
+    clusters = []
+    if flagged.size:
+        start = prev = flagged[0]
+        for i in flagged[1:]:
+            if i == prev + 1:
+                prev = i
+                continue
+            clusters.append((start, prev))
+            start = prev = i
+        clusters.append((start, prev))
+    return clusters
+
+
+def _loop_report(lo, hi, positions, jumps, tol, thr, floor):
+    """The scanner's former merge loop, threshold and counts, plus the exact
+    path's nonzero-jump count: (positions, jumps, interior, merged, nonzero)."""
+    merged_pos = []
+    merged_jump = []
+    for p, j in sorted(zip(positions, jumps)):
+        if merged_pos and p - merged_pos[-1][-1] <= tol:
+            merged_pos[-1].append(p)
+            merged_jump[-1] += j
+        else:
+            merged_pos.append([p])
+            merged_jump.append(j)
+    final_pos = []
+    final_jump = []
+    nonzero = 0
+    for group, j in zip(merged_pos, merged_jump):
+        inside = lo + tol < float(np.mean(group)) < hi - tol
+        nonzero += inside and abs(j) > floor
+        if abs(j) > thr:
+            final_pos.append(float(np.mean(group)))
+            final_jump.append(j)
+    pos_arr = np.array(final_pos)
+    interior = int(np.sum((pos_arr > lo + tol) & (pos_arr < hi - tol))) if pos_arr.size else 0
+    return pos_arr, np.array(final_jump), interior, len(positions) - len(merged_pos), nonzero
+
+
+def _vector_report(lo, hi, candidates, jumps, tol, thr):
+    """The exact path's former vectorised merge, on sorted candidates."""
+    groups = np.flatnonzero(np.diff(candidates, prepend=-np.inf) > tol)
+    sizes = np.diff(np.append(groups, candidates.size))
+    pos = np.add.reduceat(candidates, groups) / sizes if groups.size else candidates
+    jump = np.add.reduceat(jumps, groups) if groups.size else jumps
+    interior = (pos > lo + tol) & (pos < hi - tol)
+    keep = np.abs(jump) > thr
+    return pos[keep], jump[keep], int(np.sum(keep & interior)), candidates.size - groups.size
+
+
+class TestSharedReportStep:
+    """``_runs`` and ``_report`` against the loops and the vectorised merge
+    they replaced.  On dyadic values every sum is exact in any order, so
+    ``_report`` must equal the loops exactly, ties at the tolerance, the
+    thresholds and the interior edges included.  On other values merged
+    sums run in ``np.add.reduceat``'s order, the exact path's, and equal
+    its vectorised merge bit for bit (the loop summed left to right, which
+    differs in the last bits for groups of 3 or more)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 80), max_size=40, unique=True))
+    def test_runs_match_the_loop(self, points):
+        flagged = np.array(sorted(points), dtype=np.intp)
+        c0, c1 = _runs(flagged)
+        assert list(zip(c0.tolist(), c1.tolist())) == _loop_runs(flagged)
+
+    @staticmethod
+    def _candidates(data, gap, jump):
+        """Shuffled candidates: gaps on both sides of tol with exact ties,
+        so chains of 3 or more form often, and jumps that may tie too."""
+        gaps = data.draw(st.lists(gap, max_size=30))
+        pos = -1.0 + np.cumsum([data.draw(gap), *gaps])
+        jumps = np.array(data.draw(st.lists(jump, min_size=pos.size, max_size=pos.size)))
+        shuffle = data.draw(st.permutations(range(pos.size)))
+        return pos[shuffle], jumps[shuffle]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), tol=st.sampled_from([2.0 ** -10, 2.0 ** -4]),
+           thr=st.integers(0, 16), floor=st.integers(0, 8))
+    def test_report_matches_the_loops(self, data, tol, thr, floor):
+        u = tol / 8                       # gaps of 8u are exactly tol
+        gap = (st.sampled_from([0, 8]) | st.integers(0, 24)).map(lambda k: k * u)
+        jump = st.integers(-24, 24).map(lambda k: k / 8)
+        pos, jumps = self._candidates(data, gap, jump)
+        lo, hi, thr, floor = -1.0, -1.0 + 64 * tol, thr / 8, floor / 8
+        report = _report(lo, hi, pos, jumps, tol, thr, floor)
+        loop = _loop_report(lo, hi, pos.tolist(), jumps.tolist(), tol, thr, floor)
+        np.testing.assert_array_equal(report.positions, loop[0])
+        np.testing.assert_array_equal(report.slope_jumps, loop[1])
+        assert (report.interior_count, report.merged, report.nonzero_jumps) == loop[2:]
+        assert _report(lo, hi, pos, jumps, tol, thr).nonzero_jumps is None
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), tol=st.sampled_from([1e-3, 0.05]), thr=st.floats(0.0, 2.0))
+    def test_report_matches_the_vectorised_merge(self, data, tol, thr):
+        gap = st.one_of(st.just(0.0), st.floats(0.0, tol), st.floats(tol, 20 * tol))
+        pos, jumps = self._candidates(data, gap, st.floats(-3, 3))
+        lo, hi = -1.0, -1.0 + 10 * tol
+        report = _report(lo, hi, pos, jumps, tol, thr)
+        order = np.lexsort((jumps, pos))      # the vectorised merge took sorted input
+        vector = _vector_report(lo, hi, pos[order], jumps[order], tol, thr)
+        np.testing.assert_array_equal(report.positions, vector[0])
+        np.testing.assert_array_equal(report.slope_jumps, vector[1])
+        assert (report.interior_count, report.merged) == vector[2:]
 
 
 def _spline_stack(rng, kind, G, widths, silu=False):

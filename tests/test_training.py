@@ -222,6 +222,12 @@ class TestEvaluate:
         with pytest.raises(EmptySplit):
             evaluate(net, empty, split="test")
 
+    def test_unknown_metric_is_named(self):
+        net = Network([MLPLayer(np.eye(2), np.zeros(2), "identity")])
+        data = generate_classification(60, classes=2, d=2, seed=0)
+        with pytest.raises(ValueError, match="unknown metric 'cross_entropy'"):
+            evaluate(net, data, metric="cross_entropy", split="test")
+
 
 class TestTrainLoop:
     def test_linear_target_sanity(self):
