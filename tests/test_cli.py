@@ -8,7 +8,7 @@ import pytest
 
 from frkan.cli import main
 from frkan.knots import build_sawtooth_network
-from frkan.layers import FRKANLayer, KANLayer, Network, _silu, save_checkpoint
+from frkan.layers import FRKANLayer, KANLayer, MLPLayer, Network, _silu, save_checkpoint
 from frkan.splines import make_uniform_grid, spline_eval
 
 
@@ -309,6 +309,26 @@ class TestKnotsCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"error: checkpoint: layers[0]: {field}: need an integer >= 1" in err
+
+
+    @pytest.mark.parametrize("command", ["knots", "export-activation"])
+    @pytest.mark.parametrize("field,bad", [
+        ("d_in", "x"), ("d_in", None), ("d_out", 1.5), ("d_out", 3), ("architecture", "in:1")])
+    def test_checkpoint_contradicting_its_arrays_exits_1(self, tmp_path, capsys,
+                                                         command, field, bad):
+        kv = make_uniform_grid(-1, 1, 4, 1)
+        net = Network([KANLayer(1, 2, kv, np.ones((1, 2, kv.n_bases)), np.ones((1, 2)),
+                                np.ones((1, 2))),
+                       MLPLayer(np.ones((2, 1)), np.zeros(1), "identity")])
+        ckpt = tmp_path / "net.json"
+        save_checkpoint(net, str(ckpt))
+        doc = json.loads(ckpt.read_text())
+        (doc if field == "architecture" else doc["layers"][1])[field] = bad
+        ckpt.write_text(json.dumps(doc))
+        rc = _run([command, "--checkpoint", str(ckpt), "--out", str(tmp_path / "a")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: checkpoint: " in err and f"{field}: " in err
 
 
 class TestStabilityCommand:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from frkan import splines
 from frkan.autodiff import Tape
 from frkan.layers import (
+    EVAL_CHUNK_ROWS,
     BadArchitecture,
     CorruptCheckpoint,
     FRKANLayer,
@@ -558,11 +559,13 @@ class TestInitNetwork:
 
 
 @st.composite
-def _networks(draw):
+def _networks(draw, min_width=1):
     """A random stack of kan, frkan, mlp and ln layers, each spline layer on
-    its own grid; FR-KAN shifts are small, large or whole multiples of dg."""
+    its own grid; FR-KAN shifts are small, large or whole multiples of dg.
+    Every width, and each FR-KAN layer's group count, is at least
+    ``min_width``."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    d = d_in = draw(st.integers(1, 4))
+    d = d_in = draw(st.integers(min_width, 4))
     modules = []
     for kind in draw(st.lists(st.sampled_from(["kan", "frkan", "mlp", "ln"]),
                               min_size=1, max_size=4)):
@@ -571,7 +574,7 @@ def _networks(draw):
             ln.gamma, ln.beta = rng.normal(size=d), rng.normal(size=d)
             modules.append(ln)
             continue
-        width = draw(st.integers(1, 4))
+        width = draw(st.integers(min_width, 4))
         if kind == "mlp":
             modules.append(MLPLayer(rng.normal(size=(d, width)), rng.normal(size=width),
                                     draw(st.sampled_from(["relu", "identity"]))))
@@ -586,7 +589,7 @@ def _networks(draw):
                                         rng.normal(size=(d, width)),
                                         rng.normal(size=(d, width)), silu_path=silu))
             else:
-                h = draw(st.integers(1, d))
+                h = draw(st.integers(min_width, d))
                 scale = draw(st.sampled_from([0.1, 1.0, 3.0, "multiples"]))
                 if scale == "multiples":
                     shifts = rng.integers(-2, 3, size=(h, G + 1)) * kv.dg
@@ -597,6 +600,40 @@ def _networks(draw):
                                           rng.normal(size=(d, width)), silu_path=silu))
         d = width
     return Network(modules), d_in
+
+
+class TestEvaluationInBlocks:
+    @pytest.mark.parametrize("n", [0, 1, EVAL_CHUNK_ROWS - 1, EVAL_CHUNK_ROWS,
+                                   EVAL_CHUNK_ROWS + 1, 2 * EVAL_CHUNK_ROWS + 7])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(case=_networks(min_width=2))
+    def test_blocks_match_one_pass_over_all_rows(self, n, case):
+        # Every layer is row-wise, so up to one block the two are the same
+        # computation.  Past it, only the last bits may move: the BLAS picks
+        # a matrix-product kernel by the product's size, and a block's size
+        # can pick another one than the whole input's.
+        net, d_in = case
+        X = np.random.default_rng(n).uniform(-30.0, 30.0, size=(n, d_in))
+        want = X
+        for m in net.modules:
+            want = m.forward_batch(want)
+        got = net.forward_batch(X)
+        assert got.shape == want.shape == (n, net.d_out)
+        if n <= EVAL_CHUNK_ROWS:
+            assert np.array_equal(got, want, equal_nan=True)
+        else:
+            scale = np.abs(want[np.isfinite(want)]).max(initial=1.0)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+def _mutated_checkpoint(tmp_path, net, mutate):
+    """Save ``net``, apply ``mutate`` to the JSON document, return the path."""
+    path = tmp_path / "net.json"
+    save_checkpoint(net, str(path))
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 class TestCheckpoint:
@@ -669,3 +706,33 @@ class TestCheckpoint:
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             load_checkpoint(str(tmp_path / "absent.json"))
+
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    @pytest.mark.parametrize("field", ["d_in", "d_out"])
+    @pytest.mark.parametrize("bad", ["x", None, 1.5, 2.0, True, 0, 5])
+    def test_width_contradicting_the_arrays_is_named(self, tmp_path, layer, field, bad):
+        # W is (3, 4) and (4, 4), the norm is 4 wide: no layer's width is
+        # 5, 2 or 1, so every bad value contradicts the arrays
+        rng = np.random.default_rng(8)
+        net = Network([MLPLayer(rng.normal(size=(3, 4)), rng.normal(size=4)), LayerNorm(4),
+                       MLPLayer(rng.normal(size=(4, 4)), rng.normal(size=4), "identity")])
+        path = _mutated_checkpoint(
+            tmp_path, net, lambda doc: doc["layers"][layer].__setitem__(field, bad))
+        with pytest.raises(CorruptCheckpoint, match=rf"^layers\[{layer}\]: {field}: "):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", ["in:3 -> mlp:5", "in:3 -> mlp:4", "", None])
+    def test_architecture_contradicting_the_layers_is_named(self, tmp_path, bad):
+        rng = np.random.default_rng(8)
+        net = Network([MLPLayer(rng.normal(size=(3, 4)), rng.normal(size=4)), LayerNorm(4)])
+        assert net.descriptor == "in:3 -> mlp:4 -> ln"
+        path = _mutated_checkpoint(
+            tmp_path, net, lambda doc: doc.__setitem__("architecture", bad))
+        with pytest.raises(CorruptCheckpoint, match="^architecture: "):
+            load_checkpoint(path)
+
+    def test_missing_architecture_is_named(self, tmp_path):
+        net = Network([MLPLayer(np.ones((2, 1)), np.zeros(1), "identity")])
+        path = _mutated_checkpoint(tmp_path, net, lambda doc: doc.pop("architecture"))
+        with pytest.raises(CorruptCheckpoint, match="^architecture: None"):
+            load_checkpoint(path)
