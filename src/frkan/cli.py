@@ -16,10 +16,12 @@ import numbers
 import os
 import re
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .knots import MIN_SAMPLES, audit_network_knots
+from .autodiff import NonFiniteValue
+from .knots import MIN_SAMPLES, UnsupportedOrder, audit_network_knots
 from .layers import (
     SPLINE_KINDS,
     BadArchitecture,
@@ -49,202 +51,139 @@ class ValidationError(Exception):
     pass
 
 
-class IndexOutOfRange(Exception):
-    pass
-
-
-COMMANDS = ("train", "approx", "knots", "stability", "paramcount", "export-activation")
-
-# every key an effective config may carry, with defaults
-CONFIG_DEFAULTS = {
-    "command": None,
-    "model": "frkan",
-    "arch": "8",
-    "G": 20,
-    "K": 3,
-    "range": [-10.0, 10.0],
-    "groups": None,
-    "Z": 8.0,
-    "lambda": 1e-4,
-    "lr": 1e-3,
-    "epochs": 30,
-    "batch": 128,
-    "seed": 2024,
-    "equation": None,
-    "n": 3000,
-    "task": "feynman",
-    "classes": 10,
-    "dim": 10,
-    "width": 8,
-    "ranges": [[-1.0, 1.0], [-10.0, 10.0]],
-    "depth": 4,
-    "steps": 1000,
-    "out": None,
-    "checkpoint": None,
-    "slice_dim": None,
-    "layer": 0,
-    "unit": 0,
-    "samples": 2000,
-    "scan_samples": 200_000,
-    "normalize": False,
-    "silu": True,
-    "layernorm": "auto",
-}
-
-
 def _integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _at_least(lo):
-    return lambda v: _integer(v) and v >= lo, f"an integer >= {lo}"
-
-
-def _one_of(*choices):
-    return lambda v: isinstance(v, str) and v in choices, "one of " + ", ".join(choices)
 
 
 def _interval(v) -> bool:
     return isinstance(v, list) and len(v) == 2 and all(map(_finite, v)) and v[0] < v[1]
 
 
-_OPTIONAL_TEXT = (lambda v: v is None or isinstance(v, str), "null or a string")
-_FLAG = (lambda v: isinstance(v, bool), "true or false")
-
-# every key but command and arch (whose widths _descriptor_from checks),
-# with its type and range; checked once, for file and flag values alike, so
-# a bad value never fails later as a TypeError or is coerced without a word
-KEY_CHECKS = {
-    "model": _one_of("mlp", "kan", "frkan"),
-    "G": _at_least(1),
-    "K": _at_least(1),
-    "range": (_interval, "[a, b] with finite a < b"),
-    "groups": (lambda v: v is None or (_integer(v) and v >= 1), "null or an integer >= 1"),
-    "Z": (lambda v: _finite(v) and v > 0, "a finite number > 0"),
-    "lambda": (lambda v: _finite(v) and v >= 0, "a finite number >= 0"),
-    "lr": (lambda v: _finite(v) and v > 0, "a finite number > 0"),
-    "epochs": _at_least(1),
-    "batch": _at_least(1),
-    "seed": _at_least(0),
-    "equation": _OPTIONAL_TEXT,
-    "n": _at_least(10),
-    "task": _one_of("feynman", "runge", "classification"),
-    "classes": _at_least(2),
-    "dim": _at_least(1),
-    "width": _at_least(1),
-    "ranges": (lambda v: isinstance(v, list) and len(v) > 0 and all(map(_interval, v)),
-               "a non-empty list of [a, b] with finite a < b"),
-    "depth": _at_least(3),
-    "steps": _at_least(1),
-    "out": _OPTIONAL_TEXT,
-    "checkpoint": _OPTIONAL_TEXT,
-    "slice_dim": (lambda v: v is None or _integer(v), "null or an integer"),
-    "layer": (_integer, "an integer"),
-    "unit": (_integer, "an integer"),
-    "samples": _at_least(1),
-    "scan_samples": _at_least(MIN_SAMPLES),
-    "normalize": _FLAG,
-    "silu": _FLAG,
-    "layernorm": _one_of("auto", "off", "explicit"),
-}
-
-
-def _parse_range(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValidationError(f"range must be 'a,b', got {text!r}")
+def _pair(text):
+    """'a,b' -> [a, b]; whether a < b is the key's check."""
     try:
-        a, b = float(parts[0]), float(parts[1])
+        a, b = map(float, text.split(","))
     except ValueError:
-        raise ValidationError(f"range must be numeric, got {text!r}") from None
-    if b <= a:
-        raise ValidationError(f"range needs b > a, got {text!r}")
+        raise argparse.ArgumentTypeError(f"need numeric 'a,b', got {text!r}") from None
     return [a, b]
 
+
+class Check(NamedTuple):
+    """What a key's value must be, and how its flag parses (add_argument
+    keywords)."""
+    ok: Callable
+    need: str
+    flag: dict = {}
+
+
+def _at_least(lo):
+    return Check(lambda v: _integer(v) and v >= lo, f"an integer >= {lo}", {"type": int})
+
+
+def _one_of(*choices):
+    return Check(lambda v: isinstance(v, str) and v in choices, "one of " + ", ".join(choices),
+                 {"choices": choices})
+
+
+_TEXT = Check(lambda v: v is None or isinstance(v, str), "null or a string")
+_POSITIVE = Check(lambda v: _finite(v) and v > 0, "a finite number > 0", {"type": float})
+_NON_NEGATIVE = Check(lambda v: _finite(v) and v >= 0, "a finite number >= 0", {"type": float})
+_INDEX = Check(_integer, "an integer", {"type": int})
+_SWITCH = Check(lambda v: isinstance(v, bool), "true or false")
+_ARCH = Check(lambda v: True, "")   # _descriptor_from checks the widths
+
+
+class Key(NamedTuple):
+    default: object
+    check: Check
+    read: str              # the commands that read the key, and so take its flag
+    help: str | None = None
+
+
+_TRAINING = "train approx"
+# Every key an effective config may carry, once: its default, its check
+# (run once, for file and flag values alike, so a bad value never fails
+# later as a TypeError or is coerced without a word) and the commands that
+# read it.  A command takes the flags of the keys it reads; a config file
+# may set any key.  A flag is --<key> with "_" written "-", a true default
+# makes it --no-<key> and a false one a switch.
+KEYS = {
+    "command": Key(None, _TEXT, ""),   # argparse sets it
+    "model": Key("frkan", _one_of("mlp", "kan", "frkan"), _TRAINING),
+    "arch": Key("8", _ARCH, f"{_TRAINING} paramcount",
+                "hidden widths '16,16' or a full 'in:..' descriptor"),
+    "G": Key(20, _at_least(1), f"{_TRAINING} stability paramcount"),
+    "K": Key(3, _at_least(1), f"{_TRAINING} stability paramcount"),
+    "range": Key([-10.0, 10.0], Check(_interval, "[a, b] with finite a < b",
+                                      {"type": _pair, "metavar": "A,B"}),
+                 f"{_TRAINING} paramcount", "grid range, e.g. -10,10"),
+    "groups": Key(None, Check(lambda v: v is None or (_integer(v) and v >= 1),
+                              "null or an integer >= 1", {"type": int}),
+                  f"{_TRAINING} paramcount", "spline groups per layer"),
+    "Z": Key(8.0, _POSITIVE, f"{_TRAINING} paramcount", "shift init range divisor"),
+    "lambda": Key(1e-4, _NON_NEGATIVE, f"{_TRAINING} stability", "smoothness penalty weight"),
+    "lr": Key(1e-3, _POSITIVE, f"{_TRAINING} stability"),
+    "epochs": Key(30, _at_least(1), _TRAINING),
+    "batch": Key(128, _at_least(1), f"{_TRAINING} stability"),
+    "seed": Key(2024, _at_least(0), f"{_TRAINING} stability paramcount"),
+    "equation": Key(None, _TEXT, _TRAINING, "equation id for the feynman task"),
+    "n": Key(3000, _at_least(10), f"{_TRAINING} stability", "dataset size"),
+    "task": Key("feynman", _one_of("feynman", "runge", "classification"), "train"),
+    "classes": Key(10, _at_least(2), "train stability"),
+    "dim": Key(10, _at_least(1), "train stability"),
+    "width": Key(8, _at_least(1), "stability"),
+    "ranges": Key([[-1.0, 1.0], [-10.0, 10.0]],
+                  Check(lambda v: isinstance(v, list) and len(v) > 0 and all(map(_interval, v)),
+                        "a non-empty list of [a, b] with finite a < b",
+                        {"type": _pair, "metavar": "A,B", "nargs": "+"}),
+                  "stability", "grid ranges to compare, e.g. -1,1 -10,10"),
+    "depth": Key(4, _at_least(3), "stability"),
+    "steps": Key(1000, _at_least(1), "stability"),
+    "out": Key(None, _TEXT, f"{_TRAINING} knots stability paramcount export-activation",
+               "output directory (default runs/<command>)"),
+    "checkpoint": Key(None, _TEXT, "knots export-activation"),
+    "slice_dim": Key(None, Check(lambda v: v is None or _integer(v), "null or an integer",
+                                 {"type": int}),
+                     "knots", "slice along one input axis (default: all-ones direction)"),
+    "layer": Key(0, _INDEX, "export-activation"),
+    "unit": Key(0, _INDEX, "export-activation", "group index (frkan) or edge index (kan)"),
+    "samples": Key(2000, _at_least(1), "export-activation"),
+    "scan_samples": Key(200_000, _at_least(MIN_SAMPLES), "knots"),
+    "normalize": Key(False, _SWITCH, _TRAINING, "normalize inputs by train statistics"),
+    # paramcount passes silu on, but no count depends on it: no flag there
+    "silu": Key(True, _SWITCH, _TRAINING, "drop the SiLU shortcut path"),
+    "layernorm": Key("auto", _one_of("auto", "off", "explicit"), f"{_TRAINING} paramcount",
+                     "normalization placement (default auto)"),
+}
+CONFIG_DEFAULTS = {key: spec.default for key, spec in KEYS.items()}
 
 # lets "--ranges -1,1 -10,10" parse as values rather than flags
 _RANGE_TOKEN = re.compile(r"^-\d+(?:\.\d+)?(?:,-?\d+(?:\.\d+)?)?$")
 
 
+def _add_flag(p, key, spec):
+    name = key.replace("_", "-")
+    if isinstance(spec.default, bool):
+        p.add_argument(f"--{'no-' * spec.default}{name}", dest=key, default=None,
+                       action="store_false" if spec.default else "store_true", help=spec.help)
+    else:
+        p.add_argument(f"--{name}", dest=key, help=spec.help, **spec.check.flag)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="frkan",
+        prog="frkan", allow_abbrev=False,
         description="Free-knot spline network experiments")
     parser._negative_number_matcher = _RANGE_TOKEN
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, train_flags=True):
+    for command, (help_text, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        p._negative_number_matcher = _RANGE_TOKEN
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="output directory (default runs/<command>)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--model", choices=("mlp", "kan", "frkan"))
-        p.add_argument("--arch", help="hidden widths '16,16' or a full 'in:..' descriptor")
-        p.add_argument("--G", type=int)
-        p.add_argument("--K", type=int)
-        p.add_argument("--range", dest="range_", metavar="A,B",
-                       help="grid range, e.g. -10,10")
-        p.add_argument("--groups", type=int, help="spline groups per layer")
-        p.add_argument("--Z", type=float, help="shift init range divisor")
-        if train_flags:
-            p.add_argument("--lambda", dest="lambda_", type=float,
-                           help="smoothness penalty weight")
-            p.add_argument("--lr", type=float)
-            p.add_argument("--epochs", type=int)
-            p.add_argument("--batch", type=int)
-            p.add_argument("--normalize", action="store_true", default=None,
-                           help="normalize inputs by train statistics")
-            p.add_argument("--no-silu", dest="silu", action="store_false",
-                           default=None, help="drop the SiLU shortcut path")
-            p.add_argument("--layernorm", choices=("auto", "off", "explicit"),
-                           help="normalization placement (default auto)")
-
-    p = sub.add_parser("train", help="train one model on a generated task")
-    common(p)
-    p.add_argument("--task", choices=("feynman", "runge", "classification"))
-    p.add_argument("--equation", help="equation id for --task feynman")
-    p.add_argument("--n", type=int, help="dataset size")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--dim", type=int)
-
-    p = sub.add_parser("approx", help="function-approximation benchmark run")
-    common(p)
-    p.add_argument("--equation", required=False)
-    p.add_argument("--n", type=int)
-
-    p = sub.add_parser("knots", help="audit breakpoints of a checkpoint")
-    common(p, train_flags=False)
-    p.add_argument("--checkpoint", required=False)
-    p.add_argument("--slice-dim", dest="slice_dim", type=int,
-                   help="slice along one input axis (default: all-ones direction)")
-    p.add_argument("--scan-samples", dest="scan_samples", type=int)
-
-    p = sub.add_parser("stability", help="grid-range stability experiment")
-    common(p)
-    p.add_argument("--ranges", nargs="+", metavar="A,B",
-                   help="grid ranges to compare, e.g. -1,1 -10,10")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--n", type=int)
-
-    p = sub.add_parser("paramcount", help="itemized parameter counts")
-    common(p, train_flags=False)
-
-    p = sub.add_parser("export-activation", help="dump one activation curve to CSV")
-    common(p, train_flags=False)
-    p.add_argument("--checkpoint", required=False)
-    p.add_argument("--layer", type=int)
-    p.add_argument("--unit", type=int, help="group index (frkan) or edge index (kan)")
-    p.add_argument("--samples", type=int)
-
-    for action in sub.choices.values():
-        action._negative_number_matcher = _RANGE_TOKEN
+        for key, spec in KEYS.items():
+            if command in spec.read.split():
+                _add_flag(p, key, spec)
     return parser
-
-
-_ARG_TO_KEY = {"range_": "range", "lambda_": "lambda"}
 
 
 def effective_config(args: argparse.Namespace) -> dict:
@@ -262,26 +201,14 @@ def effective_config(args: argparse.Namespace) -> dict:
         if not isinstance(file_cfg, dict):
             raise ValidationError(f"config file {path}: expected an object")
         for key, value in file_cfg.items():
-            if key not in CONFIG_DEFAULTS:
+            if key not in KEYS:
                 raise ValidationError(f"config file {path}: unknown key {key!r}")
             config[key] = value
-    for arg, value in vars(args).items():
-        if arg == "config" or value is None:
-            continue
-        key = _ARG_TO_KEY.get(arg, arg)
-        if key not in CONFIG_DEFAULTS:
-            continue
-        if key == "range" and isinstance(value, str):
-            value = _parse_range(value)
-        if key == "ranges" and value and isinstance(value[0], str):
-            value = [_parse_range(v) for v in value]
-        config[key] = value
-    config["command"] = args.command
-    if config["command"] not in COMMANDS:
-        raise ValidationError(f"unknown command {config['command']!r}")
-    for key, (ok, need) in KEY_CHECKS.items():
-        if not ok(config[key]):
-            raise ValidationError(f"{key}: need {need}, got {config[key]!r}")
+    config.update((key, value) for key, value in vars(args).items()
+                  if key in KEYS and value is not None)
+    for key, spec in KEYS.items():
+        if not spec.check.ok(config[key]):
+            raise ValidationError(f"{key}: need {spec.check.need}, got {config[key]!r}")
     # the smoothness penalty, computed on every training step, needs three
     # coefficients per spline: G + K of them
     arch = str(config["arch"])
@@ -415,8 +342,11 @@ def _knots_command(config) -> int:
             raise ValidationError(f"slice_dim: {d} out of range for d_in={net.d_in}")
         direction = np.zeros(net.d_in)
         direction[d] = 1.0
-    audit = audit_network_knots(net, direction=direction,
-                                samples=config["scan_samples"])
+    try:
+        audit = audit_network_knots(net, direction=direction,
+                                    samples=config["scan_samples"])
+    except NonFiniteValue as exc:   # the checkpoint's values overflow on the slice
+        raise ValidationError(f"checkpoint: {exc}") from None
     out = config["out"]
     _write_json(os.path.join(out, "knot_report.json"), audit.to_dict())
     print(f"knots: measured {audit.measured_interior} interior "
@@ -466,17 +396,17 @@ def _export_activation_command(config) -> int:
     net = _checkpoint_from(config, "export-activation")
     idx = config["layer"]
     if not 0 <= idx < len(net.modules):
-        raise IndexOutOfRange(f"layer: {idx} out of range (network has "
+        raise ValidationError(f"layer: {idx} out of range (network has "
                               f"{len(net.modules)} modules)")
     layer = net.modules[idx]
     if layer.kind not in SPLINE_KINDS:
-        raise IndexOutOfRange(f"layer: module {idx} ({layer.kind}) has no spline "
+        raise ValidationError(f"layer: module {idx} ({layer.kind}) has no spline "
                               "activation to export")
     # KAN units are edges i * d_out + o, FR-KAN units are groups
     groups = layer.spline_groups()
     unit = config["unit"]
     if not 0 <= unit < len(groups):
-        raise IndexOutOfRange(f"unit: {unit} out of range ({layer.kind} layer "
+        raise ValidationError(f"unit: {unit} out of range ({layer.kind} layer "
                               f"{idx} has {len(groups)} activations)")
     sg = groups[unit]
     if layer.kind == "frkan":
@@ -499,27 +429,26 @@ def _export_activation_command(config) -> int:
     return 0
 
 
-_DISPATCH = {
-    "train": _train_command,
-    "approx": _train_command,   # same pipeline; approx defaults to feynman RMSE
-    "knots": _knots_command,
-    "stability": _stability_command,
-    "paramcount": _paramcount_command,
-    "export-activation": _export_activation_command,
+# each command's help and function; approx is train's pipeline on the
+# feynman task (RMSE)
+COMMANDS = {
+    "train": ("train one model on a generated task", _train_command),
+    "approx": ("function-approximation benchmark run", _train_command),
+    "knots": ("audit breakpoints of a checkpoint", _knots_command),
+    "stability": ("grid-range stability experiment", _stability_command),
+    "paramcount": ("itemized parameter counts", _paramcount_command),
+    "export-activation": ("dump one activation curve to CSV", _export_activation_command),
 }
 
 
 def run(config: dict) -> int:
     """Validate, emit the effective config, and execute one command."""
-    from .knots import UnsupportedOrder
-
     try:
         if config["command"] == "approx":
             config["task"] = "feynman"
         _emit_config(config)
-        return _DISPATCH[config["command"]](config)
-    except (ValidationError, IndexOutOfRange, BadArchitecture, UnsupportedOrder,
-            ValueError) as exc:
+        return COMMANDS[config["command"]][1](config)
+    except (ValidationError, BadArchitecture, UnsupportedOrder, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

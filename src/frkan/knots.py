@@ -154,7 +154,7 @@ class BreakpointReport:
     merged: int               # candidates absorbed into a neighbour by the merge
     samples: int = 0
     refinement_depth: int = 0
-    flagged_samples: int = 0  # lattice points whose slope jump passed the threshold
+    flagged_samples: int = 0  # lattice points flagged, alone or as a pair
     clusters: int = 0         # runs of adjacent flagged points, one candidate each
     refinement_passes: int = 0  # stencil passes run, at most refinement_depth
     method: str = "scan"      # "exact": propagated pieces, no lattice ran
@@ -252,7 +252,19 @@ def scan_breakpoints(f, lo: float, hi: float, samples: int = DEFAULT_SAMPLES,
     thr = RELATIVE_SLOPE_THRESHOLD * max_slope
     tol = merge_tolerance if merge_tolerance is not None else RELATIVE_MERGE_TOLERANCE * (hi - lo)
 
-    flagged = np.flatnonzero(np.abs(np.diff(slopes)) > thr)
+    # a kink between two samples splits its jump over two adjacent second
+    # differences: a pair whose sum clears the threshold, though neither
+    # does alone, flags both when it stands alone, with both outer
+    # neighbours below half the threshold; a smooth curve whose second
+    # differences all sit between thr/2 and thr has no such pair
+    d2 = np.diff(slopes)
+    big = np.abs(d2) > thr
+    quiet = np.pad(np.abs(d2) < 0.5 * thr, 1, constant_values=True)
+    pair = ((np.abs(d2[:-1] + d2[1:]) > thr) & ~big[:-1] & ~big[1:]
+            & quiet[:-3] & quiet[3:])
+    big[:-1] |= pair
+    big[1:] |= pair
+    flagged = np.flatnonzero(big)
     c0, c1 = _runs(flagged)       # one candidate bracket [L, R] per run
     L, R = t[c0], t[c1 + 2]
     tau = 0.5 * (L + R)

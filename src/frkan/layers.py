@@ -676,6 +676,18 @@ def save_checkpoint(net: Network, path: str):
     os.replace(tmp, path)
 
 
+def _check_grid_sizes(G, K, coefficients, shifts=None):
+    """G and K against the arrays they size, before a grid of G intervals
+    is built: a huge G would allocate its knot row first."""
+    if not (_count(G) and _count(K)):
+        return   # the grid names the bad field
+    if shifts is not None and shifts.shape[-1:] != (G + 1,):
+        raise BadArchitecture(f"G: {G} contradicts the shifts' shape {shifts.shape}")
+    if coefficients.shape[-1:] != (G + K,):
+        raise BadArchitecture(f"G + K: {G + K} contradicts the coefficients' shape "
+                              f"{coefficients.shape}")
+
+
 def load_checkpoint(path: str) -> Network:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -697,27 +709,29 @@ def load_checkpoint(path: str) -> Network:
         kind = e.get("kind")
         try:
             if kind == "ln":
+                gamma, beta = _decode_array(e["gamma"], "gamma"), _decode_array(e["beta"], "beta")
+                # before LayerNorm allocates d_in entries
+                if gamma.shape != (e["d_in"],) or beta.shape != (e["d_in"],):
+                    raise CorruptCheckpoint(f"{label}: d_in: {e['d_in']!r} needs gamma and beta "
+                                            f"of shape ({e['d_in']!r},), got {gamma.shape}, "
+                                            f"{beta.shape}")
                 m = LayerNorm(e["d_in"])
-                m.gamma = _decode_array(e["gamma"], "gamma")
-                m.beta = _decode_array(e["beta"], "beta")
-                if m.gamma.shape != (m.d_in,) or m.beta.shape != (m.d_in,):
-                    raise CorruptCheckpoint(f"{label}: d_in: {m.d_in} needs gamma and beta of "
-                                            f"shape ({m.d_in},), got {m.gamma.shape}, {m.beta.shape}")
+                m.gamma, m.beta = gamma, beta
             elif kind in SPLINE_KINDS:
                 silu = e.get("silu", True)
                 if not isinstance(silu, bool):
                     raise CorruptCheckpoint(f"{label}: silu: need true or false, got {silu!r}")
+                coef = _decode_array(e["coefficients"], "coefficients")
+                shifts = _decode_array(e["shifts"], "shifts") if kind == "frkan" else None
+                _check_grid_sizes(e["G"], e["K"], coef, shifts)
                 if kind == "kan":
                     m = KANLayer(e["d_in"], e["d_out"],
-                                 make_uniform_grid(e["a"], e["b"], e["G"], e["K"]),
-                                 _decode_array(e["coefficients"], "coefficients"),
+                                 make_uniform_grid(e["a"], e["b"], e["G"], e["K"]), coef,
                                  _decode_array(e["A_b"], "A_b"),
                                  _decode_array(e["A_s"], "A_s"), silu_path=silu)
                 else:
                     m = FRKANLayer(e["d_in"], e["d_out"], e["h"], e["a"], e["b"],
-                                   e["G"], e["K"],
-                                   _decode_array(e["coefficients"], "coefficients"),
-                                   _decode_array(e["shifts"], "shifts"),
+                                   e["G"], e["K"], coef, shifts,
                                    _decode_array(e["A"], "A"), silu_path=silu)
             elif kind == "mlp":
                 m = MLPLayer(_decode_array(e["W"], "W"),

@@ -140,6 +140,26 @@ class TestScanBreakpoints:
         with pytest.raises(ValueError):
             scan_breakpoints(np.abs, -1, 1, samples=100)
 
+    def test_kink_midway_between_samples(self):
+        # the jump, 1.5x the threshold, splits into two second differences
+        # of 0.75x it; only their sum clears the threshold
+        t = np.linspace(-1, 1, 2_000)
+        tau = 0.5 * (t[1000] + t[1001])
+        f = _piecewise_linear([tau], [1.0, 1.0015], y0=-tau)
+        report = scan_breakpoints(f, -1, 1, samples=2_000)
+        assert report.interior_count == 1
+        assert report.flagged_samples == 2
+        np.testing.assert_allclose(report.positions, [tau], atol=1e-12)
+        np.testing.assert_allclose(report.positions, [0.0010005], atol=1e-7)
+        np.testing.assert_allclose(report.slope_jumps, [0.0015], rtol=1e-9)
+
+    def test_smooth_curvature_between_half_and_full_threshold_is_no_kink(self):
+        # every second difference of x**2 is about 0.67x the threshold, so
+        # every adjacent pair sums past it; none stands alone
+        report = scan_breakpoints(lambda x: x ** 2, -1, 1, samples=3_000)
+        assert report.interior_count == 0
+        assert report.flagged_samples == 0
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_detector_soundness_on_synthetic_functions(self, seed):
         rng = np.random.default_rng(seed)
@@ -599,8 +619,8 @@ class TestScannerCrossCheck:
 
     def test_random_family_misses_only_what_the_lattice_cannot_resolve(self):
         # A kink between two samples splits its jump over two lattice second
-        # differences, so the scanner is only sure to flag jumps of at least
-        # twice its threshold, and kinks a few samples apart share a cluster.
+        # differences, whose sum the scanner also tests, so it flags every
+        # jump above its threshold; kinks a few samples apart share a cluster.
         misses = found = 0
         for name, net, lo, hi in _random_family():
             exact = exact_breakpoints(net, lo, hi)
@@ -610,7 +630,7 @@ class TestScannerCrossCheck:
             inner = (pos > lo + tol) & (pos < hi - tol)
             gaps = np.diff(pos)
             spacing = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
-            resolvable = inner & (np.abs(jump) >= 2 * exact.slope_threshold) & (spacing > 4 * dt)
+            resolvable = inner & (np.abs(jump) > exact.slope_threshold) & (spacing > 4 * dt)
             got = _interior(scan)
             near = lambda p, others: others.size and np.min(np.abs(others - p)) <= tol
             assert all(near(p, pos) for p in got), f"{name}: a scanned breakpoint is not exact"
