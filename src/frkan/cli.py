@@ -150,8 +150,7 @@ KEYS = {
     "samples": Key(2000, _at_least(1), "export-activation"),
     "scan_samples": Key(200_000, _at_least(MIN_SAMPLES), "knots"),
     "normalize": Key(False, _SWITCH, _TRAINING, "normalize inputs by train statistics"),
-    # paramcount passes silu on, but no count depends on it: no flag there
-    "silu": Key(True, _SWITCH, _TRAINING, "drop the SiLU shortcut path"),
+    "silu": Key(True, _SWITCH, f"{_TRAINING} paramcount", "drop the SiLU shortcut path"),
     "layernorm": Key("auto", _one_of("auto", "off", "explicit"), f"{_TRAINING} paramcount",
                      "normalization placement (default auto)"),
 }

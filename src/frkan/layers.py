@@ -12,8 +12,8 @@ Two kinds of spline layer coexist:
 Both keep their grid -- [a, b], G and K -- in an immutable ``KnotVector``
 named ``kv``.  A KAN layer is the fixed-grid case: one knot set, the grid
 row ``kv.row``.  An FR-KAN layer shifts the grid once per group, by the
-rows of ``shifts`` through ``KnotVector.knot_matrix``.  ``knots()``
-returns a layer's effective knots, one row per knot set.
+rows of ``shifts``: its ``knot_plan()`` is built once per shift value and
+shared by ``knots()``, the forward pass and the shift gradient.
 
 Every layer computes its output in one place, ``forward_batch(X,
 cache=None)``, over a whole sample matrix.  Without a cache it serves
@@ -22,7 +22,7 @@ list, it appends what the layer's ``backward(cache, gY)`` needs; that
 pops the entry and returns the gradient for X and one gradient per
 parameter array, in ``param_arrays`` order, in closed form.  A cached
 spline layer evaluates its basis window over all its knot sets in one
-kernel call that keeps the levels for the backward pass.
+kernel call, one knot row per column block, keeping the levels.
 
 Training records the network on an autodiff tape.  Each layer's
 ``tape_forward`` is the one shared adapter ``_record_layer``: it runs
@@ -52,6 +52,7 @@ from .splines import (
     make_uniform_grid,
     scatter_window,
     spline_values,
+    window_bases,
 )
 
 CHECKPOINT_SCHEMA = 1
@@ -185,7 +186,7 @@ class KANLayer:
         nb = self.kv.n_bases
         return {
             "A_b": self.d_in * self.d_out,
-            "A_s": self.d_in * self.d_out,
+            "A_s": self.d_in * self.d_out if self.silu_path else 0,
             "coefficients": self.d_in * self.d_out * nb,
             # the combined spline-plus-weight convention counts (G+K+1) per edge
             "combined_spline_weight_estimate": self.d_in * self.d_out * (nb + 1),
@@ -207,28 +208,30 @@ class KANLayer:
         # Every edge leaving input i shares its basis row, so the dense basis
         # of all inputs, laid out (n, i*b), meets all edges in one matmul.
         x, nb = X.ravel(), self.kv.n_bases
+        E = self._edge_weights().reshape(-1, self.d_out)
+        S = _silu(X) if self.silu_path else None
         if cache is None:
             B = basis_matrix(x, self.knots()[0], self.kv.K)
         else:
             m, W, window_back = basis_window_on_tape(x, self.kv.row, self.kv.K)
             B, flat = scatter_window(x, m, W, nb)
-            cache.append((X, B, flat, window_back))
+            cache.append((X, B, flat, E, S, window_back))
         B = B.reshape(X.shape[0], self.d_in * nb)
-        out = B @ self._edge_weights().reshape(-1, self.d_out)
+        out = B @ E
         if self.silu_path:
-            out = out + _silu(X) @ self.A_s
+            out = out + S @ self.A_s
         return out
 
     def backward(self, cache, gO):
-        X, B, flat, window_back = cache.pop()
+        X, B, flat, E, S, window_back = cache.pop()
         shape = (self.d_in, self.kv.n_bases, self.d_out)
         gM = (B.reshape(len(X), -1).T @ gO).reshape(shape).transpose(0, 2, 1)  # (i, o, b)
-        gB = gO @ self._edge_weights().reshape(-1, self.d_out).T
+        gB = gO @ E.T
         gX = window_back(gB.ravel()[flat])[0].reshape(X.shape)
         gA_s = np.zeros_like(self.A_s)
         if self.silu_path:
             gX = gX + (gO @ self.A_s.T) * _silu_slope(X)
-            gA_s = _silu(X).T @ gO
+            gA_s = S.T @ gO
         return gX, [(gM * self.coefficients).sum(axis=2), gA_s, gM * self.A_b[:, :, None]]
 
     tape_forward = _record_layer
@@ -261,6 +264,7 @@ class FRKANLayer:
             raise BadArchitecture(f"shifts must be {(h, self.kv.G + 1)}")
         if self.A.shape != (d_in, d_out):
             raise BadArchitecture(f"A must be {(d_in, d_out)}")
+        self._plan = (None, None)   # the knot plan and the shifts it was built from
 
     def group_of(self, i):
         return i * self.h // self.d_in
@@ -281,31 +285,44 @@ class FRKANLayer:
             "shifts": self.h * (self.kv.G + 1),
         }
 
+    def knot_plan(self):
+        """``kv.knot_plan`` of the current shifts, read-only.  It is built
+        once per distinct shift value, cached on the shifts' contents, so an
+        update in place (``set_flat``) and a new array both rebuild it."""
+        key = (self.shifts.shape, self.shifts.tobytes())
+        if self._plan[0] != key:
+            plan = self.kv.knot_plan(self.shifts)
+            for a in plan:
+                a.flags.writeable = False
+            self._plan = (key, plan)
+        return self._plan[1]
+
     def knots(self) -> np.ndarray:
-        """Row g: the effective knots of group g."""
-        return self.kv.knot_matrix(self.shifts)
+        """Row g: the effective knots of group g (read-only)."""
+        return self.knot_plan()[0]
 
     def spline_groups(self):
         return [SplineGroup(self.kv, coef, shift)
                 for shift, coef in zip(self.shifts, self.coefficients)]
 
     def forward_batch(self, X, cache=None):
-        knots, K = self.knots(), self.kv.K
+        plan, K = self.knot_plan(), self.kv.K
         if cache is None:
-            # one kernel call per group: with ``rows`` the kernel runs a masked
-            # searchsorted per group over every row, which measured slower
-            # on the chunked 200k-row audit (152 against 98 ms)
+            # one kernel call per group: ``spline_values`` sums as it gathers,
+            # with no window or coefficient matrix (the chunked audit's path)
             pre = np.empty_like(X, dtype=float)
             for g in range(self.h):
                 cols = self.group_columns(g)
-                pre[:, cols] = spline_values(X[:, cols], knots[g], K, self.coefficients[g])
+                pre[:, cols] = spline_values(X[:, cols], plan[0][g], K, self.coefficients[g])
         else:
-            rows = np.tile(self.group_of(np.arange(self.d_in)), len(X))
-            m, W, window_back = basis_window_on_tape(X.ravel(), knots, K, rows)
+            # one knot row per column block: the group of each input column
+            rows = self.group_of(np.arange(self.d_in))
+            m, W, window_back = basis_window_on_tape(X, plan[0], K, rows)
             # window slots that name no basis are 0, so their coefficient
             # index is clipped onto a neighbour; terms sum left to right
             nb = self.kv.n_bases
-            flat = rows[:, None] * nb + np.clip(m[:, None] - K + np.arange(K + 1), 0, nb - 1)
+            flat = window_bases(m, nb, K).reshape(X.shape + (K + 1,)) + rows[:, None] * nb
+            flat = flat.reshape(-1, K + 1)
             c = self.coefficients.ravel()[flat]
             terms = W * c
             pre = terms[:, 0].copy()   # contiguous, so pre @ A sums as uncached
@@ -315,11 +332,11 @@ class FRKANLayer:
         if self.silu_path:
             pre += _silu(X)
         if cache is not None:
-            cache.append((X, knots, pre, flat, W, c, window_back))
+            cache.append((X, plan, pre, flat, W, c, window_back))
         return pre @ self.A
 
     def backward(self, cache, gO):
-        X, knots, pre, flat, W, c, window_back = cache.pop()
+        X, plan, pre, flat, W, c, window_back = cache.pop()
         gpre = gO @ self.A.T
         gy = gpre.reshape(-1, 1)
         gc = np.bincount(flat.ravel(), (gy * W).ravel(), minlength=self.coefficients.size)
@@ -328,7 +345,7 @@ class FRKANLayer:
         if self.silu_path:
             gX = gX + gpre * _silu_slope(X)
         return gX, [pre.T @ gO, gc.reshape(self.coefficients.shape),
-                    self.kv.shift_gradient(self.shifts, knots, gt)]
+                    self.kv.shift_gradient(plan, gt)]
 
     tape_forward = _record_layer
 

@@ -5,23 +5,23 @@ points per side extend the grid at the uniform spacing dg = (b-a)/G, for
 G+1+2K knots and G+K basis functions of order K.
 
 Free shifts: a ``KnotVector`` is an immutable grid that holds no shift.
-It builds its unshifted knot ``row`` once, and ``knot_matrix(shifts)``
-builds every shifted knot set from it, so each caller passes its shifts
-in: an FR-KAN layer one row per group, a ``SplineGroup`` its own shift.
+It builds its unshifted knot ``row`` once, and ``knot_plan(shifts)``
+builds every shifted knot set from it, with the clamp's sources that
+``shift_gradient`` reads, so each caller passes its shifts in: an FR-KAN
+layer one row per group (and caches the plan), a ``SplineGroup`` its own.
 A shift vector has one entry per base point (G+1 of them), but only
 interior base points actually move -- the two endpoint base points stay
 pinned at a and b so the basis partition of unity keeps holding on all
-of [a, b] no matter how the shifts train.  The shifted points are sorted
-together with the (fixed) extension points and consecutive gaps are
-clamped to a minimum, so effective knots are always strictly increasing.
+of [a, b] however the shifts train.  The shifted points are sorted with
+the extension points and gaps clamped, so knots strictly increase.
 
 Basis evaluation: one array kernel, ``_window_columns``, finds each
 input's knot span and evaluates only the K+1 bases that can be nonzero
 there (de Boor's local recursion, with the Cox-de Boor formulas and
 guards, so values are bit-identical to the full recursion).  It works in
-column form, one array per window slot, and gathers each level's
-denominators once: slot r's second denominator t[j+k+1] - t[j+1] is slot
-r+1's first.  It is the only level recursion here.  ``basis_window``
+column form, one array per window slot, gathers each level's denominators
+once (slot r's second is slot r+1's first), and reads its index tables,
+built once per knot count and order, from ``_tables``.  ``basis_window``
 stacks the columns into an (N, K+1) window, ``spline_values`` weights
 each column by its gathered coefficient and sums them, and
 ``basis_matrix`` is the window scattered into the dense (N, G+K) array
@@ -40,6 +40,7 @@ whole coefficient array and its closed-form gradient.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -74,7 +75,7 @@ class KnotVector:
     """A grid range [a, b], G intervals and order K: an immutable value.
 
     ``row`` holds the unshifted knots, built once at construction.
-    ``knot_matrix`` builds every shifted knot set from it; a shift is
+    ``knot_plan`` builds every shifted knot set from it; a shift is
     always passed in, never stored here.
     """
 
@@ -94,9 +95,13 @@ class KnotVector:
             raise InvalidRange(f"b: need b > a, got [{self.a!r}, {self.b!r}]")
         for name, cast in (("a", float), ("b", float), ("G", int), ("K", int)):
             object.__setattr__(self, name, cast(getattr(self, name)))
+        reach = self.K * self.dg    # the extension points reach a - reach and b + reach
+        if not all(map(math.isfinite, (self.b - self.a, self.a - reach, self.b + reach))):
+            raise InvalidRange(f"b: [{self.a!r}, {self.b!r}] with its {self.K} extension "
+                               "points per side overflows")
         left, right = self.extension_points()
         row = np.concatenate([left, self.base_points(), right])
-        # the clamp of knot_matrix leaves this row as it is: it is the
+        # the clamp of knot_plan leaves this row as it is: it is the
         # zero-shift knot set, bit for bit
         if np.any(row[1:] < self._floor(row[:-1])):
             raise InvalidRange(f"G: {self.G} intervals on [{self.a!r}, {self.b!r}] "
@@ -134,53 +139,51 @@ class KnotVector:
         gap, so a stored gap is at least min_gap."""
         min_gap = self.min_gap
         lo = prev + min_gap
-        return np.where(lo - prev < min_gap, np.nextafter(lo, np.inf), lo)
+        return np.nextafter(lo, np.inf, out=lo, where=lo - prev < min_gap)
 
-    def knot_matrix(self, shifts) -> np.ndarray:
-        """Effective knots, one row per row of a (rows, G+1) shift matrix.
+    def knot_plan(self, shifts):
+        """``(knots, moved, entry)``: the effective knots of a
+        (rows, G+1) shift matrix, one row per shift row, and what
+        ``shift_gradient`` needs of them.
 
         Interior base points of ``row`` move by their shift, and each row
         is sorted with the extension points.  Left to right, a knot below
         the ``_floor`` of its clamped predecessor is raised to it, and a
         NaN knot stays.  The chain runs down the columns for all rows at
-        once, from the first column it changes.
+        once, from the first column it changes.  A knot carries the point
+        the stable sort brings to it or, if raised, its predecessor's.
+        ``moved`` marks the knots that carry an interior base point, and
+        ``entry`` is the flat index of each one's shift in the shifts.
         """
-        t = self._points(shifts)
-        t.sort(axis=1)
+        K, G = self.K, self.G
+        points = np.repeat(self.row[None, :], len(shifts), axis=0)
+        points[:, K + 1:K + G] += np.asarray(shifts, dtype=float)[:, 1:-1]
+        order = np.argsort(points, axis=1, kind="stable")
+        ordered = np.sort(points, axis=1)
+        t = ordered.copy()
         low = np.flatnonzero((t[:, 1:] < self._floor(t[:, :-1])).any(axis=0))
         for i in range(low[0] + 1 if low.size else t.shape[1], t.shape[1]):
             lo = self._floor(t[:, i - 1])
             t[:, i] = np.where(t[:, i] < lo, lo, t[:, i])
-        return t
-
-    def _points(self, shifts):
-        """Each row of ``row`` with its interior base points moved by the
-        matching shift row: the points ``knot_matrix`` sorts."""
-        shifts = np.asarray(shifts, dtype=float)
-        t = np.tile(self.row, (len(shifts), 1))
-        t[:, self.K + 1:self.K + self.G] += shifts[:, 1:-1]
-        return t
-
-    def shift_gradient(self, shifts, knots, gknots):
-        """The gradient for a (rows, G+1) shift matrix, given the gradient
-        ``gknots`` for its knot matrix ``knots = knot_matrix(shifts)``.
-
-        Each knot sends its gradient, with one ``bincount``, to the shift
-        entry of the point the clamp chain carries to it after the stable
-        sort (the active-max derivative of the clamp); a knot carrying a
-        fixed point sends none.
-        """
-        K, G = self.K, self.G
-        points = self._points(shifts)
-        order = np.argsort(points, axis=1, kind="stable")
-        # a knot the clamp raised carries its predecessor's point
-        kept = knots == np.take_along_axis(points, order, axis=1)
-        carried = np.maximum.accumulate(np.where(kept, np.arange(knots.shape[1]), 0), axis=1)
-        source = np.take_along_axis(order, carried, axis=1)
+        carried = np.maximum.accumulate(np.where(t == ordered, np.arange(t.shape[1]), 0), axis=1)
+        source = order[np.arange(len(t))[:, None], carried]
         moved = (source > K) & (source < K + G)
         # point K + j of row r is moved by shift entry (r, j)
-        entry = (source - K + (G + 1) * np.arange(len(points))[:, None])[moved]
-        shape = (len(points), G + 1)
+        entry = (source - K + (G + 1) * np.arange(len(t))[:, None])[moved]
+        return t, moved, entry
+
+    def knot_matrix(self, shifts) -> np.ndarray:
+        """The effective knots of ``knot_plan``."""
+        return self.knot_plan(shifts)[0]
+
+    def shift_gradient(self, plan, gknots):
+        """The gradient for a (rows, G+1) shift matrix, given the gradient
+        ``gknots`` for the knots of its ``knot_plan``: each knot sends its
+        gradient, with one ``bincount``, to the shift that moves the point
+        it carries (the active-max derivative of the clamp); a knot
+        carrying a fixed point sends none."""
+        _, moved, entry = plan
+        shape = (len(gknots), self.G + 1)
         return np.bincount(entry, gknots[moved], minlength=shape[0] * shape[1]).reshape(shape)
 
     def assert_sorted(self, knots):
@@ -213,16 +216,36 @@ def init_shift(kv: KnotVector, Z: float, seed) -> np.ndarray:
 # -- basis evaluation --------------------------------------------------------
 
 
-def _window_columns(x: np.ndarray, t: np.ndarray, K: int, levels=None, rows=None):
-    """``basis_window`` in column form: ``(m, [K+1 arrays])``; x flat, K >= 1.
+@functools.lru_cache(maxsize=64)
+def _tables(n_knots: int, K: int):
+    """The kernel's read-only index tables for rows of n_knots knots:
+    ``pad``, the knot at each padded index p = j + K (K edge copies per
+    side), and at row m + 1 (row 0: no span) ``valid``, whether each window
+    slot of span m names a basis, and ``bases``, that basis clipped."""
+    pad = np.clip(np.arange(-K, n_knots + K), 0, n_knots - 1)
+    slots = np.arange(-1, n_knots - 1)[:, None] - K + np.arange(K + 1)
+    n_bases = n_knots - K - 1
+    valid = (slots >= 0) & (slots < n_bases)
+    bases = np.clip(slots, 0, n_bases - 1)
+    for a in (pad, valid, bases):
+        a.flags.writeable = False
+    return pad, valid, bases
 
-    With ``rows``, ``t`` is an (h, n_knots) knot matrix and input n uses
-    row ``rows[n]``.  Passed a list, ``levels`` receives one entry per
-    level k for ``window_backward``: its k denominators, its left and
-    right ratios (one per denominator) and the level below.
+
+def _window_columns(x: np.ndarray, t: np.ndarray, K: int, levels=None, rows=None):
+    """``basis_window`` in column form: ``(m, [K+1 arrays])``, flat; K >= 1.
+
+    Without ``rows``, ``x`` is flat and ``t`` one knot row.  With ``rows``,
+    ``t`` is an (h, n_knots) knot matrix and input n uses row ``rows[n]``;
+    ``rows`` may also be one entry per column of a 2-D ``x``, which finds
+    the spans of each knot row's column block at once.  Passed a list,
+    ``levels`` receives one entry per level k for ``window_backward``: its
+    k denominators, its left and right ratios (one per denominator) and
+    the level below.
     """
     n_knots = t.shape[-1]
     n_bases = n_knots - K - 1
+    pad, valid, _ = _tables(n_knots, K)
     if rows is None:
         m = np.searchsorted(t, x, side="right") - 1
         first = t[0]
@@ -230,19 +253,19 @@ def _window_columns(x: np.ndarray, t: np.ndarray, K: int, levels=None, rows=None
         m = np.empty(x.shape, dtype=np.intp)
         for g, row in enumerate(t):
             at = rows == g
-            m[at] = np.searchsorted(row, x[at], side="right") - 1
+            m[..., at] = np.searchsorted(row, x[..., at], side="right") - 1
         first = t[rows, 0]
     inside = (m >= 0) & (m < n_knots - 1)
     m = np.where(inside, m, -1)
-    # Knots padded with K edge copies per side: padded index p = j + K, so
-    # every window index is in bounds.  Padded knots only reach window
-    # slots that name no basis, which are zeroed at the end.  Padded rows
+    # Padded knots only reach window slots that name no basis, which are
+    # zeroed at the end, and every window index is in bounds.  Padded rows
     # lie end to end, and no window reaches into the next row.
-    tp = t[..., np.clip(np.arange(-K, n_knots + K), 0, n_knots - 1)].ravel()
+    tp = t[..., pad].ravel()
     base = np.maximum(m, 0)
     if rows is not None:
         base += rows * (n_knots + 2 * K)
-    xs = np.where(inside, x, first)
+    xs = np.where(inside, x, first).ravel()
+    x, m, base = x.ravel(), m.ravel(), base.ravel()
     # Window knot p is tp[base + p], and x lies in [knot K, knot K+1):
     # left[p] = x - knot p for 1 <= p <= K, right[q] = knot K+1+q - x for
     # q < K.  No level reads left[0] or right[K].
@@ -280,32 +303,32 @@ def _window_columns(x: np.ndarray, t: np.ndarray, K: int, levels=None, rows=None
             levels.append((den, lo, ro, W))
         W = nxt
     # Only rows outside the span or in its first or last K spans hold slots
-    # that name no basis.  valid[m + 1, r]: slot r of span m names a basis
-    # (row 0: no span).
+    # that name no basis; non-finite x has no span (m = -1).
     edge = np.flatnonzero((m < K) | (m > n_bases - 1))
-    cols = np.arange(-1, n_knots - 1)[:, None] - K + np.arange(K + 1)
-    valid = ((cols >= 0) & (cols < n_bases))[m[edge] + 1]
-    bad = edge[~np.isfinite(x[edge])]   # non-finite x has no span: m = -1
-    for r, w in enumerate(W):
-        w[edge] *= valid[:, r]
-        w[bad] = np.nan
+    if edge.size:
+        named = valid[m[edge] + 1]
+        bad = edge[~np.isfinite(x[edge])]
+        for r, w in enumerate(W):
+            w[edge] *= named[:, r]
+            w[bad] = np.nan
     return m, W
 
 
-def window_backward(levels, K: int, gW):
+def window_backward(levels, K: int, gW, knots=True):
     """The levels of ``_window_columns`` run in reverse.
 
     ``gW`` is the gradient of the window, shaped (..., K+1, N), with any
     leading seed axes; a slot the kernel zeroed (one that names no basis,
     or a row outside the span) must have zero gradient.  Returns
     ``(gx, gT)``: the gradient for x, shaped (..., N), and for the padded
-    window knots 0..2K+1, shaped (..., 2K+2, N).  A ratio (x - knot p)/D
-    or (knot p+k - x)/D with D = knot p+k - knot p sends its gradient to
-    x, to both knots and, through D, to both knots again.  A guarded
+    window knots 0..2K+1, shaped (..., 2K+2, N), or None without
+    ``knots`` (a fixed grid), which skips that half.  A ratio (x - knot
+    p)/D or (knot p+k - x)/D with D = knot p+k - knot p sends its gradient
+    to x, to both knots and, through D, to both knots again.  A guarded
     denominator is inf, so its terms send nothing.
     """
     gx = 0.0
-    gT = np.zeros(gW.shape[:-2] + (2 * K + 2, gW.shape[-1]))
+    gT = np.zeros(gW.shape[:-2] + (2 * K + 2, gW.shape[-1])) if knots else None
     for k in range(K, 0, -1):
         # (k, N) arrays; the order-0 level below level 1 is [1.0]
         den, lo, ro, W = (np.asarray(v) for v in levels[k - 1])
@@ -313,10 +336,11 @@ def window_backward(levels, K: int, gW):
         # denominator j's left ratio feeds slot j+1, its right ratio slot j
         g_hi, g_lo = gW[..., 1:, :], gW[..., :-1, :]
         ai, bi = g_hi * wi, g_lo * wi
-        gd = ai * lo + bi * ro      # minus the gradient for D
         gx = gx + (ai - bi).sum(axis=-2)
-        gT[..., K - k + 1:K + 1, :] += gd - ai
-        gT[..., K + 1:K + k + 1, :] += bi - gd
+        if knots:
+            gd = ai * lo + bi * ro      # minus the gradient for D
+            gT[..., K - k + 1:K + 1, :] += gd - ai
+            gT[..., K + 1:K + k + 1, :] += bi - gd
         gW = g_hi * lo + g_lo * ro
     return gx, gT
 
@@ -342,15 +366,20 @@ def scatter_window(x: np.ndarray, m: np.ndarray, W: np.ndarray, n_bases: int):
     """The (N, K+1) window ``W`` of spans ``m`` scattered into the dense
     (N, n_bases) basis, and the flat index in it of each window slot;
     rows with non-finite x are NaN."""
-    K = W.shape[1] - 1
     # Window slots that name no basis hold 0, so clipping them onto a
     # neighbouring column and summing leaves every basis value unchanged.
-    cols = np.clip(m[:, None] - K + np.arange(K + 1), 0, n_bases - 1)
+    cols = window_bases(m, n_bases, W.shape[1] - 1)
     flat = cols + np.arange(0, x.size * n_bases, n_bases)[:, None]
     B = np.bincount(flat.ravel(), W.ravel(), minlength=x.size * n_bases)
     B = B.reshape(x.size, n_bases).astype(float, copy=False)  # int when x is empty
     B[~np.isfinite(x)] = np.nan
     return B, flat
+
+
+def window_bases(m: np.ndarray, n_bases: int, K: int) -> np.ndarray:
+    """The (N, K+1) basis index of each window slot of spans ``m``, with a
+    slot that names no basis clipped into range."""
+    return _tables(n_bases + K + 1, K)[2][m + 1]
 
 
 def basis_matrix(x: np.ndarray, knots: np.ndarray, K: int) -> np.ndarray:
@@ -363,17 +392,19 @@ def basis_matrix(x: np.ndarray, knots: np.ndarray, K: int) -> np.ndarray:
 
 
 def basis_window_on_tape(x: np.ndarray, t: np.ndarray, K: int, rows=None):
-    """``basis_window`` of every flat input ``x`` at once, and its backward.
+    """``basis_window`` of every input ``x`` at once, and its backward.
 
-    ``t`` is one knot row, or with ``rows`` an (h, n_knots) knot matrix
-    whose row ``rows[n]`` input n uses.  One ``_window_columns`` call,
-    keeping its levels, gives ``m`` as in ``basis_window`` and the (M, K+1)
-    window ``W``.  Returns ``(m, W, backward)``.  ``backward(gW)`` zeroes
-    the gradient of every slot that names no basis (all slots of a row
-    outside the span), runs ``window_backward`` and returns ``(gx, gt)``:
-    window knots 1..2K send their gradient to their knot of the knot
-    matrix, with one ``bincount``, and ``gt`` is shaped like ``t``.  A
-    single knot row is a fixed grid, and its ``gt`` is None.
+    ``t`` is one knot row and ``x`` flat, or with ``rows`` an (h, n_knots)
+    knot matrix, input (or column) n using row ``rows[n]`` as in
+    ``_window_columns``.  One ``_window_columns`` call, keeping its
+    levels, gives ``m`` as in ``basis_window`` and the (M, K+1) window
+    ``W`` over the flat inputs.  Returns ``(m, W, backward)``.
+    ``backward(gW)`` zeroes the gradient of every slot that names no basis
+    (all slots of a row outside the span), runs ``window_backward`` and
+    returns ``(gx, gt)``: window knots 1..2K send their gradient to their
+    knot of the knot matrix, with one ``bincount``, and ``gt`` is shaped
+    like ``t``.  A single knot row is a fixed grid: its ``gt`` is None, and
+    the knots' half of ``window_backward`` is skipped.
 
     The function keeps its name because the benchmark's tracer
     (``bench/benchlib/trace.py``) times it on every training step; the name
@@ -382,16 +413,15 @@ def basis_window_on_tape(x: np.ndarray, t: np.ndarray, K: int, rows=None):
     levels = []
     m, W = _window_columns(x, t, K, levels, rows)
     n_knots = t.shape[-1]
-    slot = m - K + np.arange(K + 1)[:, None]
-    used = (slot >= 0) & (slot < n_knots - K - 1)
+    pad, valid, _ = _tables(n_knots, K)
 
     def backward(gW):
-        gx, gT = window_backward(levels, K, gW.T * used)
+        gx, gT = window_backward(levels, K, gW.T * valid[m + 1].T, rows is not None)
         if rows is None:
             return gx, None
-        # window knot p of input n is knot base + p - K of its row, edge copies beyond
-        knot = np.clip(np.maximum(m, 0) + np.arange(1 - K, K + 1)[:, None], 0, n_knots - 1)
-        knot += rows * n_knots
+        # window knot p of input n is padded position max(m, 0) + p of its row
+        knot = pad.take(np.maximum(m, 0) + np.arange(1, 2 * K + 1)[:, None])
+        knot = knot.reshape((2 * K,) + np.shape(x)) + rows * n_knots
         gt = np.bincount(knot.ravel(), gT[1:-1].ravel(), minlength=t.size)
         return gx, gt.reshape(t.shape)
 
@@ -452,20 +482,23 @@ def spline_eval(x, sg: SplineGroup):
 # -- smoothness penalty -------------------------------------------------------
 
 
-def second_difference_penalty(c, dg: float):
+def second_difference_penalty(c, dg: float, gradient=True):
     """The smoothness penalty of coefficient rows and its gradient.
 
     P sums ((c[j-1] - 2 c[j] + c[j+1]) / dg^2)^2 along the last axis of
     ``c`` and over every row.  It is zero exactly when each row is affine
     in j and positive otherwise, and drives the learned splines toward a
     continuous second derivative.  Returns ``(P, dP/dc)``, where
-    dP/dc = 2 D^T D c / dg^4 for the second-difference operator D.
+    dP/dc = 2 D^T D c / dg^4 for the second-difference operator D, or
+    ``(P, None)`` without ``gradient``.
     """
     c = np.asarray(c, dtype=float)
     if c.shape[-1] < 3:
         raise TooFewCoefficients(f"need at least 3 coefficients, got {c.shape[-1]}")
     dg2 = dg ** 2
     d2 = (c[..., :-2] - 2.0 * c[..., 1:-1] + c[..., 2:]) / dg2
+    if not gradient:
+        return float(np.sum(d2 * d2)), None
     w = d2 * (2.0 / dg2)
     grad = np.zeros_like(c)
     grad[..., :-2] += w

@@ -96,18 +96,20 @@ def _tape_task_loss(tape: Tape, net: Network, X, y, task: str) -> np.ndarray:
     return tape.record("loss (cross-entropy)", sample, [Z], vjp)
 
 
-def smoothness_penalty(net: Network):
-    """The smoothness penalty summed over every spline group, and its
-    gradient laid out like ``net.get_flat()``."""
-    total, grads = 0.0, []
+def smoothness_penalty(net: Network, lam: float = 1.0):
+    """The smoothness penalty summed over every spline group, and lam
+    times its gradient laid out like ``net.get_flat()``; with lam = 0 no
+    gradient is computed, and None stands for it."""
+    total, off = 0.0, 0
+    grad = np.zeros(net.n_params()) if lam else None
     for m, name, arr in net.param_arrays():
         if m.kind in SPLINE_KINDS and name == "coefficients":
-            p, g = second_difference_penalty(arr, m.kv.dg)
+            p, g = second_difference_penalty(arr, m.kv.dg, grad is not None)
             total += p
-            grads.append(g.ravel())
-        else:
-            grads.append(np.zeros(arr.size))
-    return total, np.concatenate(grads)
+            if grad is not None:
+                grad[off:off + arr.size] = lam * g.ravel()
+        off += arr.size
+    return total, grad
 
 
 def regularized_loss(net: Network, X: np.ndarray, y: np.ndarray, lam: float,
@@ -121,7 +123,7 @@ def regularized_loss(net: Network, X: np.ndarray, y: np.ndarray, lam: float,
     if X.shape[0] == 0:
         raise EmptySplit("empty batch")
     tape = Tape()
-    penalty, penalty_grad = smoothness_penalty(net)
+    penalty, penalty_grad = smoothness_penalty(net, lam)
     # the tape checks every value and gradient
     with np.errstate(over="ignore", invalid="ignore"):
         samples = _tape_task_loss(tape, net, X, y, task)
@@ -129,7 +131,9 @@ def regularized_loss(net: Network, X: np.ndarray, y: np.ndarray, lam: float,
         loss = task_loss + lam * penalty
         if not np.isfinite(loss):
             raise NonFiniteValue(f"loss is {loss!r}")
-        grads = tape.gradient_vector(samples, penalty_grad.size) + lam * penalty_grad
+        grads = tape.gradient_vector(samples, net.n_params())
+        if penalty_grad is not None:
+            grads += penalty_grad
     if not np.all(np.isfinite(grads)):
         raise NonFiniteGradient("penalty gradient is not finite")
     return loss, grads, {"task_loss": task_loss, "penalty": penalty}
@@ -290,7 +294,7 @@ def train(net: Network, data: DatasetSplit, config: TrainConfig,
 
 def penalty_total(net: Network) -> float:
     """Current smoothness penalty summed over every spline group."""
-    return smoothness_penalty(net)[0]
+    return smoothness_penalty(net, 0.0)[0]
 
 
 def grid_range_experiment(ranges, depth: int, steps: int, seed: int,

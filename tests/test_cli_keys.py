@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frkan.cli import build_parser, effective_config, main
@@ -47,7 +47,7 @@ class TestFlagsFollowTheReadSets:
                                       ["train", "--layer", "0"],
                                       ["paramcount", "--model", "kan"],
                                       ["paramcount", "--arch", "in:2 -> kan:3 -> out:1",
-                                       "--no-silu"]])
+                                       "--epochs", "3"]])
     def test_a_flag_the_command_does_not_read_exits_1(self, tmp_path, argv):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 1
         assert not (tmp_path / "o").exists()
@@ -59,6 +59,14 @@ class TestFlagsFollowTheReadSets:
                    "--layernorm", layernorm, "--out", str(out)])
         assert rc == 0
         assert json.loads((out / "param_count.json").read_text())["total"] == total
+
+    @pytest.mark.parametrize("flags,a_s,total", [([], 9, 225), (["--no-silu"], 0, 216)])
+    def test_paramcount_counts_A_s_only_with_the_silu_path(self, tmp_path, flags, a_s, total):
+        out = tmp_path / "pc"
+        assert main(["paramcount", "--arch", "in:2 -> kan:3 -> out:1", *flags,
+                     "--out", str(out)]) == 0
+        counts = json.loads((out / "param_count.json").read_text())
+        assert (counts["totals"]["A_s"], counts["total"]) == (a_s, total)
 
     def test_reversed_ranges_name_ranges(self, tmp_path, capsys):
         rc = main(["stability", "--ranges", "5,1", "--out", str(tmp_path / "s")])
@@ -120,8 +128,10 @@ _TARGETS = [(n, path) for n, doc in enumerate(_DOCS) for path in
             + [("layers", i, name, "shape") for i, e in enumerate(doc["layers"])
                for name, v in e.items() if isinstance(v, dict)]]
 _INTS = st.integers(-3, 12) | st.sampled_from([10**9, 10**9 + 7, 10**15, -10**15, 2**63])
+# the largest floats, where a grid's width or extension overflows
 _VALUES = (st.none() | st.booleans() | _INTS | st.floats() | st.text(max_size=6)
-           | st.lists(_INTS, max_size=4) | st.just({}))
+           | st.lists(_INTS, max_size=4) | st.just({})
+           | st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308]))
 
 
 def _run_both(doc, tmp):
@@ -168,6 +178,8 @@ class TestMutatedCheckpoints:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(target=st.sampled_from(_TARGETS), value=_VALUES)
+    @example(target=(0, ("layers", 0, "a")), value=-1.7976931348623157e308)
+    @example(target=(0, ("layers", 1, "b")), value=1.7976931348623157e308)
     def test_no_mutation_exits_2(self, target, value):
         n, path = target
         doc = copy.deepcopy(_DOCS[n])

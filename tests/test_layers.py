@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frkan import splines
+from frkan import splines, training
 from frkan.autodiff import Tape
 from frkan.layers import (
     EVAL_CHUNK_ROWS,
@@ -32,8 +32,9 @@ from frkan.layers import (
     save_checkpoint,
     sum_outputs,
 )
-from frkan.splines import init_shift, make_uniform_grid
-from frkan.training import regularized_loss
+from frkan.splines import KnotVector, init_shift, make_uniform_grid
+from frkan.tasks import generate_feynman
+from frkan.training import TrainConfig, regularized_loss, train
 
 
 def _silu(x):
@@ -401,9 +402,9 @@ class TestOneRecordPerLayerOperation:
             ops.append(op)
             return record(tape, op, *args, **kwargs)
 
-        def spy_backward(levels, K, gW):
+        def spy_backward(levels, K, gW, knots=True):
             seen.append(gW.shape)
-            return backward(levels, K, gW)
+            return backward(levels, K, gW, knots)
 
         with mock.patch.object(Tape, "record", spy_record), \
                 mock.patch.object(splines, "window_backward", spy_backward):
@@ -413,6 +414,143 @@ class TestOneRecordPerLayerOperation:
         # the reverse sweep meets the spline layers last to first
         assert seen == [(m.kv.K + 1, n * m.d_in) for m in net.modules[::-1]
                         if m.kind in ("kan", "frkan")]
+
+
+def _cached_forward(net, X):
+    Y, cache = X, []
+    for m in net.modules:
+        Y = m.forward_batch(Y, cache)
+    return Y
+
+
+@st.composite
+def _stacks_and_updates(draw):
+    """A random KAN/FR-KAN/MLP/LayerNorm stack with at least one FR-KAN
+    layer (K 1-3, h 1-3), and a sequence of parameter updates."""
+    K, G, h = draw(st.integers(1, 3)), draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(["kan", "frkan", "mlp", "ln"]), max_size=2))
+    kinds.insert(draw(st.integers(0, len(kinds))), "frkan")
+    tokens = [k if k == "ln" else f"{k}:{draw(st.integers(1, 3))}" for k in kinds]
+    desc = " -> ".join([f"in:{draw(st.integers(1, 3))}"] + tokens + ["mlp:1"])
+    net = init_network(desc, GridConfig(G=G, K=K, a=-1.0, b=1.0, h=h),
+                       seed=draw(st.integers(0, 99)), layernorm="explicit")
+    updates = draw(st.lists(st.sampled_from(["clamp", "shift", "coefficients", "rebind"]),
+                            min_size=1, max_size=5))
+    return net, updates, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _update(net, kind, rng):
+    """One update: through ``set_flat``, except ``rebind``, which gives an
+    FR-KAN layer a new shift array."""
+    layer = rng.choice([m for m in net.modules if m.kind == "frkan"])
+    if kind == "rebind":
+        layer.shifts = layer.shifts + rng.normal(scale=0.2 * layer.kv.dg,
+                                                 size=layer.shifts.shape)
+        return layer
+    flat, off = net.get_flat(), 0
+    target = "coefficients" if kind == "coefficients" else "shifts"
+    for m, name, arr in net.param_arrays():
+        if m is layer and name == target:
+            view = flat[off:off + arr.size].reshape(arr.shape)
+            if kind == "clamp":   # base point 1 lands on base point 2
+                view[:] = layer.kv.dg * rng.integers(-2, 3, size=arr.shape)
+                view[:, 1:3] = [layer.kv.dg, 0.0]
+            else:
+                view += rng.normal(scale=0.1 * (layer.kv.dg if name == "shifts" else 1.0),
+                                   size=arr.shape)
+        off += arr.size
+    net.set_flat(flat)
+    return layer
+
+
+class TestKnotPlanFollowsTheShifts:
+    """An FR-KAN layer builds its knot plan once per shift value; every
+    kind of update invalidates it, so the network reads as a fresh copy."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_stacks_and_updates())
+    def test_updates_match_a_fresh_copy(self, tmp_path_factory, case):
+        net, updates, seed = case
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-2.0, 2.0, size=(7, net.d_in))
+        y = rng.normal(size=7)
+        path = str(tmp_path_factory.mktemp("plan") / "net.json")
+        for kind in updates:
+            net.forward_batch(X)          # the old plan is cached here
+            layer = _update(net, kind, rng)
+            assert kind != "clamp" or np.diff(layer.knots()).min() < 1.5 * layer.kv.min_gap
+            save_checkpoint(net, path)
+            fresh = load_checkpoint(path)
+            for m, f in zip(net.spline_layers(), fresh.spline_layers()):
+                assert m.knots().tobytes() == f.knots().tobytes()
+                with pytest.raises(ValueError):
+                    m.knots()[0, 0] = 0.0
+            assert net.forward_batch(X).tobytes() == fresh.forward_batch(X).tobytes()
+            assert _cached_forward(net, X).tobytes() == _cached_forward(fresh, X).tobytes()
+            for lam in (0.0, 1e-3):
+                loss, g, _ = regularized_loss(net, X, y, lam)
+                want, want_g, _ = regularized_loss(fresh, X, y, lam)
+                assert loss == want and g.tobytes() == want_g.tobytes()
+
+
+class TestFixedCostPerStep:
+    """What a training step builds, counted by spies rather than timed."""
+
+    def _net_and_data(self, desc):
+        net = init_network(desc, GridConfig(G=6, K=3, a=-2.0, b=2.0, h=2), seed=3,
+                           layernorm="off")
+        return net, generate_feynman("I.6.2", 120, seed=3)
+
+    def test_a_step_builds_each_knot_plan_once_in_the_sorted_check(self):
+        net, data = self._net_and_data("in:2 -> frkan:4 -> frkan:3 -> out:1")
+        phase, built = ["start"], []
+        plan, check, loss = KnotVector.knot_plan, Network.assert_knots_sorted, \
+            training.regularized_loss
+
+        def spy_plan(kv, shifts):
+            built.append(phase[0])
+            return plan(kv, shifts)
+
+        def in_phase(name, fn):
+            def run(*args, **kwargs):
+                phase[0] = name
+                return fn(*args, **kwargs)
+            return run
+
+        steps = 4
+        with mock.patch.object(KnotVector, "knot_plan", spy_plan), \
+                mock.patch.object(Network, "assert_knots_sorted", in_phase("check", check)), \
+                mock.patch.object(training, "regularized_loss", in_phase("loss", loss)):
+            record, _ = train(net, data, TrainConfig(batch_size=16, max_steps=steps, lam=1e-3))
+        assert len(record.steps) == steps
+        # the first loss builds the initial plans; after that only the check builds
+        layers = len(net.spline_layers())
+        assert built == ["loss"] * layers + ["check"] * layers * steps
+
+    @pytest.mark.parametrize("desc", ["in:2 -> frkan:4 -> out:1", "in:2 -> kan:3 -> out:1"])
+    def test_a_backward_sorts_nothing_and_a_fixed_grid_gets_no_knot_gradient(self, desc):
+        net, data = self._net_and_data(desc)
+        X, y = data.split("train")
+        net.assert_knots_sorted()
+        sorts, calls = [], []
+        argsort, backward = np.argsort, splines.window_backward
+
+        def spy_argsort(*args, **kwargs):
+            sorts.append(1)
+            return argsort(*args, **kwargs)
+
+        def spy_backward(levels, K, gW, knots=True):
+            gx, gT = backward(levels, K, gW, knots)
+            full = backward(levels, K, gW, True)
+            calls.append((knots, gT is None, gx.tobytes() == full[0].tobytes()))
+            return gx, gT
+
+        with mock.patch.object(np, "argsort", spy_argsort), \
+                mock.patch.object(splines, "window_backward", spy_backward):
+            regularized_loss(net, X[:16], y[:16], 1e-3)
+        assert sorts == []
+        fixed = net.modules[0].kind == "kan"
+        assert calls == [(not fixed, fixed, True)] * len(net.modules)
 
 
 class TestSumOutputs:

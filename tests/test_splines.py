@@ -362,12 +362,12 @@ class TestTapeSpline:
 
         def f(params):
             x, c, shifts = params[:1], params[1:1 + nb], params[None, 1 + nb:]
-            knots = kv.knot_matrix(shifts)
-            m, W, backward = basis_window_on_tape(x, knots, K, np.zeros(1, dtype=np.intp))
+            plan = kv.knot_plan(shifts)
+            m, W, backward = basis_window_on_tape(x, plan[0], K, np.zeros(1, dtype=np.intp))
             idx = np.clip(m[:, None] - K + np.arange(K + 1), 0, nb - 1)
             gx, gt = backward(c[idx])
             gc = np.bincount(idx.ravel(), W.ravel(), minlength=nb)
-            gs = kv.shift_gradient(shifts, knots, gt)
+            gs = kv.shift_gradient(plan, gt)
             return (W * c[idx]).sum(), np.concatenate([gx, gc, gs.ravel()])
 
         return f
@@ -442,7 +442,7 @@ class TestTapeSpline:
         m, _, backward = basis_window_on_tape(x, knots[None, :], 1, np.zeros(x.size, dtype=int))
         gW = np.random.default_rng(0).normal(size=(2, x.size))
         _, gt = backward(gW.T)
-        gs = kv.shift_gradient(shifts, knots[None, :], gt)
+        gs = kv.shift_gradient(kv.knot_plan(shifts), gt)
         levels = []
         _window_columns(x, knots, 1, levels)
         _, gT = window_backward(levels, 1, gW)
@@ -547,6 +547,13 @@ class TestKnotMatrix:
         # a spacing of 1/24 next to 1e15, whose float spacing is 0.125
         with pytest.raises(InvalidRange, match="G:"):
             make_uniform_grid(1e15, 1e15 + 1.0, 24, 1)
+
+    @pytest.mark.parametrize("a,b,G,K", [(-1.7976931348623157e308, 1.0, 10, 1),
+                                         (-1.0, 1.7976931348623157e308, 10, 1),
+                                         (-1.79e308, -1e308, 1, 1)])
+    def test_an_overflowing_width_or_extension_names_b(self, a, b, G, K):
+        with pytest.raises(InvalidRange, match="^b: "):
+            make_uniform_grid(a, b, G, K)
 
     def test_knot_matrix_gaps_are_checked_per_row(self):
         kv = make_uniform_grid(0.0, 1.0, 4, 1)
