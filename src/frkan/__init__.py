@@ -12,8 +12,6 @@ from .splines import (
     SplineGroup,
     TooFewCoefficients,
     basis_matrix,
-    basis_window,
-    coeff_second_difference_penalty,
     init_shift,
     make_uniform_grid,
     spline_eval,

@@ -37,11 +37,6 @@ class NonFiniteGradient(AutodiffError):
     """A gradient came out NaN/Inf during backward."""
 
 
-# Below this magnitude the spline kernel treats a denominator as 0 and its
-# term as 0 (the 0/0 := 0 convention) instead of dividing.
-DIVIDING_FLOOR = 1e-12
-
-
 def _ids(a) -> np.ndarray:
     return np.asarray(a, dtype=np.intp)
 

@@ -41,7 +41,6 @@ interior breakpoints whose jump is nonzero at any size.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import floor
 
@@ -500,9 +499,6 @@ class KnotAudit:
         doc["pass"] = self.passed
         doc["checks"] = {"lower_ok": self.lower_ok, "upper_ok": self.upper_ok}
         return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def network_bounds(net: Network) -> BoundResult:

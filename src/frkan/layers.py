@@ -89,9 +89,11 @@ def _silu(x: np.ndarray) -> np.ndarray:
     return x * _sigmoid(x)
 
 
-def _silu_slope(x: np.ndarray) -> np.ndarray:
-    """The derivative of silu: sigmoid(x) (1 + x (1 - sigmoid(x)))."""
-    s = _sigmoid(x)
+def _silu_slope(x: np.ndarray, s=None) -> np.ndarray:
+    """The derivative of silu: sigmoid(x) (1 + x (1 - sigmoid(x))); ``s``
+    is sigmoid(x) when the caller has it."""
+    if s is None:
+        s = _sigmoid(x)
     return s * (1.0 + x * (1.0 - s))
 
 
@@ -209,13 +211,15 @@ class KANLayer:
         # of all inputs, laid out (n, i*b), meets all edges in one matmul.
         x, nb = X.ravel(), self.kv.n_bases
         E = self._edge_weights().reshape(-1, self.d_out)
-        S = _silu(X) if self.silu_path else None
+        # the backward reads the SiLU's sigmoid too
+        s = _sigmoid(X) if self.silu_path else None
+        S = X * s if self.silu_path else None
         if cache is None:
             B = basis_matrix(x, self.knots()[0], self.kv.K)
         else:
             m, W, window_back = basis_window_on_tape(x, self.kv.row, self.kv.K)
             B, flat = scatter_window(x, m, W, nb)
-            cache.append((X, B, flat, E, S, window_back))
+            cache.append((X, B, flat, E, S, s, window_back))
         B = B.reshape(X.shape[0], self.d_in * nb)
         out = B @ E
         if self.silu_path:
@@ -223,14 +227,14 @@ class KANLayer:
         return out
 
     def backward(self, cache, gO):
-        X, B, flat, E, S, window_back = cache.pop()
+        X, B, flat, E, S, s, window_back = cache.pop()
         shape = (self.d_in, self.kv.n_bases, self.d_out)
         gM = (B.reshape(len(X), -1).T @ gO).reshape(shape).transpose(0, 2, 1)  # (i, o, b)
         gB = gO @ E.T
         gX = window_back(gB.ravel()[flat])[0].reshape(X.shape)
         gA_s = np.zeros_like(self.A_s)
         if self.silu_path:
-            gX = gX + (gO @ self.A_s.T) * _silu_slope(X)
+            gX = gX + (gO @ self.A_s.T) * _silu_slope(X, s)
             gA_s = S.T @ gO
         return gX, [(gM * self.coefficients).sum(axis=2), gA_s, gM * self.A_b[:, :, None]]
 
@@ -329,21 +333,22 @@ class FRKANLayer:
             for r in range(1, K + 1):
                 pre += terms[:, r]
             pre = pre.reshape(X.shape)
+        s = _sigmoid(X) if self.silu_path else None
         if self.silu_path:
-            pre += _silu(X)
+            pre += X * s
         if cache is not None:
-            cache.append((X, plan, pre, flat, W, c, window_back))
+            cache.append((X, plan, pre, flat, W, c, s, window_back))
         return pre @ self.A
 
     def backward(self, cache, gO):
-        X, plan, pre, flat, W, c, window_back = cache.pop()
+        X, plan, pre, flat, W, c, s, window_back = cache.pop()
         gpre = gO @ self.A.T
         gy = gpre.reshape(-1, 1)
         gc = np.bincount(flat.ravel(), (gy * W).ravel(), minlength=self.coefficients.size)
         gx, gt = window_back(gy * c)
         gX = gx.reshape(X.shape)
         if self.silu_path:
-            gX = gX + gpre * _silu_slope(X)
+            gX = gX + gpre * _silu_slope(X, s)
         return gX, [pre.T @ gO, gc.reshape(self.coefficients.shape),
                     self.kv.shift_gradient(plan, gt)]
 
@@ -431,8 +436,11 @@ class Network:
         return out
 
     def assert_knots_sorted(self):
+        # a fixed grid row is read-only and was checked when its KnotVector
+        # was built, so only shifted knots need the check
         for m in self.spline_layers():
-            m.kv.assert_sorted(m.knots())
+            if m.kind == "frkan":
+                m.kv.assert_sorted(m.knots())
 
     # -- parameter plumbing ------------------------------------------------
 

@@ -21,18 +21,16 @@ there (de Boor's local recursion, with the Cox-de Boor formulas and
 guards, so values are bit-identical to the full recursion).  It works in
 column form, one array per window slot, gathers each level's denominators
 once (slot r's second is slot r+1's first), and reads its index tables,
-built once per knot count and order, from ``_tables``.  ``basis_window``
-stacks the columns into an (N, K+1) window, ``spline_values`` weights
-each column by its gathered coefficient and sums them, and
-``basis_matrix`` is the window scattered into the dense (N, G+K) array
-(``scatter_window``), for callers that share one basis row across many
-coefficient sets.  Asked to, the kernel keeps each level's ratios, and
+built once per knot count and order, from ``_tables``.  Three entries
+call it: ``spline_values`` weights each column by its gathered
+coefficient and sums them; ``basis_matrix`` scatters the window into the
+dense (N, G+K) array (``scatter_window``) for callers that share one
+basis row across many coefficient sets; ``basis_window_on_tape`` keeps
+each level's ratios, over one knot row or a knot matrix, so that
 ``window_backward`` runs the levels in reverse for the gradient with
-respect to x and the window's knots.  ``basis_window_on_tape`` is the
-kernel call that keeps the levels, over one knot row or a knot matrix;
-its backward scatters the window knots' gradients onto the knot matrix,
-and ``KnotVector.shift_gradient`` carries those onto the shifts through
-the clamp.
+respect to x and the window's knots.  Its backward scatters the window
+knots' gradients onto the knot matrix, and ``KnotVector.shift_gradient``
+carries those onto the shifts through the clamp.
 
 Smoothness penalty: ``second_difference_penalty`` gives the penalty of a
 whole coefficient array and its closed-form gradient.
@@ -47,8 +45,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import DIVIDING_FLOOR
-
 
 class InvalidRange(Exception):
     pass
@@ -60,6 +56,9 @@ class TooFewCoefficients(Exception):
 
 # Minimum gap between consecutive effective knots, as a fraction of dg.
 MIN_GAP_FACTOR = 1e-4
+# Below this magnitude the basis kernel treats a denominator as 0 and its
+# term as 0 (the 0/0 := 0 convention) instead of dividing.
+DIVIDING_FLOOR = 1e-12
 
 
 def _count(v) -> bool:
@@ -233,7 +232,16 @@ def _tables(n_knots: int, K: int):
 
 
 def _window_columns(x: np.ndarray, t: np.ndarray, K: int, levels=None, rows=None):
-    """``basis_window`` in column form: ``(m, [K+1 arrays])``, flat; K >= 1.
+    """The window of K+1 possibly-nonzero order-K bases at each x, in
+    column form: ``(m, W)``, flat; K >= 1.
+
+    ``m[n]`` is the span index with ``t[m] <= x[n] < t[m+1]``, or -1 when
+    no half-open span holds x[n]; ``W`` holds K+1 arrays, ``W[r][n]`` basis
+    ``m[n] - K + r``.  Slots naming no basis (index below 0 or above
+    n_knots-K-2) are 0, rows outside the span are 0, and rows with
+    non-finite x are NaN so bad inputs keep propagating.  Each value takes
+    the operations, order and ``DIVIDING_FLOOR`` guards of the Cox-de Boor
+    recursion over all bases, so it is bit-identical to it.
 
     Without ``rows``, ``x`` is flat and ``t`` one knot row.  With ``rows``,
     ``t`` is an (h, n_knots) knot matrix and input n uses row ``rows[n]``;
@@ -345,23 +353,6 @@ def window_backward(levels, K: int, gW, knots=True):
     return gx, gT
 
 
-def basis_window(x: np.ndarray, knots: np.ndarray, K: int):
-    """The K+1 possibly-nonzero order-K bases at each x (de Boor's local recursion).
-
-    Returns ``(m, W)``: ``m[n]`` is the span index with
-    ``knots[m] <= x[n] < knots[m+1]``, or -1 when no half-open span holds
-    x[n]; ``W[n, r]`` is basis ``m[n] - K + r``.  Window entries naming no
-    basis (index below 0 or above len(knots)-K-2) are 0, rows outside the
-    span are 0, and rows with non-finite x are NaN so bad inputs keep
-    propagating.  Each value is computed with the same operations, in the
-    same order and with the same ``DIVIDING_FLOOR`` guards as the Cox-de
-    Boor recursion over all bases, so it is bit-identical to it.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    m, W = _window_columns(x, np.asarray(knots, dtype=float), K)
-    return m, np.stack(W, axis=1)
-
-
 def scatter_window(x: np.ndarray, m: np.ndarray, W: np.ndarray, n_bases: int):
     """The (N, K+1) window ``W`` of spans ``m`` scattered into the dense
     (N, n_bases) basis, and the flat index in it of each window slot;
@@ -385,20 +376,21 @@ def window_bases(m: np.ndarray, n_bases: int, K: int) -> np.ndarray:
 def basis_matrix(x: np.ndarray, knots: np.ndarray, K: int) -> np.ndarray:
     """All order-K basis values at once: shape (len(x), len(knots)-K-1).
 
-    The dense scatter of ``basis_window``; rows with non-finite x are NaN.
+    The ``_window_columns`` window scattered densely; non-finite x gives NaN rows.
     """
     x = np.asarray(x, dtype=float).ravel()
-    return scatter_window(x, *basis_window(x, knots, K), len(knots) - K - 1)[0]
+    m, W = _window_columns(x, np.asarray(knots, dtype=float), K)
+    return scatter_window(x, m, np.stack(W, axis=1), len(knots) - K - 1)[0]
 
 
 def basis_window_on_tape(x: np.ndarray, t: np.ndarray, K: int, rows=None):
-    """``basis_window`` of every input ``x`` at once, and its backward.
+    """The ``_window_columns`` window of every input ``x`` and its backward.
 
     ``t`` is one knot row and ``x`` flat, or with ``rows`` an (h, n_knots)
     knot matrix, input (or column) n using row ``rows[n]`` as in
     ``_window_columns``.  One ``_window_columns`` call, keeping its
-    levels, gives ``m`` as in ``basis_window`` and the (M, K+1) window
-    ``W`` over the flat inputs.  Returns ``(m, W, backward)``.
+    levels, gives its ``m`` and the (M, K+1) window ``W`` over the flat
+    inputs.  Returns ``(m, W, backward)``.
     ``backward(gW)`` zeroes the gradient of every slot that names no basis
     (all slots of a row outside the span), runs ``window_backward`` and
     returns ``(gx, gt)``: window knots 1..2K send their gradient to their
@@ -442,9 +434,6 @@ class SplineGroup:
         if self.coefficients.shape != (self.knots.n_bases,):
             raise TooFewCoefficients(
                 f"need {self.knots.n_bases} coefficients, got {self.coefficients.shape}")
-
-    def __call__(self, x):
-        return spline_eval(x, self)
 
     def shifted_knots(self) -> np.ndarray:
         """The group's effective knots: the grid row, moved by ``shift``."""
@@ -505,8 +494,3 @@ def second_difference_penalty(c, dg: float, gradient=True):
     grad[..., 1:-1] -= 2.0 * w
     grad[..., 2:] += w
     return float(np.sum(d2 * d2)), grad
-
-
-def coeff_second_difference_penalty(sg: SplineGroup) -> float:
-    """The smoothness penalty of one spline group's coefficients."""
-    return second_difference_penalty(sg.coefficients, sg.knots.dg)[0]

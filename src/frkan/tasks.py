@@ -44,9 +44,6 @@ class Normalization:
     def apply(self, X: np.ndarray) -> np.ndarray:
         return (X - self.mean) / self.std
 
-    def invert(self, Xn: np.ndarray) -> np.ndarray:
-        return Xn * self.std + self.mean
-
 
 @dataclass
 class DatasetSplit:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .autodiff import AutodiffError, NonFiniteGradient, NonFiniteValue, Tape
 from .layers import SPLINE_KINDS, Network
-from .splines import second_difference_penalty
+from .splines import _count, _finite, second_difference_penalty
 from .tasks import DatasetSplit
 
 
@@ -49,14 +49,14 @@ class TrainConfig:
     normalize_inputs: bool = False
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        checks = [("learning_rate", lambda v: _finite(v) and v > 0, "a finite number > 0"),
+                  ("lam", lambda v: _finite(v) and v >= 0, "a finite number >= 0"),
+                  ("epochs", _count, "an integer >= 1"), ("batch_size", _count, "an integer >= 1")]
+        if self.max_steps is not None:
+            checks.append(("max_steps", _count, "an integer >= 1"))
+        for name, ok, need in checks:
+            if not ok(getattr(self, name)):
+                raise ValueError(f"{name}: need {need}, got {getattr(self, name)!r}")
         if self.task not in ("regression", "classification"):
             raise ValueError(f"unknown task {self.task!r}")
 

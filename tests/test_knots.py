@@ -1,6 +1,7 @@
 """Breakpoint detector soundness, bound formulas, constructions, audits."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -688,3 +689,19 @@ class TestBoundProperties:
         assert audit.bounds.upper == 7 and not audit.upper_ok
         scan = scan_breakpoints(slice_map(net), -1.0, 1.0)
         assert scan.interior_count == 10
+
+
+class TestReadmeSnippet:
+    def test_knot_auditing_block_prints_what_it_documents(self, capsys):
+        """The README's "Knot auditing" code block, run as written.  It
+        continues the quickstart, whose ``import numpy as np`` it uses."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Knot auditing", 1)[1].split("```python\n", 1)[1]
+        block = block.split("```", 1)[0]
+        assert "# 4 knots, bounds [6, 26]" in block
+        scope = {"np": np}
+        exec(block, scope)
+        audit = scope["audit"]
+        assert audit.measured_interior == 4
+        assert (audit.bounds.lower, audit.bounds.upper) == (6, 26)
+        assert capsys.readouterr().out.startswith("4 BoundResult(lower=6, upper=26,")

@@ -552,6 +552,33 @@ class TestFixedCostPerStep:
         fixed = net.modules[0].kind == "kan"
         assert calls == [(not fixed, fixed, True)] * len(net.modules)
 
+    def test_a_spline_layer_takes_one_sigmoid_per_forward_and_backward(self):
+        net, data = self._net_and_data("in:2 -> kan:3 -> frkan:4 -> out:1")
+        X, y = data.split("train")
+        calls = []
+
+        def spy_sigmoid(x):
+            calls.append(x.shape)
+            return _sigmoid(x)
+
+        with mock.patch("frkan.layers._sigmoid", spy_sigmoid):
+            regularized_loss(net, X[:16], y[:16], 1e-3)
+        assert calls == [(16, m.d_in) for m in net.spline_layers()]
+
+    def test_the_sorted_check_reads_shifted_knots_only(self):
+        net, _ = self._net_and_data("in:2 -> kan:3 -> frkan:4 -> out:1")
+        checked, assert_sorted = [], KnotVector.assert_sorted
+
+        def spy_assert_sorted(kv, knots):
+            checked.append(knots.shape)
+            return assert_sorted(kv, knots)
+
+        with mock.patch.object(KnotVector, "assert_sorted", spy_assert_sorted):
+            net.assert_knots_sorted()
+        # the KAN layer's fixed row was checked when its grid was built
+        assert checked == [m.knots().shape for m in net.spline_layers() if m.kind == "frkan"]
+        assert len(checked) == 2
+
 
 class TestSumOutputs:
     """Folding the output sum into the last layer, as the knot audit does."""

@@ -369,6 +369,30 @@ class TestGridRangeExperiment:
         assert all(np.isfinite(r["loss"]) for r in record.steps)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", 0.0), ("learning_rate", -1e-3), ("learning_rate", np.nan),
+        ("learning_rate", np.inf), ("learning_rate", True), ("lam", -1e-4), ("lam", np.nan),
+        ("lam", np.inf), ("epochs", 0), ("epochs", 1.5), ("epochs", True),
+        ("batch_size", 0), ("batch_size", 2.5), ("batch_size", False), ("max_steps", 0),
+        ("max_steps", -3), ("max_steps", 2.5), ("max_steps", True),
+    ])
+    def test_bad_values_are_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            TrainConfig(**{field: value})
+
+    def test_integral_and_numpy_values_are_accepted(self):
+        cfg = TrainConfig(learning_rate=np.float64(1e-2), lam=0, epochs=np.int64(2),
+                          batch_size=16, max_steps=None)
+        assert cfg.epochs == 2
+
+    def test_max_steps_one_trains_exactly_one_step(self):
+        net = Network([MLPLayer(np.ones((2, 1)), np.zeros(1), activation="identity")])
+        record, _ = train(net, _toy_regression(), TrainConfig(epochs=3, batch_size=8,
+                                                              max_steps=1))
+        assert [r["step"] for r in record.steps] == [0]
+
+
 class TestConfigHash:
     def test_stable_and_sensitive(self):
         a = hash_config({"x": 1, "y": [1, 2]})
