@@ -21,7 +21,11 @@ there (de Boor's local recursion, with the Cox-de Boor formulas and
 guards, so values are bit-identical to the full recursion).  It works in
 column form, one array per window slot, gathers each level's denominators
 once (slot r's second is slot r+1's first), and reads its index tables,
-built once per knot count and order, from ``_tables``.  Three entries
+built once per knot count and order, from ``_tables``.  A batch whose
+every input lies in an interior span (K <= m <= G+K-1) takes a short
+path: such an input needs no clamp into the span and every slot of its
+window names a basis, so the kernel skips the clamps and the edge fix-up,
+and the arithmetic it runs is the same, value for value.  Three entries
 call it: ``spline_values`` weights each column by its gathered
 coefficient and sums them; ``basis_matrix`` scatters the window into the
 dense (N, G+K) array (``scatter_window``) for callers that share one
@@ -61,8 +65,8 @@ MIN_GAP_FACTOR = 1e-4
 DIVIDING_FLOOR = 1e-12
 
 
-def _count(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+def _count(v, least=1) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least
 
 
 def _finite(v) -> bool:
@@ -243,6 +247,13 @@ def _window_columns(x: np.ndarray, t: np.ndarray, K: int, levels=None, rows=None
     the operations, order and ``DIVIDING_FLOOR`` guards of the Cox-de Boor
     recursion over all bases, so it is bit-identical to it.
 
+    When every span is interior (K <= m <= n_bases - 1), ``m`` and ``x``
+    feed the window as they are: the clamp into the span would leave both
+    unchanged and the edge fix-up would touch no row, so skipping them
+    leaves every value, signed zeros included, as the general path gives
+    it.  Any other batch (an edge span, an input outside the span or not
+    finite, no input at all) takes the general path.
+
     Without ``rows``, ``x`` is flat and ``t`` one knot row.  With ``rows``,
     ``t`` is an (h, n_knots) knot matrix and input n uses row ``rows[n]``;
     ``rows`` may also be one entry per column of a 2-D ``x``, which finds
@@ -256,24 +267,27 @@ def _window_columns(x: np.ndarray, t: np.ndarray, K: int, levels=None, rows=None
     pad, valid, _ = _tables(n_knots, K)
     if rows is None:
         m = np.searchsorted(t, x, side="right") - 1
-        first = t[0]
     else:
         m = np.empty(x.shape, dtype=np.intp)
         for g, row in enumerate(t):
             at = rows == g
             m[..., at] = np.searchsorted(row, x[..., at], side="right") - 1
-        first = t[rows, 0]
-    inside = (m >= 0) & (m < n_knots - 1)
-    m = np.where(inside, m, -1)
+    # NaN sorts past the last knot, so a non-finite x is never interior.
+    interior = m.size and K <= m.min() and m.max() <= n_bases - 1
+    if interior:
+        base, xs = m, x
+    else:
+        inside = (m >= 0) & (m < n_knots - 1)
+        m = np.where(inside, m, -1)
+        base = np.maximum(m, 0)
+        xs = np.where(inside, x, t[0] if rows is None else t[rows, 0])
     # Padded knots only reach window slots that name no basis, which are
     # zeroed at the end, and every window index is in bounds.  Padded rows
     # lie end to end, and no window reaches into the next row.
     tp = t[..., pad].ravel()
-    base = np.maximum(m, 0)
     if rows is not None:
-        base += rows * (n_knots + 2 * K)
-    xs = np.where(inside, x, first).ravel()
-    x, m, base = x.ravel(), m.ravel(), base.ravel()
+        base = base + rows * (n_knots + 2 * K)
+    x, xs, m, base = x.ravel(), xs.ravel(), m.ravel(), base.ravel()
     # Window knot p is tp[base + p], and x lies in [knot K, knot K+1):
     # left[p] = x - knot p for 1 <= p <= K, right[q] = knot K+1+q - x for
     # q < K.  No level reads left[0] or right[K].
@@ -310,6 +324,8 @@ def _window_columns(x: np.ndarray, t: np.ndarray, K: int, levels=None, rows=None
         if levels is not None:
             levels.append((den, lo, ro, W))
         W = nxt
+    if interior:
+        return m, W
     # Only rows outside the span or in its first or last K spans hold slots
     # that name no basis; non-finite x has no span (m = -1).
     edge = np.flatnonzero((m < K) | (m > n_bases - 1))
@@ -451,13 +467,13 @@ def spline_values(x, knots: np.ndarray, K: int, coefficients: np.ndarray) -> np.
     """
     m, W = _window_columns(np.asarray(x, dtype=float).ravel(),
                            np.asarray(knots, dtype=float), K)
-    # Padded entry m + 1 + r is coefficient m - K + r, and 0 where that
-    # names no basis.
+    # Entry m of padded[1 + r:] is coefficient m - K + r, and 0 where that
+    # names no basis; m = -1 reads the last entry, a trailing 0.
     padded = np.concatenate([np.zeros(K + 1), coefficients, np.zeros(K)])
     y = W[0]
-    y *= padded.take(m + 1)
+    y *= padded[1:].take(m)
     for r in range(1, K + 1):
-        W[r] *= padded.take(m + 1 + r)
+        W[r] *= padded[1 + r:].take(m)
         y += W[r]
     return y.reshape(np.shape(x))
 

@@ -51,7 +51,11 @@ class TrainConfig:
     def __post_init__(self):
         checks = [("learning_rate", lambda v: _finite(v) and v > 0, "a finite number > 0"),
                   ("lam", lambda v: _finite(v) and v >= 0, "a finite number >= 0"),
-                  ("epochs", _count, "an integer >= 1"), ("batch_size", _count, "an integer >= 1")]
+                  ("epochs", _count, "an integer >= 1"), ("batch_size", _count, "an integer >= 1"),
+                  ("beta1", lambda v: _finite(v) and 0 <= v < 1, "a finite number in [0, 1)"),
+                  ("beta2", lambda v: _finite(v) and 0 <= v < 1, "a finite number in [0, 1)"),
+                  ("eps", lambda v: _finite(v) and v > 0, "a finite number > 0"),
+                  ("seed", lambda v: _count(v, 0), "an integer >= 0")]
         if self.max_steps is not None:
             checks.append(("max_steps", _count, "an integer >= 1"))
         for name, ok, need in checks:
@@ -134,8 +138,8 @@ def regularized_loss(net: Network, X: np.ndarray, y: np.ndarray, lam: float,
         grads = tape.gradient_vector(samples, net.n_params())
         if penalty_grad is not None:
             grads += penalty_grad
-    if not np.all(np.isfinite(grads)):
-        raise NonFiniteGradient("penalty gradient is not finite")
+            if not np.all(np.isfinite(grads)):
+                raise NonFiniteGradient("penalty gradient is not finite")
     return loss, grads, {"task_loss": task_loss, "penalty": penalty}
 
 

@@ -430,7 +430,7 @@ class TestSharedReportStep:
     its vectorised merge bit for bit (the loop summed left to right, which
     differs in the last bits for groups of 3 or more)."""
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(st.lists(st.integers(0, 80), max_size=40, unique=True))
     def test_runs_match_the_loop(self, points):
         flagged = np.array(sorted(points), dtype=np.intp)
@@ -447,7 +447,7 @@ class TestSharedReportStep:
         shuffle = data.draw(st.permutations(range(pos.size)))
         return pos[shuffle], jumps[shuffle]
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(data=st.data(), tol=st.sampled_from([2.0 ** -10, 2.0 ** -4]),
            thr=st.integers(0, 16), floor=st.integers(0, 8))
     def test_report_matches_the_loops(self, data, tol, thr, floor):
@@ -463,7 +463,7 @@ class TestSharedReportStep:
         assert (report.interior_count, report.merged, report.nonzero_jumps) == loop[2:]
         assert _report(lo, hi, pos, jumps, tol, thr).nonzero_jumps is None
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(data=st.data(), tol=st.sampled_from([1e-3, 0.05]), thr=st.floats(0.0, 2.0))
     def test_report_matches_the_vectorised_merge(self, data, tol, thr):
         gap = st.one_of(st.just(0.0), st.floats(0.0, tol), st.floats(tol, 20 * tol))
@@ -645,7 +645,7 @@ class TestBoundProperties:
     """Exact counts against the paper's bounds.  The spline counts add the
     two boundary knots; the ReLU chain bounds the kinks themselves."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(kind=st.sampled_from(["kan", "frkan"]), G=st.integers(2, 8),
            d_in=st.integers(1, 2), width=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_depth_one_spline_counts_lie_within_the_bounds(self, kind, G, d_in, width, seed):
@@ -654,7 +654,7 @@ class TestBoundProperties:
         n = exact_breakpoints(net, -1.0, 1.0).nonzero_jumps + 2
         assert bounds.lower <= n <= bounds.upper
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(kind=st.sampled_from(["kan", "frkan"]), G=st.integers(3, 8),
            d_in=st.integers(1, 2), width=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_depth_two_spline_counts_lie_within_the_bounds(self, kind, G, d_in, width, seed):
@@ -663,7 +663,7 @@ class TestBoundProperties:
         n = exact_breakpoints(net, -1.0, 1.0).nonzero_jumps + 2
         assert bounds.lower <= n <= bounds.upper
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(widths=st.lists(st.integers(1, 5), min_size=1, max_size=2),
            d_in=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
     def test_relu_counts_lie_within_the_chain(self, widths, d_in, seed):

@@ -348,7 +348,7 @@ class TestForwardBatchCacheAndBackward:
     ``backward`` is the derivative of sum(forward_batch(X) * gY)."""
 
     @pytest.mark.parametrize("kind", ["kan", "frkan", "mlp", "ln"])
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     @given(data=st.data())
     def test_cache_keeps_values_and_backward_matches_differences(self, kind, data):
         layer, X, gY = data.draw(_layer_cases(kind))
@@ -467,7 +467,7 @@ class TestKnotPlanFollowsTheShifts:
     """An FR-KAN layer builds its knot plan once per shift value; every
     kind of update invalidates it, so the network reads as a fresh copy."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(case=_stacks_and_updates())
     def test_updates_match_a_fresh_copy(self, tmp_path_factory, case):
         net, updates, seed = case
@@ -770,7 +770,7 @@ def _networks(draw, min_width=1):
 class TestEvaluationInBlocks:
     @pytest.mark.parametrize("n", [0, 1, EVAL_CHUNK_ROWS - 1, EVAL_CHUNK_ROWS,
                                    EVAL_CHUNK_ROWS + 1, 2 * EVAL_CHUNK_ROWS + 7])
-    @settings(max_examples=10, deadline=None, derandomize=True)
+    @settings(max_examples=10)
     @given(case=_networks(min_width=2))
     def test_blocks_match_one_pass_over_all_rows(self, n, case):
         # Every layer is row-wise, so up to one block the two are the same
@@ -802,7 +802,7 @@ def _mutated_checkpoint(tmp_path, net, mutate):
 
 
 class TestCheckpoint:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(case=_networks())
     def test_round_trip_is_bit_exact(self, case):
         net, d_in = case

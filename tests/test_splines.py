@@ -244,7 +244,7 @@ class TestBasisWindow:
         m, W = basis_window_on_tape(x, t, K)[:2]
         assert np.all(np.isnan(W[1:]))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(K=st.integers(1, 3), G=st.integers(1, 20),
            a=st.floats(-50, 50), width=st.floats(1e-3, 100),
            data=st.data())
@@ -256,6 +256,90 @@ class TestBasisWindow:
         x = np.array(data.draw(st.lists(st.floats(kv.a, kv.b), min_size=1, max_size=50)))
         sums = basis_matrix(x, t, K).sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-9
+
+
+def _in_spans(T, rows, spans, u):
+    # a point of span spans[n] of knot row rows[n], at fraction u[n] of it
+    lo, hi = T[rows, spans], T[rows, spans + 1]
+    return np.minimum(lo + u * (hi - lo), np.nextafter(hi, -np.inf))
+
+
+def _same_bytes(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestInteriorShortPath:
+    """A batch whose every input lies in an interior span skips the
+    kernel's clamps and edge fix-up.  One more input that is not interior
+    (an edge span, outside the knots, not finite) sends the same batch
+    down the general path, and the rows both batches share must not
+    change by a single bit, signed zeros included."""
+
+    @settings(max_examples=150)
+    @given(K=st.integers(1, 3), G=st.sampled_from([1, 2, 5, 20]), shifted=st.booleans(),
+           extra=st.sampled_from(["left edge", "right edge", "below", "above", "last knot",
+                                  "nan", "inf", "-inf"]),
+           data=st.data())
+    def test_shared_rows_are_byte_identical(self, K, G, shifted, extra, data):
+        kv = make_uniform_grid(-2.0, 3.0, G, K)
+        if shifted:
+            seeds = data.draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=2, max_size=2))
+            T = kv.knot_matrix([init_shift(kv, 2.0, seed=s) for s in seeds])
+        else:
+            T = np.stack([kv.row, kv.row])
+        n = data.draw(st.integers(1, 30))
+        def draw(elements):
+            return np.array(data.draw(st.lists(elements, min_size=2 * n, max_size=2 * n)))
+
+        spans = draw(st.integers(K, G + K - 1)).reshape(n, 2)
+        u = draw(st.floats(0.0, 1.0, exclude_max=True)).reshape(n, 2)
+        # column j reads knot row j, as in a cached FR-KAN forward
+        cols = np.array([0, 1])
+        X = _in_spans(T, cols, spans, u)
+        g = data.draw(st.integers(0, 1))      # the knot row of the extra input
+        t, v = T[g], data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        if "edge" in extra:     # one of the first or last K spans
+            first = 0 if extra == "left edge" else G + K
+            x_extra = _in_spans(T, g, data.draw(st.integers(first, first + K - 1)), v)
+        else:
+            x_extra = {"below": t[0] - 1.0 - v, "above": t[-1] + v, "last knot": t[-1],
+                       "nan": np.nan, "inf": np.inf, "-inf": -np.inf}[extra]
+        # the other column's extra input is interior
+        Xa = np.vstack([X, X[:1]])
+        Xa[-1, g] = x_extra
+        spans_a = _window_columns(Xa, T, K, rows=cols)[0]
+        assert K <= spans_a[:-2].min() and spans_a[:-2].max() <= G + K - 1
+        assert not K <= spans_a[-2 + g] <= G + K - 1
+
+        # one knot row: the kernel, spline values, the dense basis, the window's x gradient
+        x, xa = X[:, g], Xa[:, g]
+        (m, W), (ma, Wa) = _window_columns(x, t, K), _window_columns(xa, t, K)
+        assert _same_bytes(m, ma[:n])
+        assert all(_same_bytes(w, wa[:n]) for w, wa in zip(W, Wa))
+        c = np.random.default_rng(K + G).normal(size=kv.n_bases)
+        y, ya = spline_values(x, t, K, c), spline_values(xa, t, K, c)
+        assert _same_bytes(y, ya[:n])
+        if extra in ("below", "above", "last knot"):
+            assert _same_bytes(ya[n:], np.zeros(1))    # +0, from m = -1
+        assert _same_bytes(basis_matrix(x, t, K), basis_matrix(xa, t, K)[:n])
+        gW = np.random.default_rng(n).normal(size=(2 * n, K + 1))
+        _, W, back = basis_window_on_tape(x, t, K)
+        _, Wa, back_a = basis_window_on_tape(xa, t, K)
+        assert _same_bytes(W, Wa[:n])
+        assert _same_bytes(back(gW[:n])[0], back_a(np.vstack([gW[:n], gW[:1]]))[0][:n])
+
+        # a knot matrix, per column of a 2-D x and per input of a flat one;
+        # the extra inputs send no gradient, so the knots' gradient holds too
+        gWa = np.vstack([gW, np.zeros((2, K + 1))])
+        for inputs, rows, inputs_a, rows_a in [
+                (X, cols, Xa, cols),
+                (X.ravel(), np.tile(cols, n), Xa.ravel(), np.tile(cols, n + 1))]:
+            _, W, back = basis_window_on_tape(inputs, T, K, rows)
+            _, Wa, back_a = basis_window_on_tape(inputs_a, T, K, rows_a)
+            assert _same_bytes(W, Wa[:2 * n])
+            (gx, gt), (gxa, gta) = back(gW), back_a(gWa)
+            assert _same_bytes(gx.ravel(), gxa.ravel()[:2 * n])
+            assert _same_bytes(gt, gta)
 
 
 class TestSplineEval:
@@ -507,7 +591,7 @@ def _shifted_grids(draw):
 
 
 class TestKnotMatrix:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(case=_shifted_grids())
     # a shifted point lands on an extension point, and min_gap added to the
     # knot before it rounds down to that knot's ulp
@@ -523,7 +607,7 @@ class TestKnotMatrix:
             assert np.array_equal(row, _reference_knots(kv, shift), equal_nan=True)
         assert np.array_equal(_shifted(kv, shifts[0]), T[0], equal_nan=True)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(a=st.floats(-50, 50), width=st.floats(1e-3, 100), G=st.integers(1, 24),
            K=st.integers(1, 3))
     @example(a=8.0, width=0.001, G=3, K=2)
@@ -581,7 +665,7 @@ class _FixedDraw:
 
 
 class TestSortedInvariantUnderUpdates:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(K=st.integers(1, 3), G=st.integers(1, 20),
            a=st.floats(-50, 50), width=st.floats(1e-3, 100),
            data=st.data())

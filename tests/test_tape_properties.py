@@ -77,7 +77,7 @@ def _batch_loss(net, X, y, task):
     return task_loss + LAM * penalty_total(net)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(_cases())
 def test_gradient_matches_central_differences(case):
     net, task, rng = case
@@ -103,7 +103,7 @@ def test_gradient_matches_central_differences(case):
     assert np.max(np.abs(grad - fd)) <= FD_TOLERANCE * scale, net.descriptor
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(_cases())
 def test_record_count_does_not_depend_on_batch_size(case):
     net, task, rng = case

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frkan.autodiff import finite_difference_check
+from frkan.autodiff import NonFiniteGradient, finite_difference_check
 from frkan.layers import FRKANLayer, GridConfig, MLPLayer, Network, init_network
 from frkan.tasks import DatasetSplit, generate_classification, generate_runge
 from frkan.training import (
@@ -156,7 +156,7 @@ def _spline_stacks(draw):
 
 
 class TestClosedFormPenalty:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(net=_spline_stacks())
     def test_gradient_matches_central_differences(self, net):
         _, grad = smoothness_penalty(net)
@@ -173,7 +173,7 @@ class TestClosedFormPenalty:
         net.set_flat(p0)
         assert np.max(np.abs(fd - grad)) <= 1e-7 * max(1.0, np.max(np.abs(grad)))
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(net=_spline_stacks(), lam=st.floats(1e-4, 10.0))
     def test_loss_gradient_is_task_gradient_plus_lam_penalty_gradient(self, net, lam):
         rng = np.random.default_rng(1)
@@ -185,6 +185,17 @@ class TestClosedFormPenalty:
         assert parts["penalty"] == penalty
         assert loss == pytest.approx(loss0 + lam * penalty, rel=1e-12)
         np.testing.assert_allclose(g, g0 + lam * grad, rtol=1e-12, atol=0.0)
+
+    def test_a_non_finite_penalty_gradient_is_named(self, monkeypatch):
+        # the tape checks its own gradient; the sum with the penalty's is
+        # checked only when lam > 0 adds it
+        net = init_network("in:2 -> kan:2 -> out:1", GridConfig(G=5, K=1, a=-2, b=2), seed=0)
+        X, y = _toy_regression().split("train")
+        monkeypatch.setattr("frkan.training.smoothness_penalty", lambda net, lam: (
+            0.0, np.full(net.n_params(), np.inf) if lam else None))
+        assert np.all(np.isfinite(regularized_loss(net, X, y, 0.0)[1]))
+        with pytest.raises(NonFiniteGradient, match="^penalty gradient is not finite$"):
+            regularized_loss(net, X, y, 1e-4)
 
 
 class TestEvaluate:
@@ -375,7 +386,10 @@ class TestTrainConfig:
         ("learning_rate", np.inf), ("learning_rate", True), ("lam", -1e-4), ("lam", np.nan),
         ("lam", np.inf), ("epochs", 0), ("epochs", 1.5), ("epochs", True),
         ("batch_size", 0), ("batch_size", 2.5), ("batch_size", False), ("max_steps", 0),
-        ("max_steps", -3), ("max_steps", 2.5), ("max_steps", True),
+        ("max_steps", -3), ("max_steps", 2.5), ("max_steps", True), ("beta1", 1.0),
+        ("beta1", -0.1), ("beta1", np.nan), ("beta1", True), ("beta2", 1.5), ("beta2", -1e-3),
+        ("beta2", np.inf), ("eps", 0.0), ("eps", -1.0), ("eps", np.nan), ("eps", np.inf),
+        ("seed", 2.5), ("seed", -1), ("seed", True), ("seed", None), ("seed", "7"),
     ])
     def test_bad_values_are_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}: "):
@@ -383,7 +397,8 @@ class TestTrainConfig:
 
     def test_integral_and_numpy_values_are_accepted(self):
         cfg = TrainConfig(learning_rate=np.float64(1e-2), lam=0, epochs=np.int64(2),
-                          batch_size=16, max_steps=None)
+                          batch_size=16, max_steps=None, beta1=0, beta2=np.float64(0.5),
+                          eps=1e-12, seed=np.int64(0))
         assert cfg.epochs == 2
 
     def test_max_steps_one_trains_exactly_one_step(self):
