@@ -49,15 +49,11 @@ from .knots import (
 from .tasks import (
     DatasetSplit,
     FEYNMAN_EQUATIONS,
-    MalformedHeader,
     RejectionOverflow,
-    RowLengthMismatch,
     UnsupportedEquation,
     generate_classification,
     generate_feynman,
     generate_runge,
-    load_csv,
-    load_idx,
     save_dataset_csv,
 )
 from .training import (

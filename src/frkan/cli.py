@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import numbers
 import os
 import re
@@ -76,8 +77,11 @@ class Check(NamedTuple):
     flag: dict = {}
 
 
-def _at_least(lo):
-    return Check(lambda v: _integer(v) and v >= lo, f"an integer >= {lo}", {"type": int})
+def _at_least(lo, hi=math.inf):
+    """An integer >= lo, and <= hi if given: a size key's bound, far above
+    any run it serves, turns a size NumPy cannot allocate into exit 1."""
+    need = f"an integer >= {lo}" + (f" and <= {hi}" if hi < math.inf else "")
+    return Check(lambda v: _integer(v) and lo <= v <= hi, need, {"type": int})
 
 
 def _one_of(*choices):
@@ -112,8 +116,8 @@ KEYS = {
     "model": Key("frkan", _one_of("mlp", "kan", "frkan"), _TRAINING),
     "arch": Key("8", _ARCH, f"{_TRAINING} paramcount",
                 "hidden widths '16,16' or a full 'in:..' descriptor"),
-    "G": Key(20, _at_least(1), f"{_TRAINING} stability paramcount"),
-    "K": Key(3, _at_least(1), f"{_TRAINING} stability paramcount"),
+    "G": Key(20, _at_least(1, 10**5), f"{_TRAINING} stability paramcount"),
+    "K": Key(3, _at_least(1, 10**3), f"{_TRAINING} stability paramcount"),
     "range": Key([-10.0, 10.0], Check(_interval, "[a, b] with finite a < b",
                                       {"type": _pair, "metavar": "A,B"}),
                  f"{_TRAINING} paramcount", "grid range, e.g. -10,10"),
@@ -127,7 +131,7 @@ KEYS = {
     "batch": Key(128, _at_least(1), f"{_TRAINING} stability"),
     "seed": Key(2024, _at_least(0), f"{_TRAINING} stability paramcount"),
     "equation": Key(None, _TEXT, _TRAINING, "equation id for the feynman task"),
-    "n": Key(3000, _at_least(10), f"{_TRAINING} stability", "dataset size"),
+    "n": Key(3000, _at_least(10, 10**7), f"{_TRAINING} stability", "dataset size"),
     "task": Key("feynman", _one_of("feynman", "runge", "classification"), "train"),
     "classes": Key(10, _at_least(2), "train stability"),
     "dim": Key(10, _at_least(1), "train stability"),
@@ -147,8 +151,8 @@ KEYS = {
                      "knots", "slice along one input axis (default: all-ones direction)"),
     "layer": Key(0, _INDEX, "export-activation"),
     "unit": Key(0, _INDEX, "export-activation", "group index (frkan) or edge index (kan)"),
-    "samples": Key(2000, _at_least(1), "export-activation"),
-    "scan_samples": Key(200_000, _at_least(MIN_SAMPLES), "knots"),
+    "samples": Key(2000, _at_least(1, 10**8), "export-activation"),
+    "scan_samples": Key(200_000, _at_least(MIN_SAMPLES, 10**8), "knots"),
     "normalize": Key(False, _SWITCH, _TRAINING, "normalize inputs by train statistics"),
     "silu": Key(True, _SWITCH, f"{_TRAINING} paramcount", "drop the SiLU shortcut path"),
     "layernorm": Key("auto", _one_of("auto", "off", "explicit"), f"{_TRAINING} paramcount",

@@ -543,10 +543,12 @@ class GridConfig:
         # shifts start inside +-(b - a) / (Z * G)
         if not self.Z > 0:
             raise BadArchitecture(f"Z: need Z > 0, got {self.Z!r}")
+        if self.h is not None:
+            _check_widths(h=self.h)
 
     def groups_for(self, d_in: int) -> int:
-        h = self.h if self.h is not None else -(-d_in // 4)
-        return max(1, min(h, d_in))
+        """h, or ceil(d_in / 4) when h is None, clamped to d_in."""
+        return min(self.h or -(-d_in // 4), d_in)
 
 
 def parse_descriptor(desc: str):

@@ -1,4 +1,4 @@
-"""Dataset generation and ingestion.
+"""Dataset generators and the CSV cache of a generated dataset.
 
 The function-approximation benchmark draws i.i.d. uniform inputs per
 variable, evaluates a closed-form target, rejects any sample whose label
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import struct
 import zlib
 from dataclasses import dataclass, field
 
@@ -25,14 +24,6 @@ class UnsupportedEquation(Exception):
 
 
 class RejectionOverflow(Exception):
-    pass
-
-
-class MalformedHeader(Exception):
-    pass
-
-
-class RowLengthMismatch(Exception):
     pass
 
 
@@ -69,6 +60,8 @@ class DatasetSplit:
         return self.X.shape[1]
 
     def split(self, which: str, normalized: bool = False):
+        if which not in ("train", "test"):
+            raise ValueError(f"split: need 'train' or 'test', got {which!r}")
         idx = self.train_idx if which == "train" else self.test_idx
         X = self.X[idx]
         if normalized:
@@ -239,46 +232,6 @@ def generate_classification(n: int, classes: int, d: int, seed: int,
     return DatasetSplit(X, y, tr, te, task="classification", manifest=manifest)
 
 
-# -- file ingestion ---------------------------------------------------------------
-
-
-def load_csv(path: str, label_column: int | str) -> DatasetSplit:
-    """Numeric CSV (header optional): features normalized by train stats."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise MalformedHeader(f"{path}: empty file")
-    header = None
-    try:
-        [float(c) for c in rows[0]]
-    except ValueError:
-        header = rows[0]
-        rows = rows[1:]
-    if isinstance(label_column, str):
-        if header is None or label_column not in header:
-            raise MalformedHeader(f"{path}: no column named {label_column!r}")
-        label_idx = header.index(label_column)
-    else:
-        label_idx = int(label_column)
-    width = len(rows[0])
-    if not 0 <= label_idx < width:
-        raise MalformedHeader(f"{path}: label column {label_idx} out of range")
-    data = np.empty((len(rows), width))
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise RowLengthMismatch(
-                f"{path}: row {r + (2 if header else 1)} has {len(row)} cells, expected {width}")
-        try:
-            data[r] = [float(c) for c in row]
-        except ValueError as exc:
-            raise RowLengthMismatch(f"{path}: row {r + (2 if header else 1)}: {exc}") from None
-    y = data[:, label_idx]
-    X = np.delete(data, label_idx, axis=1)
-    tr, te = _train_test_split(data.shape[0])
-    return DatasetSplit(X, y, tr, te, task="regression",
-                        manifest={"id": f"csv:{path}", "n": int(data.shape[0])})
-
-
 def save_dataset_csv(data: DatasetSplit, csv_path: str, manifest_path: str | None = None):
     """Cache a generated dataset: feature/label CSV plus its manifest."""
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
@@ -294,47 +247,3 @@ def save_dataset_csv(data: DatasetSplit, csv_path: str, manifest_path: str | Non
         with open(manifest_path, "w", encoding="utf-8") as fh:
             json.dump(data.manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-_IDX_IMAGES_MAGIC = 0x00000803
-_IDX_LABELS_MAGIC = 0x00000801
-
-
-def _read_idx_images(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) < 16:
-            raise MalformedHeader(f"{path}: truncated image header")
-        magic, count, rows, cols = struct.unpack(">IIII", head)
-        if magic != _IDX_IMAGES_MAGIC:
-            raise MalformedHeader(f"{path}: bad image magic {magic:#010x}")
-        raw = fh.read(count * rows * cols)
-    if len(raw) != count * rows * cols:
-        raise MalformedHeader(f"{path}: truncated image payload")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols) / 255.0
-
-
-def _read_idx_labels(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) < 8:
-            raise MalformedHeader(f"{path}: truncated label header")
-        magic, count = struct.unpack(">II", head)
-        if magic != _IDX_LABELS_MAGIC:
-            raise MalformedHeader(f"{path}: bad label magic {magic:#010x}")
-        raw = fh.read(count)
-    if len(raw) != count:
-        raise MalformedHeader(f"{path}: truncated label payload")
-    return np.frombuffer(raw, dtype=np.uint8).astype(float)
-
-
-def load_idx(images_path: str, labels_path: str) -> DatasetSplit:
-    """Binary image/label pair; features flattened and scaled to [0, 1]."""
-    X = _read_idx_images(images_path)
-    y = _read_idx_labels(labels_path)
-    if X.shape[0] != y.shape[0]:
-        raise MalformedHeader(
-            f"image/label counts disagree: {X.shape[0]} vs {y.shape[0]}")
-    tr, te = _train_test_split(X.shape[0])
-    return DatasetSplit(X, y, tr, te, task="classification",
-                        manifest={"id": f"idx:{images_path}", "n": int(X.shape[0])})

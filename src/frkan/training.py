@@ -127,12 +127,13 @@ def regularized_loss(net: Network, X: np.ndarray, y: np.ndarray, lam: float,
     if X.shape[0] == 0:
         raise EmptySplit("empty batch")
     tape = Tape()
-    penalty, penalty_grad = smoothness_penalty(net, lam)
     # the tape checks every value and gradient
     with np.errstate(over="ignore", invalid="ignore"):
+        penalty, penalty_grad = smoothness_penalty(net, lam)
         samples = _tape_task_loss(tape, net, X, y, task)
         task_loss = float(np.sum(tape.value(samples)))
-        loss = task_loss + lam * penalty
+        # at lam = 0 an infinite penalty must not turn the loss into 0 * inf
+        loss = task_loss + lam * penalty if lam else task_loss
         if not np.isfinite(loss):
             raise NonFiniteValue(f"loss is {loss!r}")
         grads = tape.gradient_vector(samples, net.n_params())

@@ -88,6 +88,19 @@ class TestFlagsFollowTheReadSets:
             ("kan", 3, False, 5)
 
 
+class TestSizeBounds:
+    @pytest.mark.parametrize("argv,key", [(["train", "--n"], "n"),
+                                          (["train", "--G"], "G"),
+                                          (["paramcount", "--K"], "K"),
+                                          (["knots", "--scan-samples"], "scan_samples"),
+                                          (["export-activation", "--samples"], "samples")])
+    def test_a_size_no_array_can_hold_exits_1_naming_the_key(self, tmp_path, capsys,
+                                                              argv, key):
+        assert main(argv + [str(10**12), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: need an integer >= ")
+        assert not (tmp_path / "o").exists()
+
+
 class TestReadme:
     def test_examples_parse(self):
         examples = _readme_examples()

@@ -701,6 +701,15 @@ class TestInitNetwork:
         with pytest.raises(BadArchitecture):
             parse_descriptor("in:0 -> mlp:3")
 
+    @pytest.mark.parametrize("h", [0, -3, 1.5, True, "2"])
+    def test_a_group_count_below_one_is_rejected_by_name(self, h):
+        with pytest.raises(BadArchitecture, match="^h: need an integer >= 1"):
+            GridConfig(h=h)
+
+    def test_the_group_count_is_clamped_to_the_input_width(self):
+        assert [GridConfig(h=h).groups_for(3) for h in (None, 1, 3, 7)] == [1, 1, 3, 3]
+        assert GridConfig().groups_for(9) == 3
+
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(BadArchitecture):

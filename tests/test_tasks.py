@@ -1,6 +1,4 @@
-"""Dataset generators, rejection handling, and file ingestion."""
-
-import struct
+"""Dataset generators, rejection handling, and the dataset cache."""
 
 import numpy as np
 import pytest
@@ -8,15 +6,11 @@ import pytest
 from frkan.tasks import (
     FEYNMAN_EQUATIONS,
     FeynmanSpec,
-    MalformedHeader,
     RejectionOverflow,
-    RowLengthMismatch,
     UnsupportedEquation,
     generate_classification,
     generate_feynman,
     generate_runge,
-    load_csv,
-    load_idx,
     save_dataset_csv,
 )
 
@@ -163,6 +157,15 @@ class TestClassification:
             generate_classification(100, classes=5, d=3, seed=0)
 
 
+class TestSplit:
+    def test_an_unknown_split_is_rejected_by_name(self):
+        data = generate_runge(20, seed=0)
+        with pytest.raises(ValueError, match="'validation'"):
+            data.split("validation")
+        assert data.split("train")[0].shape == (16, 1)
+        assert data.split("test")[0].shape == (4, 1)
+
+
 class TestDatasetCache:
     def test_csv_cache_round_trips_through_loader(self, tmp_path):
         import json
@@ -182,59 +185,3 @@ class TestDatasetCache:
         labels = np.array([float(l.split(",")[4]) for l in lines[1:]])
         np.testing.assert_array_equal(labels, data.y)
         assert sum(l.endswith("train") for l in lines[1:]) == data.train_idx.size
-
-
-class TestLoadCSV:
-    def test_header_and_label_name(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("a,b,target\n1,2,3\n4,5,6\n7,8,9\n10,11,12\n13,14,15\n")
-        data = load_csv(str(p), "target")
-        assert data.X.shape == (5, 2)
-        np.testing.assert_array_equal(data.y, [3, 6, 9, 12, 15])
-
-    def test_missing_cell_names_row(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("a,b,c\n1,2,3\n4,5\n")
-        with pytest.raises(RowLengthMismatch, match="row 3"):
-            load_csv(str(p), 2)
-
-    def test_unknown_label_column(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("a,b\n1,2\n")
-        with pytest.raises(MalformedHeader):
-            load_csv(str(p), "nope")
-
-
-def _write_idx(tmp_path, n=10, rows=28, cols=28, magic_img=0x803, magic_lab=0x801):
-    rng = np.random.default_rng(0)
-    img = tmp_path / "imgs.idx"
-    lab = tmp_path / "labs.idx"
-    pixels = rng.integers(0, 256, size=(n, rows * cols), dtype=np.uint8)
-    with open(img, "wb") as fh:
-        fh.write(struct.pack(">IIII", magic_img, n, rows, cols))
-        fh.write(pixels.tobytes())
-    with open(lab, "wb") as fh:
-        fh.write(struct.pack(">II", magic_lab, n))
-        fh.write(rng.integers(0, 10, size=n, dtype=np.uint8).tobytes())
-    return str(img), str(lab), pixels
-
-
-class TestLoadIDX:
-    def test_round_trip_scaling(self, tmp_path):
-        img, lab, pixels = _write_idx(tmp_path)
-        data = load_idx(img, lab)
-        assert data.X.shape == (10, 784)
-        assert data.X.min() >= 0.0 and data.X.max() <= 1.0
-        np.testing.assert_allclose(data.X, pixels / 255.0)
-
-    def test_wrong_magic(self, tmp_path):
-        img, lab, _ = _write_idx(tmp_path, magic_img=0x999)
-        with pytest.raises(MalformedHeader):
-            load_idx(img, lab)
-
-    def test_truncated_payload(self, tmp_path):
-        img, lab, _ = _write_idx(tmp_path)
-        blob = open(img, "rb").read()
-        open(img, "wb").write(blob[:-100])
-        with pytest.raises(MalformedHeader):
-            load_idx(img, lab)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frkan.autodiff import NonFiniteGradient, finite_difference_check
+from frkan.autodiff import NonFiniteGradient, NonFiniteValue, finite_difference_check
 from frkan.layers import FRKANLayer, GridConfig, MLPLayer, Network, init_network
 from frkan.tasks import DatasetSplit, generate_classification, generate_runge
 from frkan.training import (
@@ -195,6 +195,22 @@ class TestClosedFormPenalty:
             0.0, np.full(net.n_params(), np.inf) if lam else None))
         assert np.all(np.isfinite(regularized_loss(net, X, y, 0.0)[1]))
         with pytest.raises(NonFiniteGradient, match="^penalty gradient is not finite$"):
+            regularized_loss(net, X, y, 1e-4)
+
+    def test_an_overflowing_penalty_leaves_lam_zero_exact(self):
+        # alternating +-1e154 coefficients square past the float range in
+        # the penalty; A = 0 keeps them out of the forward pass
+        net = init_network("in:2 -> frkan:3 -> frkan:1", GridConfig(G=5, K=2, a=-2, b=2),
+                           seed=0, layernorm="off")
+        first = net.modules[0]
+        first.coefficients[:] = 1e154 * (-1.0) ** np.arange(first.coefficients.shape[1])
+        first.A[:] = 0.0
+        X, y = _toy_regression().split("train")
+        loss, grads, parts = regularized_loss(net, X, y, 0.0)
+        assert parts["penalty"] == np.inf
+        assert loss == parts["task_loss"] and np.isfinite(loss)
+        assert np.all(np.isfinite(grads))
+        with pytest.raises(NonFiniteValue, match="^loss is inf$"):
             regularized_loss(net, X, y, 1e-4)
 
 
