@@ -134,8 +134,8 @@ KEYS = {
     "n": Key(3000, _at_least(10, 10**7), f"{_TRAINING} stability", "dataset size"),
     "task": Key("feynman", _one_of("feynman", "runge", "classification"), "train"),
     "classes": Key(10, _at_least(2), "train stability"),
-    "dim": Key(10, _at_least(1), "train stability"),
-    "width": Key(8, _at_least(1), "stability"),
+    "dim": Key(10, _at_least(1, 10**5), "train stability"),
+    "width": Key(8, _at_least(1, 10**4), "stability"),
     "ranges": Key([[-1.0, 1.0], [-10.0, 10.0]],
                   Check(lambda v: isinstance(v, list) and len(v) > 0 and all(map(_interval, v)),
                         "a non-empty list of [a, b] with finite a < b",

@@ -537,7 +537,11 @@ def slice_map(net: Network, direction=None, anchor=None):
     summed = sum_outputs(net)
 
     def f(ts):
-        X = anchor[None, :] + np.asarray(ts, dtype=float)[:, None] * direction[None, :]
+        ts = np.asarray(ts, dtype=float)
+        X = np.empty((ts.size, anchor.size))
+        for j in range(anchor.size):    # anchor + ts * direction, a column at a time
+            np.multiply(ts, direction[j], out=X[:, j])
+            X[:, j] += anchor[j]
         return summed.forward_batch(X).sum(axis=1)
 
     return f

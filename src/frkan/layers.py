@@ -217,7 +217,7 @@ class KANLayer:
         if cache is None:
             B = basis_matrix(x, self.knots()[0], self.kv.K)
         else:
-            m, W, window_back = basis_window_on_tape(x, self.kv.row, self.kv.K)
+            m, W, window_back = basis_window_on_tape(x, self.kv, self.kv.K)
             B, flat = scatter_window(x, m, W, nb)
             cache.append((X, B, flat, E, S, s, window_back))
         B = B.reshape(X.shape[0], self.d_in * nb)
@@ -323,15 +323,16 @@ class FRKANLayer:
             rows = self.group_of(np.arange(self.d_in))
             m, W, window_back = basis_window_on_tape(X, plan[0], K, rows)
             # window slots that name no basis are 0, so their coefficient
-            # index is clipped onto a neighbour; terms sum left to right
+            # index is clipped onto a neighbour; terms sum left to right,
+            # slot-major (K+1, M) like the window, each slot contiguous
             nb = self.kv.n_bases
             flat = window_bases(m, nb, K).reshape(X.shape + (K + 1,)) + rows[:, None] * nb
             flat = flat.reshape(-1, K + 1)
-            c = self.coefficients.ravel()[flat]
-            terms = W * c
-            pre = terms[:, 0].copy()   # contiguous, so pre @ A sums as uncached
+            c = self.coefficients.ravel().take(flat.T)
+            terms = W.T * c
+            pre = terms[0]
             for r in range(1, K + 1):
-                pre += terms[:, r]
+                pre += terms[r]
             pre = pre.reshape(X.shape)
         s = _sigmoid(X) if self.silu_path else None
         if self.silu_path:
@@ -345,7 +346,7 @@ class FRKANLayer:
         gpre = gO @ self.A.T
         gy = gpre.reshape(-1, 1)
         gc = np.bincount(flat.ravel(), (gy * W).ravel(), minlength=self.coefficients.size)
-        gx, gt = window_back(gy * c)
+        gx, gt = window_back((gy.T * c).T)
         gX = gx.reshape(X.shape)
         if self.silu_path:
             gX = gX + gpre * _silu_slope(X, s)

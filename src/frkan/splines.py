@@ -15,26 +15,24 @@ pinned at a and b so the basis partition of unity keeps holding on all
 of [a, b] however the shifts train.  The shifted points are sorted with
 the extension points and gaps clamped, so knots strictly increase.
 
-Basis evaluation: one array kernel, ``_window_columns``, finds each
-input's knot span and evaluates only the K+1 bases that can be nonzero
-there (de Boor's local recursion, with the Cox-de Boor formulas and
-guards, so values are bit-identical to the full recursion).  It works in
-column form, one array per window slot, gathers each level's denominators
-once (slot r's second is slot r+1's first), and reads its index tables,
-built once per knot count and order, from ``_tables``.  A batch whose
-every input lies in an interior span (K <= m <= G+K-1) takes a short
-path: such an input needs no clamp into the span and every slot of its
-window names a basis, so the kernel skips the clamps and the edge fix-up,
-and the arithmetic it runs is the same, value for value.  Three entries
-call it: ``spline_values`` weights each column by its gathered
-coefficient and sums them; ``basis_matrix`` scatters the window into the
-dense (N, G+K) array (``scatter_window``) for callers that share one
-basis row across many coefficient sets; ``basis_window_on_tape`` keeps
-each level's ratios, over one knot row or a knot matrix, so that
-``window_backward`` runs the levels in reverse for the gradient with
-respect to x and the window's knots.  Its backward scatters the window
-knots' gradients onto the knot matrix, and ``KnotVector.shift_gradient``
-carries those onto the shifts through the clamp.
+Basis evaluation: de Boor's local recursion finds each input's knot span
+and evaluates only the K+1 bases that can be nonzero there, with the
+Cox-de Boor formulas and guards, so values are bit-identical to the full
+recursion.  It starts from a knot set's kernel tables (padded knots and
+each level's guarded denominators; a ``KnotVector`` builds its row's once)
+and shares its span search and edge fix-up.  A batch whose every input
+lies in an interior span (K <= m <= G+K-1) needs no clamp and no fix-up,
+and skips both.  The loop over levels comes in two forms.  The column
+form, ``_window_columns``, keeps one array per window slot, which is
+fastest for the large uncached batches of ``spline_values`` (each column
+weighted by its coefficient and summed) and ``basis_matrix`` (the window
+scattered into the dense basis by ``scatter_window``).  The level form,
+``_window_levels``, keeps each level as (k, N) arrays and the window as
+one (K+1, N) array, for ``basis_window_on_tape``: ``window_backward`` runs
+those levels in reverse for the gradient with respect to x and the
+window's knots, the backward scatters the knots' gradients onto the knot
+matrix, and ``KnotVector.shift_gradient`` carries them onto the shifts
+through the clamp.
 
 Smoothness penalty: ``second_difference_penalty`` gives the penalty of a
 whole coefficient array and its closed-form gradient.
@@ -123,6 +121,14 @@ class KnotVector:
     @property
     def min_gap(self) -> float:
         return MIN_GAP_FACTOR * self.dg
+
+    @functools.cached_property
+    def kernel_tables(self):
+        """``row``'s ``_kernel_tables``, read-only, built once for every step."""
+        tables = _kernel_tables(self.row, self.K)
+        for a in (tables[0], *tables[1]):
+            a.flags.writeable = False
+        return tables
 
     def base_points(self) -> np.ndarray:
         pts = self.a + np.arange(self.G + 1) * self.dg
@@ -235,45 +241,42 @@ def _tables(n_knots: int, K: int):
     return pad, valid, bases
 
 
-def _window_columns(x: np.ndarray, t: np.ndarray, K: int, levels=None, rows=None):
-    """The window of K+1 possibly-nonzero order-K bases at each x, in
-    column form: ``(m, W)``, flat; K >= 1.
+def _kernel_tables(t: np.ndarray, K: int):
+    """A knot row's or matrix's padded knots ``tp`` (rows end to end) and
+    each level k's denominators ``tp[k:] - tp[:-k]``, one within
+    DIVIDING_FLOOR of 0 made inf, so its weight is +0 (numerators are >= 0)."""
+    tp = t[..., _tables(t.shape[-1], K)[0]].ravel()
+    dens = []
+    for k in range(1, K + 1):
+        d = tp[k:] - tp[:-k]
+        dens.append(np.where(np.abs(d) > DIVIDING_FLOOR, d, np.inf))
+    return tp, dens
 
-    ``m[n]`` is the span index with ``t[m] <= x[n] < t[m+1]``, or -1 when
-    no half-open span holds x[n]; ``W`` holds K+1 arrays, ``W[r][n]`` basis
-    ``m[n] - K + r``.  Slots naming no basis (index below 0 or above
-    n_knots-K-2) are 0, rows outside the span are 0, and rows with
-    non-finite x are NaN so bad inputs keep propagating.  Each value takes
-    the operations, order and ``DIVIDING_FLOOR`` guards of the Cox-de Boor
-    recursion over all bases, so it is bit-identical to it.
 
-    When every span is interior (K <= m <= n_bases - 1), ``m`` and ``x``
-    feed the window as they are: the clamp into the span would leave both
+def _spans(x: np.ndarray, t: np.ndarray, K: int, rows):
+    """``(m, base, xs, interior)``, flat: ``m[n]`` is the span with
+    ``t[m] <= x[n] < t[m+1]``, or -1 when no half-open span holds x[n];
+    window knot p of x[n] is padded knot ``base[n] + p`` (a padded copy
+    only meets slots that name no basis), and ``xs`` is x, or the first
+    knot of its row where m = -1.
+
+    When every span is interior (K <= m <= n_bases - 1), ``m`` and x feed
+    the window as they are: the clamp into the span would leave both
     unchanged and the edge fix-up would touch no row, so skipping them
     leaves every value, signed zeros included, as the general path gives
-    it.  Any other batch (an edge span, an input outside the span or not
-    finite, no input at all) takes the general path.
-
-    Without ``rows``, ``x`` is flat and ``t`` one knot row.  With ``rows``,
-    ``t`` is an (h, n_knots) knot matrix and input n uses row ``rows[n]``;
-    ``rows`` may also be one entry per column of a 2-D ``x``, which finds
-    the spans of each knot row's column block at once.  Passed a list,
-    ``levels`` receives one entry per level k for ``window_backward``: its
-    k denominators, its left and right ratios (one per denominator) and
-    the level below.
+    it.  With ``rows``, each run of equal entries searches its block of x's
+    last axis as one slice.
     """
     n_knots = t.shape[-1]
-    n_bases = n_knots - K - 1
-    pad, valid, _ = _tables(n_knots, K)
     if rows is None:
         m = np.searchsorted(t, x, side="right") - 1
     else:
         m = np.empty(x.shape, dtype=np.intp)
-        for g, row in enumerate(t):
-            at = rows == g
-            m[..., at] = np.searchsorted(row, x[..., at], side="right") - 1
+        cuts = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist(), len(rows)]
+        for lo, hi in zip(cuts, cuts[1:]) if len(rows) else ():
+            m[..., lo:hi] = np.searchsorted(t[rows[lo]], x[..., lo:hi], side="right") - 1
     # NaN sorts past the last knot, so a non-finite x is never interior.
-    interior = m.size and K <= m.min() and m.max() <= n_bases - 1
+    interior = bool(m.size) and K <= m.min() and m.max() <= n_knots - K - 2
     if interior:
         base, xs = m, x
     else:
@@ -281,39 +284,56 @@ def _window_columns(x: np.ndarray, t: np.ndarray, K: int, levels=None, rows=None
         m = np.where(inside, m, -1)
         base = np.maximum(m, 0)
         xs = np.where(inside, x, t[0] if rows is None else t[rows, 0])
-    # Padded knots only reach window slots that name no basis, which are
-    # zeroed at the end, and every window index is in bounds.  Padded rows
-    # lie end to end, and no window reaches into the next row.
-    tp = t[..., pad].ravel()
-    if rows is not None:
+    if rows is not None:    # padded rows lie end to end; no window crosses one
         base = base + rows * (n_knots + 2 * K)
-    x, xs, m, base = x.ravel(), xs.ravel(), m.ravel(), base.ravel()
-    # Window knot p is tp[base + p], and x lies in [knot K, knot K+1):
-    # left[p] = x - knot p for 1 <= p <= K, right[q] = knot K+1+q - x for
-    # q < K.  No level reads left[0] or right[K].
+    return m.ravel(), base.ravel(), xs.ravel(), interior
+
+
+def _fix_edges(W, m: np.ndarray, x: np.ndarray, K: int, n_bases: int):
+    """Zero each window slot of ``W`` (K+1 rows over the inputs) that names
+    no basis, and make every slot of a non-finite x NaN so bad inputs keep
+    propagating.  Only rows outside the span or in its first or last K
+    spans hold such slots; non-finite x has no span (m = -1)."""
+    edge = np.flatnonzero((m < K) | (m > n_bases - 1))
+    if edge.size:
+        named = _tables(n_bases + K + 1, K)[1][m[edge] + 1]
+        bad = edge[~np.isfinite(x.ravel()[edge])]
+        for r, w in enumerate(W):
+            w[edge] *= named[:, r]
+            w[bad] = np.nan
+
+
+def _window_columns(x: np.ndarray, t: np.ndarray, K: int, rows=None):
+    """The window of K+1 possibly-nonzero order-K bases at each x, in
+    column form: ``(m, W)``, flat; K >= 1.
+
+    ``m`` is the span of ``_spans``, and ``W`` K+1 arrays, ``W[r][n]``
+    basis ``m[n] - K + r``: 0 for a slot naming no basis (index below 0 or
+    above n_knots-K-2) or a row outside the span, NaN for non-finite x.
+    Each value takes the operations, order and ``DIVIDING_FLOOR`` guards of
+    the Cox-de Boor recursion over all bases, so it is bit-identical to it.
+    ``t`` is one knot row for flat ``x``; with ``rows`` an (h, n_knots)
+    knot matrix, input n (or column n of a 2-D x) using row ``rows[n]``.
+    """
+    tp, dens = _kernel_tables(t, K)
+    m, base, xs, interior = _spans(x, t, K, rows)
+    # x lies in [knot K, knot K+1): left[p] = x - knot p for 1 <= p <= K,
+    # right[q] = knot K+1+q - x for q < K.  No level reads left[0] or right[K].
     left = [None] + [xs - tp[p:].take(base) for p in range(1, K + 1)]
     right = [tp[p:].take(base) - xs for p in range(K + 1, 2 * K + 1)]
     W = [1.0]   # the order-0 basis
     for k in range(1, K + 1):
-        # A denominator within DIVIDING_FLOOR of 0 becomes inf, so its
-        # weight is +0 as in the full recursion: numerators are >= 0.
         # Denominator j, knot p+k - knot p at p = K-k+1+j, divides slot
         # j+1's left term and slot j's right term, so level k gathers its
         # k distinct denominators once.
-        d = tp[k:] - tp[:-k]
-        d = np.where(np.abs(d) > DIVIDING_FLOOR, d, np.inf)
-        den = [d[p:].take(base) for p in range(K - k + 1, K + 1)]
-        lo, ro, nxt = [], [], []
+        den = [dens[k - 1][p:].take(base) for p in range(K - k + 1, K + 1)]
+        nxt = []
         for j in range(k):
             # b before a: the last b is dropped before a new array is made,
             # which keeps the peak memory of summing slot by slot
             b = right[j] / den[j]               # slot j's right ratio
             a = left[K - k + 1 + j] / den[j]    # slot j+1's left ratio
-            if levels is not None:
-                lo.append(a)
-                ro.append(b)
-                a, b = a * W[j], b * W[j]
-            elif k > 1:
+            if k > 1:
                 a *= W[j]
                 b *= W[j]
             if j:
@@ -321,25 +341,50 @@ def _window_columns(x: np.ndarray, t: np.ndarray, K: int, levels=None, rows=None
             else:
                 nxt.append(b)
             nxt.append(a)
-        if levels is not None:
-            levels.append((den, lo, ro, W))
         W = nxt
-    if interior:
-        return m, W
-    # Only rows outside the span or in its first or last K spans hold slots
-    # that name no basis; non-finite x has no span (m = -1).
-    edge = np.flatnonzero((m < K) | (m > n_bases - 1))
-    if edge.size:
-        named = valid[m[edge] + 1]
-        bad = edge[~np.isfinite(x[edge])]
-        for r, w in enumerate(W):
-            w[edge] *= named[:, r]
-            w[bad] = np.nan
+    if not interior:
+        _fix_edges(W, m, x, K, t.shape[-1] - K - 1)
     return m, W
 
 
+def _window_levels(x: np.ndarray, t: np.ndarray, K: int, rows=None, tables=None):
+    """The window of ``_window_columns`` in level form, with what the
+    backward needs: ``(m, W, levels, at, named)``.
+
+    ``W`` is one (K+1, N) array, row r holding slot r.  Entry k-1 of
+    ``levels`` holds level k's (k, N) guarded denominators, left and right
+    ratios (one per denominator) and the level below (1.0 at k = 1).  Slot
+    j of level k sums a_{j-1} W_{j-1} + b_j W_j in that order, as the
+    column form does.  ``at`` is the (2K, N) padded index of window knots
+    1..2K, and ``named`` None for an interior batch, else the (K+1, N) mask
+    of slots that name a basis.  ``tables`` are ``t``'s ``_kernel_tables``.
+    """
+    tp, dens = _kernel_tables(t, K) if tables is None else tables
+    m, base, xs, interior = _spans(x, t, K, rows)
+    at = base + np.arange(1, 2 * K + 1)[:, None]
+    knots = tp.take(at)
+    left, right = xs - knots[:K], knots[K:] - xs    # rows p = 1..K; q = 0..K-1
+    W, levels = 1.0, []
+    for k in range(1, K + 1):
+        den = dens[k - 1].take(at[K - k:K])
+        b, a = right[:k] / den, left[K - k:] / den
+        levels.append((den, a, b, W))
+        if k == 1:
+            nxt = np.concatenate((b, a))
+        else:
+            nxt = np.empty((k + 1, m.size))
+            np.multiply(b[0], W[0], out=nxt[0])
+            np.multiply(a, W, out=nxt[1:])
+            nxt[1:k] += b[1:] * W[1:]
+        W = nxt
+    if interior:
+        return m, W, levels, at, None
+    _fix_edges(W, m, x, K, t.shape[-1] - K - 1)
+    return m, W, levels, at, _tables(t.shape[-1], K)[1][m + 1].T
+
+
 def window_backward(levels, K: int, gW, knots=True):
-    """The levels of ``_window_columns`` run in reverse.
+    """The levels of ``_window_levels`` run in reverse.
 
     ``gW`` is the gradient of the window, shaped (..., K+1, N), with any
     leading seed axes; a slot the kernel zeroed (one that names no basis,
@@ -354,8 +399,7 @@ def window_backward(levels, K: int, gW, knots=True):
     gx = 0.0
     gT = np.zeros(gW.shape[:-2] + (2 * K + 2, gW.shape[-1])) if knots else None
     for k in range(K, 0, -1):
-        # (k, N) arrays; the order-0 level below level 1 is [1.0]
-        den, lo, ro, W = (np.asarray(v) for v in levels[k - 1])
+        den, lo, ro, W = levels[k - 1]
         wi = W / den
         # denominator j's left ratio feeds slot j+1, its right ratio slot j
         g_hi, g_lo = gW[..., 1:, :], gW[..., :-1, :]
@@ -365,7 +409,8 @@ def window_backward(levels, K: int, gW, knots=True):
             gd = ai * lo + bi * ro      # minus the gradient for D
             gT[..., K - k + 1:K + 1, :] += gd - ai
             gT[..., K + 1:K + k + 1, :] += bi - gd
-        gW = g_hi * lo + g_lo * ro
+        if k > 1:   # no level reads the order-0 window's gradient
+            gW = g_hi * lo + g_lo * ro
     return gx, gT
 
 
@@ -399,41 +444,40 @@ def basis_matrix(x: np.ndarray, knots: np.ndarray, K: int) -> np.ndarray:
     return scatter_window(x, m, np.stack(W, axis=1), len(knots) - K - 1)[0]
 
 
-def basis_window_on_tape(x: np.ndarray, t: np.ndarray, K: int, rows=None):
-    """The ``_window_columns`` window of every input ``x`` and its backward.
+def basis_window_on_tape(x: np.ndarray, t, K: int, rows=None):
+    """The ``_window_levels`` window of every input ``x`` and its backward.
 
-    ``t`` is one knot row and ``x`` flat, or with ``rows`` an (h, n_knots)
-    knot matrix, input (or column) n using row ``rows[n]`` as in
-    ``_window_columns``.  One ``_window_columns`` call, keeping its
-    levels, gives its ``m`` and the (M, K+1) window ``W`` over the flat
-    inputs.  Returns ``(m, W, backward)``.
-    ``backward(gW)`` zeroes the gradient of every slot that names no basis
-    (all slots of a row outside the span), runs ``window_backward`` and
-    returns ``(gx, gt)``: window knots 1..2K send their gradient to their
-    knot of the knot matrix, with one ``bincount``, and ``gt`` is shaped
-    like ``t``.  A single knot row is a fixed grid: its ``gt`` is None, and
-    the knots' half of ``window_backward`` is skipped.
+    ``t`` is a knot row, or a ``KnotVector`` (its row, with the tables it
+    built once), and ``x`` flat; or with ``rows`` an (h, n_knots) knot
+    matrix, read as in ``_window_columns``.  Returns ``(m, W, backward)``,
+    ``W`` the (M, K+1) window over the flat inputs (a view of the level
+    form's).  ``backward(gW)`` zeroes the gradient of each slot that names
+    no basis, runs ``window_backward`` and returns ``(gx, gt)``: window
+    knots 1..2K send their gradient to their knot of the knot matrix, with
+    one ``bincount``, and ``gt`` is shaped like ``t``.  A single knot row
+    is a fixed grid: its ``gt`` is None and the knots' half is skipped.
 
     The function keeps its name because the benchmark's tracer
     (``bench/benchlib/trace.py``) times it on every training step; the name
     can go once the benchmark names the backward path (ROADMAP, item 1).
     """
-    levels = []
-    m, W = _window_columns(x, t, K, levels, rows)
-    n_knots = t.shape[-1]
-    pad, valid, _ = _tables(n_knots, K)
+    tables = None
+    if isinstance(t, KnotVector):
+        tables, t = t.kernel_tables, t.row
+    m, W, levels, at, named = _window_levels(x, t, K, rows, tables)
 
     def backward(gW):
-        gx, gT = window_backward(levels, K, gW.T * valid[m + 1].T, rows is not None)
+        gW = gW.T if named is None else gW.T * named
+        gx, gT = window_backward(levels, K, gW, rows is not None)
         if rows is None:
             return gx, None
-        # window knot p of input n is padded position max(m, 0) + p of its row
-        knot = pad.take(np.maximum(m, 0) + np.arange(1, 2 * K + 1)[:, None])
-        knot = knot.reshape((2 * K,) + np.shape(x)) + rows * n_knots
-        gt = np.bincount(knot.ravel(), gT[1:-1].ravel(), minlength=t.size)
+        # padded flat index -> flat index of its knot in the knot matrix
+        n_knots = t.shape[-1]
+        knot = (_tables(n_knots, K)[0] + n_knots * np.arange(len(t))[:, None]).ravel()
+        gt = np.bincount(knot.take(at).ravel(), gT[1:-1].ravel(), minlength=t.size)
         return gx, gt.reshape(t.shape)
 
-    return m, np.stack(W, axis=1), backward
+    return m, W.T, backward
 
 
 @dataclass

@@ -93,7 +93,10 @@ class TestSizeBounds:
                                           (["train", "--G"], "G"),
                                           (["paramcount", "--K"], "K"),
                                           (["knots", "--scan-samples"], "scan_samples"),
-                                          (["export-activation", "--samples"], "samples")])
+                                          (["export-activation", "--samples"], "samples"),
+                                          (["train", "--task", "classification", "--n", "100",
+                                            "--dim"], "dim"),
+                                          (["stability", "--width"], "width")])
     def test_a_size_no_array_can_hold_exits_1_naming_the_key(self, tmp_path, capsys,
                                                               argv, key):
         assert main(argv + [str(10**12), "--out", str(tmp_path / "o")]) == 1

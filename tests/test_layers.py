@@ -416,6 +416,11 @@ class TestOneRecordPerLayerOperation:
                         if m.kind in ("kan", "frkan")]
 
 
+def _same_window(a, b):
+    """Whether two ``(m, W)`` windows hold the same bytes."""
+    return all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
+
+
 def _cached_forward(net, X):
     Y, cache = X, []
     for m in net.modules:
@@ -526,6 +531,60 @@ class TestFixedCostPerStep:
         # the first loss builds the initial plans; after that only the check builds
         layers = len(net.spline_layers())
         assert built == ["loss"] * layers + ["check"] * layers * steps
+
+    def test_a_fixed_grid_builds_its_kernel_tables_once(self):
+        net, data = self._net_and_data("in:2 -> kan:3 -> out:1")
+        X, y = data.split("train")
+        seen, levels = [], splines._window_levels
+
+        def spy_levels(x, t, K, rows=None, tables=None):
+            seen.append(tables)
+            return levels(x, t, K, rows, tables)
+
+        with mock.patch.object(splines, "_window_levels", spy_levels):
+            for lo in (0, 16):
+                regularized_loss(net, X[lo:lo + 16], y[lo:lo + 16], 1e-3)
+        want = [m.kv.kernel_tables for m in net.spline_layers()] * 2
+        assert len(seen) == len(want) == 4
+        for (tp, dens), (want_tp, want_dens) in zip(seen, want):
+            assert tp is want_tp and len(dens) == len(want_dens) == 3
+            assert all(a is b for a, b in zip(dens, want_dens))
+            assert not any(a.flags.writeable for a in (tp, *dens))
+
+    def test_shifts_set_in_place_give_a_fresh_layers_window_and_gradients(self):
+        """Nothing the kernel builds from a knot matrix outlives the shifts
+        it came from: every window matches the column form on the same
+        knots, and after an in-place update, a fresh layer's."""
+        desc = "in:2 -> frkan:4 -> out:1"
+        net, data = self._net_and_data(desc)
+        X, y = data.split("train")
+        X, y = X[:16], y[:16]
+        windows, levels = [], splines._window_levels
+
+        def spy_levels(x, t, K, rows=None, tables=None):
+            out = levels(x, t, K, rows, tables)
+            # the column form builds its own tables from the knots it is given
+            m, W = splines._window_columns(x, t, K, rows)
+            assert _same_window(out, (m, np.stack(W)))
+            windows.append(out[:2])
+            return out
+
+        with mock.patch.object(splines, "_window_levels", spy_levels):
+            regularized_loss(net, X, y, 1e-3)      # caches the old plan
+            layer, flat = net.modules[0], net.get_flat()
+            at = layer.A.size + layer.coefficients.size
+            flat[at:at + layer.shifts.size] += np.random.default_rng(5).uniform(
+                -0.3, 0.3, layer.shifts.size) * layer.kv.dg
+            net.set_flat(flat)
+            loss, g, _ = regularized_loss(net, X, y, 1e-3)
+            fresh, _ = self._net_and_data(desc)
+            fresh.set_flat(flat)
+            want, want_g, _ = regularized_loss(fresh, X, y, 1e-3)
+        layers = len(net.spline_layers())
+        old, new, built = (windows[i:i + layers] for i in range(0, 3 * layers, layers))
+        assert len(windows) == 3 * layers and not _same_window(old[0], new[0])
+        assert all(map(_same_window, new, built))
+        assert loss == want and g.tobytes() == want_g.tobytes()
 
     @pytest.mark.parametrize("desc", ["in:2 -> frkan:4 -> out:1", "in:2 -> kan:3 -> out:1"])
     def test_a_backward_sorts_nothing_and_a_fixed_grid_gets_no_knot_gradient(self, desc):

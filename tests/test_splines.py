@@ -24,6 +24,7 @@ from frkan.splines import (
     spline_values,
     window_backward,
     _window_columns,
+    _window_levels,
 )
 
 
@@ -342,6 +343,50 @@ class TestInteriorShortPath:
             assert _same_bytes(gt, gta)
 
 
+class TestLevelForm:
+    """``_window_levels``, the training form with one (K+1, N) window, and
+    ``_window_columns``, the column form of the uncached entries, give the
+    same spans and window, byte for byte, signed zeros and NaN included."""
+
+    @settings(max_examples=150)
+    @given(K=st.integers(1, 3), G=st.sampled_from([1, 2, 5, 20]),
+           Z=st.sampled_from([None, 8.0, 1.05]),
+           extra=st.sampled_from([None, "left edge", "right edge", "below", "above",
+                                  "last knot", "nan", "inf", "-inf"]),
+           data=st.data())
+    def test_both_forms_give_the_same_window(self, K, G, Z, extra, data):
+        kv = make_uniform_grid(-2.0, 3.0, G, K)
+        if Z is None:
+            T = np.stack([kv.row, kv.row])
+        else:
+            seeds = data.draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=2, max_size=2))
+            T = kv.knot_matrix([init_shift(kv, Z, seed=s) for s in seeds])
+        n = data.draw(st.integers(1, 20))
+        def draw(elements):
+            return np.array(data.draw(st.lists(elements, min_size=3 * n, max_size=3 * n)))
+
+        # column j reads knot row cols[j], as in a cached FR-KAN forward
+        cols = np.array([0, 0, 1])
+        X = _in_spans(T, cols, draw(st.integers(K, G + K - 1)).reshape(n, 3),
+                      draw(st.floats(0.0, 1.0, exclude_max=True)).reshape(n, 3))
+        if extra is not None:       # one input that is not interior
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 2))
+            t, v = T[cols[j]], data.draw(st.floats(0.0, 1.0, exclude_max=True))
+            if "edge" in extra:     # one of the first or last K spans
+                first = 0 if extra == "left edge" else G + K
+                X[i, j] = _in_spans(T, cols[j], data.draw(st.integers(first, first + K - 1)), v)
+            else:
+                X[i, j] = {"below": t[0] - 1.0 - v, "above": t[-1] + v, "last knot": t[-1],
+                           "nan": np.nan, "inf": np.inf, "-inf": -np.inf}[extra]
+        for x, t, rows in [(X[:, :2].ravel(), T[0], None), (X[:, 2], T[1], None),
+                           (X.ravel(), T, np.tile(cols, n)), (X, T, cols)]:
+            m, W = _window_columns(x, t, K, rows)
+            m_l, W_l, _, _, named = _window_levels(x, t, K, rows)
+            assert _same_bytes(m, m_l)
+            assert W_l.shape == (K + 1, m.size) and _same_bytes(np.stack(W), W_l)
+            assert (named is None) == (K <= m.min() and m.max() <= G + K - 1)
+
+
 class TestSplineEval:
     def test_partition_gives_constant_one(self):
         kv = make_uniform_grid(-1, 1, 5, 2)
@@ -524,9 +569,7 @@ class TestTapeSpline:
         gW = np.random.default_rng(0).normal(size=(2, x.size))
         _, gt = backward(gW.T)
         gs = kv.shift_gradient(kv.knot_plan(shifts), gt)
-        levels = []
-        _window_columns(x, knots, 1, levels)
-        _, gT = window_backward(levels, 1, gW)
+        _, gT = window_backward(_window_levels(x, knots, 1)[2], 1, gW)
         want_t, want = np.zeros_like(knots), np.zeros(5)
         for n in range(x.size):
             for p in (1, 2):                 # window knot p is knot m - 1 + p
@@ -549,8 +592,7 @@ class TestWindowBackward:
         t = np.sort(rng.uniform(-2, 2, size=12))
         # spans whose window knots m-K..m+K+1 are all inside t
         x = rng.uniform(t[K], t[-K - 1], size=30)
-        levels = []
-        m, _ = _window_columns(x, t, K, levels)
+        m, _, levels = _window_levels(x, t, K)[:3]
         gx, gT = window_backward(levels, K, np.eye(K + 1)[:, :, None] * np.ones(x.size))
         step = 1e-6
 
