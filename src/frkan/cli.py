@@ -153,7 +153,6 @@ KEYS = {
     "unit": Key(0, _INDEX, "export-activation", "group index (frkan) or edge index (kan)"),
     "samples": Key(2000, _at_least(1, 10**8), "export-activation"),
     "scan_samples": Key(200_000, _at_least(MIN_SAMPLES, 10**8), "knots"),
-    "normalize": Key(False, _SWITCH, _TRAINING, "normalize inputs by train statistics"),
     "silu": Key(True, _SWITCH, f"{_TRAINING} paramcount", "drop the SiLU shortcut path"),
     "layernorm": Key("auto", _one_of("auto", "off", "explicit"), f"{_TRAINING} paramcount",
                      "normalization placement (default auto)"),
@@ -300,8 +299,7 @@ def _train_command(config) -> int:
     tc = TrainConfig(learning_rate=config["lr"], epochs=config["epochs"],
                      batch_size=config["batch"], lam=config["lambda"],
                      seed=config["seed"],
-                     task="classification" if data.task == "classification" else "regression",
-                     normalize_inputs=config["normalize"])
+                     task="classification" if data.task == "classification" else "regression")
     semantic = {k: v for k, v in config.items() if k != "out"}
     record, net = train(net, data, tc, extra_hash={"descriptor": descriptor,
                                                    "cli": semantic})

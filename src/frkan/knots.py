@@ -2,7 +2,7 @@
 
 A breakpoint (knot) of a piecewise-linear scalar map is a point where the
 one-sided slopes differ.  A network audit looks at the sum of the outputs
-along a 1-D slice anchor + t * direction.  That sum is folded into the
+along a 1-D slice t * direction.  That sum is folded into the
 last layer where it is linear in the output weights (KAN, FR-KAN,
 identity MLP), so every path works on one output column.  Detection is
 restricted to order-1 splines and ReLU networks; higher-order splines hide
@@ -394,8 +394,8 @@ def piecewise_linear_slice(net: Network) -> bool:
     return all(ok(m, False) for m in hidden) and ok(last, True)
 
 
-def exact_breakpoints(net: Network, lo: float, hi: float, direction=None,
-                      anchor=None) -> BreakpointReport:
+def exact_breakpoints(net: Network, lo: float, hi: float,
+                      direction=None) -> BreakpointReport:
     """Breakpoints of the summed-output slice, propagated piece by piece.
 
     Counts with ``_report``, like the scanner; the threshold's largest
@@ -409,10 +409,10 @@ def exact_breakpoints(net: Network, lo: float, hi: float, direction=None,
                                "no SiLU shortcut before the last layer")
     if hi <= lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
-    direction, anchor = _slice_axes(net, direction, anchor)
+    direction = _slice_direction(net, direction)
     tol = RELATIVE_MERGE_TOLERANCE * (hi - lo)
     T = np.array([lo, hi], dtype=float)
-    alpha, beta = anchor[None, :], direction[None, :]
+    alpha, beta = np.zeros((1, direction.size)), direction[None, :]
     summed = sum_outputs(net)
     for mod in summed.modules:
         T, xa, xb, alpha, beta = _pieces_through(mod, T, alpha, beta)
@@ -521,38 +521,36 @@ def network_bounds(net: Network) -> BoundResult:
     return fixed_grid_knot_bounds(G, K, L)
 
 
-def _slice_axes(net: Network, direction, anchor):
+def _slice_direction(net: Network, direction):
     d_in = net.d_in
     direction = np.ones(d_in) if direction is None else np.asarray(direction, dtype=float)
-    anchor = np.zeros(d_in) if anchor is None else np.asarray(anchor, dtype=float)
-    if direction.shape != (d_in,) or anchor.shape != (d_in,):
-        raise ValueError(f"slice direction/anchor must have shape ({d_in},)")
-    return direction, anchor
+    if direction.shape != (d_in,):
+        raise ValueError(f"slice direction must have shape ({d_in},)")
+    return direction
 
 
-def slice_map(net: Network, direction=None, anchor=None):
-    """The audited scalar map t -> sum of net(anchor + t * direction) over
-    the outputs, batched over t and run through one folded output column."""
-    direction, anchor = _slice_axes(net, direction, anchor)
+def slice_map(net: Network, direction=None):
+    """The audited scalar map t -> sum of net(t * direction) over the
+    outputs, batched over t and run through one folded output column."""
+    direction = _slice_direction(net, direction)
     summed = sum_outputs(net)
 
     def f(ts):
         ts = np.asarray(ts, dtype=float)
-        X = np.empty((ts.size, anchor.size))
-        for j in range(anchor.size):    # anchor + ts * direction, a column at a time
+        X = np.empty((ts.size, direction.size))
+        for j in range(direction.size):    # ts * direction, a column at a time
             np.multiply(ts, direction[j], out=X[:, j])
-            X[:, j] += anchor[j]
         return summed.forward_batch(X).sum(axis=1)
 
     return f
 
 
-def audit_network_knots(net: Network, direction=None, anchor=None,
+def audit_network_knots(net: Network, direction=None,
                         lo: float | None = None, hi: float | None = None,
                         samples: int = DEFAULT_SAMPLES) -> KnotAudit:
-    """Count the breakpoints of a 1-D affine slice and compare to the bounds.
+    """Count the breakpoints of a 1-D slice and compare to the bounds.
 
-    The scalar map is the sum of outputs at anchor + t * direction.  A
+    The scalar map is the sum of outputs at t * direction.  A
     piecewise-linear slice (``piecewise_linear_slice``) takes the exact
     path; any other stack is scanned on a ``samples``-point lattice.  The
     interior count is reported as measured; a spline bound comparison adds
@@ -570,7 +568,7 @@ def audit_network_knots(net: Network, direction=None, anchor=None,
         if m.kind in SPLINE_KINDS and m.kv.K != 1:
             raise UnsupportedOrder(f"audit needs K=1 spline layers, got K={m.kv.K}")
 
-    direction, anchor = _slice_axes(net, direction, anchor)
+    direction = _slice_direction(net, direction)
     splines = net.spline_layers()
     if splines and (lo is None or hi is None):
         grid = splines[0].kv
@@ -580,9 +578,9 @@ def audit_network_knots(net: Network, direction=None, anchor=None,
         raise ValueError("lo/hi are required for networks without spline layers")
 
     if piecewise_linear_slice(net):
-        report = exact_breakpoints(net, lo, hi, direction, anchor)
+        report = exact_breakpoints(net, lo, hi, direction)
     else:
-        report = scan_breakpoints(slice_map(net, direction, anchor), lo, hi, samples=samples)
+        report = scan_breakpoints(slice_map(net, direction), lo, hi, samples=samples)
     bounds = network_bounds(net)
     # the ReLU chain counts kinks themselves; the spline counts G+K include
     # the two boundary knots

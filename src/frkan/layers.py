@@ -231,7 +231,7 @@ class KANLayer:
         shape = (self.d_in, self.kv.n_bases, self.d_out)
         gM = (B.reshape(len(X), -1).T @ gO).reshape(shape).transpose(0, 2, 1)  # (i, o, b)
         gB = gO @ E.T
-        gX = window_back(gB.ravel()[flat])[0].reshape(X.shape)
+        gX = window_back(gB.ravel().take(flat.T).T)[0].reshape(X.shape)
         gA_s = np.zeros_like(self.A_s)
         if self.silu_path:
             gX = gX + (gO @ self.A_s.T) * _silu_slope(X, s)
@@ -725,7 +725,8 @@ def load_checkpoint(path: str) -> Network:
     if not isinstance(doc, dict):
         raise CorruptCheckpoint(f"need an object holding 'layers', got {type(doc).__name__}")
     if doc.get("schema_version") != CHECKPOINT_SCHEMA:
-        raise CorruptCheckpoint(f"unsupported schema: {doc.get('schema_version')!r}")
+        raise CorruptCheckpoint(f"schema_version: need {CHECKPOINT_SCHEMA!r}, "
+                                f"got {doc.get('schema_version')!r}")
     modules = []
     entries = doc.get("layers")
     if not isinstance(entries, list):
@@ -734,8 +735,8 @@ def load_checkpoint(path: str) -> Network:
         label = f"layers[{idx}]"
         if not isinstance(e, dict):
             raise CorruptCheckpoint(f"{label}: need an object, got {e!r}")
-        kind = e.get("kind")
         try:
+            kind = e["kind"]
             if kind == "ln":
                 gamma, beta = _decode_array(e["gamma"], "gamma"), _decode_array(e["beta"], "beta")
                 # before LayerNorm allocates d_in entries
@@ -746,7 +747,7 @@ def load_checkpoint(path: str) -> Network:
                 m = LayerNorm(e["d_in"])
                 m.gamma, m.beta = gamma, beta
             elif kind in SPLINE_KINDS:
-                silu = e.get("silu", True)
+                silu = e["silu"]
                 if not isinstance(silu, bool):
                     raise CorruptCheckpoint(f"{label}: silu: need true or false, got {silu!r}")
                 coef = _decode_array(e["coefficients"], "coefficients")
@@ -764,7 +765,7 @@ def load_checkpoint(path: str) -> Network:
             elif kind == "mlp":
                 m = MLPLayer(_decode_array(e["W"], "W"),
                              _decode_array(e["bias"], "bias"),
-                             activation=e.get("activation", "relu"))
+                             activation=e["activation"])
             else:
                 raise CorruptCheckpoint(f"{label}: unknown layer kind {kind!r}")
             _check_widths(d_in=e["d_in"], d_out=e["d_out"])

@@ -28,45 +28,25 @@ class RejectionOverflow(Exception):
 
 
 @dataclass
-class Normalization:
-    mean: np.ndarray
-    std: np.ndarray
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.mean) / self.std
-
-
-@dataclass
 class DatasetSplit:
-    """Inputs, labels, train/test index sets and train-only normalization."""
+    """Inputs, labels and train/test index sets."""
 
     X: np.ndarray
     y: np.ndarray
     train_idx: np.ndarray
     test_idx: np.ndarray
     task: str  # "regression" | "classification"
-    normalization: Normalization = None
     manifest: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.normalization is None:
-            Xtr = self.X[self.train_idx]
-            std = Xtr.std(axis=0)
-            std[std == 0] = 1.0
-            self.normalization = Normalization(Xtr.mean(axis=0), std)
 
     @property
     def n_features(self) -> int:
         return self.X.shape[1]
 
-    def split(self, which: str, normalized: bool = False):
+    def split(self, which: str):
         if which not in ("train", "test"):
             raise ValueError(f"split: need 'train' or 'test', got {which!r}")
         idx = self.train_idx if which == "train" else self.test_idx
-        X = self.X[idx]
-        if normalized:
-            X = self.normalization.apply(X)
-        return X, self.y[idx]
+        return self.X[idx], self.y[idx]
 
 
 def _train_test_split(n: int, train_frac: float = 0.8):
@@ -204,12 +184,15 @@ def generate_runge(n: int, seed: int) -> DatasetSplit:
     return DatasetSplit(X, y, tr, te, task="regression", manifest=manifest)
 
 
-def generate_classification(n: int, classes: int, d: int, seed: int,
-                            separation: float = 6.0) -> DatasetSplit:
+# the distance between every pair of class means
+SEPARATION = 6.0
+
+
+def generate_classification(n: int, classes: int, d: int, seed: int) -> DatasetSplit:
     """Unit-variance Gaussian blobs centered on a scaled simplex.
 
     Class means are centered one-hot vertices rescaled so every pair of
-    means sits ``separation`` apart; class sizes are balanced within 1.
+    means sits ``SEPARATION`` apart; class sizes are balanced within 1.
     """
     if classes < 2:
         raise ValueError(f"need classes >= 2, got {classes}")
@@ -219,7 +202,7 @@ def generate_classification(n: int, classes: int, d: int, seed: int,
         raise ValueError(f"need n >= classes, got {n}")
     rng = np.random.default_rng([seed, 777])
     eye = np.eye(classes, d)
-    means = (eye - eye.mean(axis=0)) * (separation / np.sqrt(2.0))
+    means = (eye - eye.mean(axis=0)) * (SEPARATION / np.sqrt(2.0))
     per = [n // classes + (1 if k < n % classes else 0) for k in range(classes)]
     X = np.concatenate([means[k] + rng.normal(size=(per[k], d)) for k in range(classes)])
     y = np.concatenate([np.full(per[k], k) for k in range(classes)]).astype(float)
@@ -227,7 +210,7 @@ def generate_classification(n: int, classes: int, d: int, seed: int,
     X, y = X[order], y[order]
     tr, te = _train_test_split(n)
     manifest = {"id": f"blobs-{classes}c", "arity": d, "seed": seed, "n": n,
-                "separation": separation,
+                "separation": SEPARATION,
                 "split_sizes": [int(tr.size), int(te.size)]}
     return DatasetSplit(X, y, tr, te, task="classification", manifest=manifest)
 

@@ -41,20 +41,13 @@ class TrainConfig:
     batch_size: int = 128
     lam: float = 1e-4
     seed: int = 2024
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     task: str = "regression"  # "regression" (RMSE metric) or "classification" (accuracy)
     max_steps: int | None = None
-    normalize_inputs: bool = False
 
     def __post_init__(self):
         checks = [("learning_rate", lambda v: _finite(v) and v > 0, "a finite number > 0"),
                   ("lam", lambda v: _finite(v) and v >= 0, "a finite number >= 0"),
                   ("epochs", _count, "an integer >= 1"), ("batch_size", _count, "an integer >= 1"),
-                  ("beta1", lambda v: _finite(v) and 0 <= v < 1, "a finite number in [0, 1)"),
-                  ("beta2", lambda v: _finite(v) and 0 <= v < 1, "a finite number in [0, 1)"),
-                  ("eps", lambda v: _finite(v) and v > 0, "a finite number > 0"),
                   ("seed", lambda v: _count(v, 0), "an integer >= 0")]
         if self.max_steps is not None:
             checks.append(("max_steps", _count, "an integer >= 1"))
@@ -144,24 +137,22 @@ def regularized_loss(net: Network, X: np.ndarray, y: np.ndarray, lam: float,
     return loss, grads, {"task_loss": task_loss, "penalty": penalty}
 
 
-def evaluate(net: Network, data: DatasetSplit, metric: str | None = None,
-             split: str = "test", normalized: bool = False) -> float:
-    """RMSE or accuracy on one split."""
-    X, y = data.split(split, normalized=normalized)
+def evaluate(net: Network, data: DatasetSplit) -> float:
+    """RMSE (regression) or accuracy (classification) on the test split."""
+    X, y = data.split("test")
     if X.shape[0] == 0:
-        raise EmptySplit(f"split {split!r} is empty")
-    if metric is None:
-        metric = "rmse" if data.task == "regression" else "accuracy"
+        raise EmptySplit("test split is empty")
     preds = net.forward_batch(X)
-    if metric == "rmse":
+    if data.task == "regression":
         err = preds[:, 0] - y if preds.shape[1] == 1 else preds - np.atleast_2d(y)
         return float(np.sqrt(np.mean(err ** 2)))
-    if metric == "accuracy":
-        return float(np.mean(np.argmax(preds, axis=1) == y.astype(int)))
-    raise ValueError(f"unknown metric {metric!r}")
+    return float(np.mean(np.argmax(preds, axis=1) == y.astype(int)))
 
 
 # -- optimizer --------------------------------------------------------------------
+
+# Adam's moment decay rates and denominator guard, fixed at the usual values
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -175,17 +166,16 @@ class AdamState:
         return cls(np.zeros(n), np.zeros(n), 0)
 
 
-def adam_step(params, grads, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def adam_step(params, grads, state: AdamState, lr: float):
     """Bias-corrected adaptive update; returns (new params, state)."""
     if state.m.shape != params.shape or state.v.shape != params.shape:
         raise ValueError("optimizer state does not match parameter shape")
     t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * grads
-    v = beta2 * state.v + (1.0 - beta2) * grads * grads
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    new = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = BETA1 * state.m + (1.0 - BETA1) * grads
+    v = BETA2 * state.v + (1.0 - BETA2) * grads * grads
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    new = params - lr * m_hat / (np.sqrt(v_hat) + EPS)
     return new, AdamState(m, v, t)
 
 
@@ -239,7 +229,7 @@ def train(net: Network, data: DatasetSplit, config: TrainConfig,
     loss halts the run with nan_step and nan_cause set.
     """
     t0 = time.perf_counter()
-    Xtr, ytr = data.split("train", normalized=config.normalize_inputs)
+    Xtr, ytr = data.split("train")
     if Xtr.shape[0] == 0:
         raise EmptySplit("training split is empty")
     rng = np.random.default_rng([config.seed, 29])
@@ -268,8 +258,7 @@ def train(net: Network, data: DatasetSplit, config: TrainConfig,
                 record.nan_cause = f"{type(exc).__name__}: {exc}"
                 done = True
                 break
-            flat, state = adam_step(flat, grads, state, config.learning_rate,
-                                    config.beta1, config.beta2, config.eps)
+            flat, state = adam_step(flat, grads, state, config.learning_rate)
             if not np.all(np.isfinite(flat)):
                 record.nan_step = step
                 record.nan_cause = "NonFiniteValue: the Adam step left a parameter not finite"
@@ -286,13 +275,11 @@ def train(net: Network, data: DatasetSplit, config: TrainConfig,
                 break
         if done:
             break
-        latest_metric = evaluate(net, data, split="test",
-                                 normalized=config.normalize_inputs)
+        latest_metric = evaluate(net, data)
         record.epoch_metrics.append({"epoch": epoch, "metric": latest_metric})
 
     if record.nan_step is None:
-        record.final_metric = evaluate(net, data, split="test",
-                                       normalized=config.normalize_inputs)
+        record.final_metric = evaluate(net, data)
     record.wall_time = time.perf_counter() - t0
     return record, net
 

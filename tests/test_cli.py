@@ -133,7 +133,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("bad", [{"epochs": "3"}, {"lambda": "x"}, {"groups": 0},
                                      {"lr": "x"}, {"batch": "8"}, {"n": "x"},
-                                     {"normalize": "yes"}, {"lr": 0}, {"n": 5},
+                                     {"silu": 1}, {"lr": 0}, {"n": 5},
                                      {"silu": "false"}, {"layernorm": "sometimes"},
                                      {"model": "xyz"}, {"task": 3},
                                      {"dim": 2, "task": "classification", "classes": 3},

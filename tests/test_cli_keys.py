@@ -1,7 +1,9 @@
 """The CLI's key table: each command's flags, the README's examples and
 flag lists, and checkpoints whose fields were mutated."""
 
+import contextlib
 import copy
+import io
 import json
 import re
 import shlex
@@ -78,6 +80,14 @@ class TestFlagsFollowTheReadSets:
         assert rc == 1
         assert "error: argument --ranges: " in capsys.readouterr().err.splitlines()[-1]
 
+    def test_normalize_is_not_a_key(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"normalize": False}))
+        for argv in (["train", "--normalize"], ["approx", "--config", str(cfg)]):
+            assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+            assert "normalize" in capsys.readouterr().err.splitlines()[-1]
+        assert not (tmp_path / "o").exists()
+
     def test_a_config_file_may_set_any_key(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"model": "kan", "epochs": 3, "silu": False, "G": 5,
@@ -143,6 +153,17 @@ _TARGETS = [(n, path) for n, doc in enumerate(_DOCS) for path in
             + [("layers", i, f) for i in range(len(doc["layers"])) for f in _FIELDS]
             + [("layers", i, name, "shape") for i, e in enumerate(doc["layers"])
                for name, v in e.items() if isinstance(v, dict)]]
+
+
+def _holder(doc, path):
+    """The object in ``doc`` that holds the key at the end of ``path``."""
+    for step in path[:-1]:
+        doc = doc[step]
+    return doc
+
+
+# the targets whose key the document holds, for deletion
+_PRESENT = [(n, path) for n, path in _TARGETS if path[-1] in _holder(_DOCS[n], path)]
 _INTS = st.integers(-3, 12) | st.sampled_from([10**9, 10**9 + 7, 10**15, -10**15, 2**63])
 # the largest floats, where a grid's width or extension overflows
 _VALUES = (st.none() | st.booleans() | _INTS | st.floats() | st.text(max_size=6)
@@ -199,9 +220,28 @@ class TestMutatedCheckpoints:
     def test_no_mutation_exits_2(self, target, value):
         n, path = target
         doc = copy.deepcopy(_DOCS[n])
-        node = doc
-        for step in path[:-1]:
-            node = node[step]
-        node[path[-1]] = value
+        _holder(doc, path)[path[-1]] = value
         with tempfile.TemporaryDirectory() as tmp:
             assert set(_run_both(doc, tmp)) <= {0, 1, 3}
+
+    @settings(max_examples=100)
+    @given(target=st.sampled_from(_PRESENT))
+    @example(target=(0, ("schema_version",)))
+    @example(target=(0, ("architecture",)))
+    @example(target=(0, ("layers", 0, "silu")))
+    @example(target=(0, ("layers", 1, "silu")))
+    @example(target=(0, ("layers", 2, "activation")))
+    def test_a_deleted_field_exits_1_naming_it(self, target):
+        """No field is filled in: each command exits 1 and its one error
+        line names the deleted key, quoted or followed by a colon."""
+        n, path = target
+        doc = copy.deepcopy(_DOCS[n])
+        del _holder(doc, path)[path[-1]]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            assert _run_both(doc, tmp) == (1, 1)
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert line.startswith("error: checkpoint: ")
+            assert f"'{path[-1]}'" in line or f" {path[-1]}: " in line, line

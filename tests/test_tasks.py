@@ -101,15 +101,6 @@ class TestFeynman:
         finally:
             del FEYNMAN_EQUATIONS["__hostile__"]
 
-    def test_normalization_round_trip(self):
-        data = generate_feynman("I.29.16", 200, seed=9)
-        norm = data.normalization
-        X = data.X[data.test_idx]
-        np.testing.assert_allclose(norm.apply(X) * norm.std + norm.mean, X, atol=1e-12)
-        Xn = norm.apply(data.X[data.train_idx])
-        np.testing.assert_allclose(Xn.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(Xn.std(axis=0), 1.0, rtol=1e-12)
-
 
 class TestRunge:
     def test_values(self):
