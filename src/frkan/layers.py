@@ -17,7 +17,9 @@ shared by ``knots()``, the forward pass and the shift gradient.
 
 Every layer computes its output in one place, ``forward_batch(X,
 cache=None)``, over a whole sample matrix.  Without a cache it serves
-metrics, scanning and export, and does only the forward work.  Given a
+metrics, scanning and export, and does only the forward work; an FR-KAN
+layer then evaluates its splines in pp form, which agrees with the
+cached path's recursion to rounding, not bit for bit.  Given a
 list, it appends what the layer's ``backward(cache, gY)`` needs; that
 pops the entry and returns the gradient for X and one gradient per
 parameter array, in ``param_arrays`` order, in closed form.  A cached
@@ -50,8 +52,9 @@ from .splines import (
     basis_window_on_tape,
     init_shift,
     make_uniform_grid,
+    pp_tables,
+    pp_values,
     scatter_window,
-    spline_values,
     window_bases,
 )
 
@@ -312,33 +315,39 @@ class FRKANLayer:
     def forward_batch(self, X, cache=None):
         plan, K = self.knot_plan(), self.kv.K
         if cache is None:
-            # one kernel call per group: ``spline_values`` sums as it gathers,
-            # with no window or coefficient matrix (the chunked audit's path)
-            pre = np.empty_like(X, dtype=float)
+            # Evaluation, scanning and export, with no window and no
+            # recursion: every group's pp form, converted once per call,
+            # then per group one span search and a Horner loop over its
+            # columns, which are contiguous rows of X.T.  The SiLU term
+            # comes first, into the output, so no second block-sized
+            # temporary stays alive (glibc would trim and refault it).
+            XT = np.ascontiguousarray(X.T, dtype=float)
+            origin, Q = pp_tables(plan[0], K, self.coefficients)
+            pre = _silu(XT) if self.silu_path else np.zeros_like(XT)
             for g in range(self.h):
                 cols = self.group_columns(g)
-                pre[:, cols] = spline_values(X[:, cols], plan[0][g], K, self.coefficients[g])
-        else:
-            # one knot row per column block: the group of each input column
-            rows = self.group_of(np.arange(self.d_in))
-            m, W, window_back = basis_window_on_tape(X, plan[0], K, rows)
-            # window slots that name no basis are 0, so their coefficient
-            # index is clipped onto a neighbour; terms sum left to right,
-            # slot-major (K+1, M) like the window, each slot contiguous
-            nb = self.kv.n_bases
-            flat = window_bases(m, nb, K).reshape(X.shape + (K + 1,)) + rows[:, None] * nb
-            flat = flat.reshape(-1, K + 1)
-            c = self.coefficients.ravel().take(flat.T)
-            terms = W.T * c
-            pre = terms[0]
-            for r in range(1, K + 1):
-                pre += terms[r]
-            pre = pre.reshape(X.shape)
+                x = XT[cols]
+                pre[cols] += pp_values(x.ravel(), plan[0][g], origin[g], Q[:, g]).reshape(x.shape)
+            return pre.T @ self.A
+        # one knot row per column block: the group of each input column
+        rows = self.group_of(np.arange(self.d_in))
+        m, W, window_back = basis_window_on_tape(X, plan[0], K, rows)
+        # window slots that name no basis are 0, so their coefficient
+        # index is clipped onto a neighbour; terms sum left to right,
+        # slot-major (K+1, M) like the window, each slot contiguous
+        nb = self.kv.n_bases
+        flat = window_bases(m, nb, K).reshape(X.shape + (K + 1,)) + rows[:, None] * nb
+        flat = flat.reshape(-1, K + 1)
+        c = self.coefficients.ravel().take(flat.T)
+        terms = W.T * c
+        pre = terms[0]
+        for r in range(1, K + 1):
+            pre += terms[r]
+        pre = pre.reshape(X.shape)
         s = _sigmoid(X) if self.silu_path else None
         if self.silu_path:
             pre += X * s
-        if cache is not None:
-            cache.append((X, plan, pre, flat, W, c, s, window_back))
+        cache.append((X, plan, pre, flat, W, c, s, window_back))
         return pre @ self.A
 
     def backward(self, cache, gO):

@@ -19,20 +19,28 @@ Basis evaluation: de Boor's local recursion finds each input's knot span
 and evaluates only the K+1 bases that can be nonzero there, with the
 Cox-de Boor formulas and guards, so values are bit-identical to the full
 recursion.  It starts from a knot set's kernel tables (padded knots and
-each level's guarded denominators; a ``KnotVector`` builds its row's once)
-and shares its span search and edge fix-up.  A batch whose every input
-lies in an interior span (K <= m <= G+K-1) needs no clamp and no fix-up,
-and skips both.  The loop over levels comes in two forms.  The column
-form, ``_window_columns``, keeps one array per window slot, which is
-fastest for the large uncached batches of ``spline_values`` (each column
-weighted by its coefficient and summed) and ``basis_matrix`` (the window
-scattered into the dense basis by ``scatter_window``).  The level form,
-``_window_levels``, keeps each level as (k, N) arrays and the window as
-one (K+1, N) array, for ``basis_window_on_tape``: ``window_backward`` runs
-those levels in reverse for the gradient with respect to x and the
-window's knots, the backward scatters the knots' gradients onto the knot
-matrix, and ``KnotVector.shift_gradient`` carries them onto the shifts
-through the clamp.
+each level's guarded denominators, built with one gather and one guard; a
+``KnotVector`` builds its row's once) and shares its span search and edge
+fix-up.  A batch whose every input lies in an interior span
+(K <= m <= G+K-1) needs no clamp and no fix-up, and skips both.
+
+Spline values come in three forms:
+
+* the pp form (``pp_tables``, ``pp_values``): each knot set's spline,
+  converted once per call into one polynomial per span, then per input
+  one span search, K+2 gathers and a Horner loop.  It serves the
+  cache-free values, ``spline_values`` and the cache-free FR-KAN forward,
+  and agrees with the recursion to rounding, not bit for bit;
+* the column form, ``_window_columns``, one array per window slot, behind
+  ``basis_matrix`` (the window scattered into the dense basis by
+  ``scatter_window``) and the pp conversion, which evaluates it at the
+  knots;
+* the level form, ``_window_levels``, each level as (k, N) arrays and the
+  window as one (K+1, N) array, for training's ``basis_window_on_tape``:
+  ``window_backward`` runs those levels in reverse for the gradient with
+  respect to x and the window's knots, the backward scatters the knots'
+  gradients onto the knot matrix, and ``KnotVector.shift_gradient``
+  carries them onto the shifts through the clamp.
 
 Smoothness penalty: ``second_difference_penalty`` gives the penalty of a
 whole coefficient array and its closed-form gradient.
@@ -241,16 +249,26 @@ def _tables(n_knots: int, K: int):
     return pad, valid, bases
 
 
+@functools.lru_cache(maxsize=64)
+def _level_index(n_rows: int, n_knots: int, K: int):
+    """The read-only (K+1, L) flat index, into an (n_rows, n_knots) knot
+    matrix, of padded knot p + k at row k (padded rows end to end, L of
+    them in all; past the last padded knot, the last)."""
+    flat = (_tables(n_knots, K)[0] + n_knots * np.arange(n_rows)[:, None]).ravel()
+    at = flat[np.minimum(np.arange(flat.size) + np.arange(K + 1)[:, None], flat.size - 1)]
+    at.flags.writeable = False
+    return at
+
+
 def _kernel_tables(t: np.ndarray, K: int):
     """A knot row's or matrix's padded knots ``tp`` (rows end to end) and
-    each level k's denominators ``tp[k:] - tp[:-k]``, one within
-    DIVIDING_FLOOR of 0 made inf, so its weight is +0 (numerators are >= 0)."""
-    tp = t[..., _tables(t.shape[-1], K)[0]].ravel()
-    dens = []
-    for k in range(1, K + 1):
-        d = tp[k:] - tp[:-k]
-        dens.append(np.where(np.abs(d) > DIVIDING_FLOOR, d, np.inf))
-    return tp, dens
+    each level k's denominators ``tp[p+k] - tp[p]``, one within
+    DIVIDING_FLOOR of 0 made inf, so its weight is +0 (numerators are >= 0).
+    One gather and one guard build every level; level k's last k entries
+    pair a padded knot with the last one, and no window reads them."""
+    T = t.take(_level_index(t.size // t.shape[-1], t.shape[-1], K))
+    d = T[1:] - T[0]
+    return T[0], list(np.where(np.abs(d) > DIVIDING_FLOOR, d, np.inf))
 
 
 def _spans(x: np.ndarray, t: np.ndarray, K: int, rows):
@@ -315,8 +333,17 @@ def _window_columns(x: np.ndarray, t: np.ndarray, K: int, rows=None):
     ``t`` is one knot row for flat ``x``; with ``rows`` an (h, n_knots)
     knot matrix, input n (or column n of a 2-D x) using row ``rows[n]``.
     """
-    tp, dens = _kernel_tables(t, K)
     m, base, xs, interior = _spans(x, t, K, rows)
+    W = _column_levels(xs, base, *_kernel_tables(t, K), K)
+    if not interior:
+        _fix_edges(W, m, x, K, t.shape[-1] - K - 1)
+    return m, W
+
+
+def _column_levels(xs, base, tp, dens, K: int):
+    """The column form's loop over levels: the K+1 window columns at
+    ``xs``, whose window knot p is padded knot ``base + p`` of the kernel
+    tables ``tp`` and ``dens``, before any edge fix-up."""
     # x lies in [knot K, knot K+1): left[p] = x - knot p for 1 <= p <= K,
     # right[q] = knot K+1+q - x for q < K.  No level reads left[0] or right[K].
     left = [None] + [xs - tp[p:].take(base) for p in range(1, K + 1)]
@@ -342,9 +369,7 @@ def _window_columns(x: np.ndarray, t: np.ndarray, K: int, rows=None):
                 nxt.append(b)
             nxt.append(a)
         W = nxt
-    if not interior:
-        _fix_edges(W, m, x, K, t.shape[-1] - K - 1)
-    return m, W
+    return W
 
 
 def _window_levels(x: np.ndarray, t: np.ndarray, K: int, rows=None, tables=None):
@@ -502,24 +527,89 @@ class SplineGroup:
         return self.knots.knot_matrix([self.shift])[0]
 
 
-def spline_values(x, knots: np.ndarray, K: int, coefficients: np.ndarray) -> np.ndarray:
-    """sum_j c_j B_{j,K}(x) elementwise, shaped like x.
+def pp_tables(t: np.ndarray, K: int, c: np.ndarray):
+    """The per-span polynomial (pp) form of sum_j c_j B_{j,K} on a knot
+    row ``t`` with its coefficients ``c``, or on every row of a knot matrix
+    with one coefficient row each: ``(origin, Q)``.
 
-    Weights each window column by its gathered coefficient and sums the
-    K+1 products left to right; window slots that name no basis are 0 and
-    add nothing.
+    Span i = searchsorted(t, x, side="right") of a row holds the x in
+    [t[i-1], t[i]), where the spline is sum_k Q[k, ..., i] u^k with
+    u = x - origin[..., i], origin[..., i] = t[i-1] and Q[k, ..., i] =
+    s^(k)(t[i-1]+)/k!.  Spans 0 and n_knots lie outside the knots: their
+    entries are 0 (origin t[0] and t[-1]).  ``origin`` is shaped like
+    ``t`` with one more column, ``Q`` is (K+1,) + origin's shape.
+
+    This is de Boor's B-form to pp-form conversion (``bsplpp``, *A
+    Practical Guide to Splines*, 1978).  The derivative of a degree-deg
+    spline has coefficients deg (c_i - c_{i-1}) / (t_{i+deg} - t_i),
+    i = 0..n_bases (c_{-1} = c_{n_bases} = 0), on the same knots, with a
+    gap within DIVIDING_FLOOR of 0 taken as inf, as in the kernel; level k
+    also divides by k, so it holds the coefficients of s^(k)/k!.  Column k
+    is that spline at the knots, from the column form, and the degree-0
+    column reads its coefficients.
     """
-    m, W = _window_columns(np.asarray(x, dtype=float).ravel(),
-                           np.asarray(knots, dtype=float), K)
-    # Entry m of padded[1 + r:] is coefficient m - K + r, and 0 where that
-    # names no basis; m = -1 reads the last entry, a trailing 0.
-    padded = np.concatenate([np.zeros(K + 1), coefficients, np.zeros(K)])
-    y = W[0]
-    y *= padded[1:].take(m)
-    for r in range(1, K + 1):
-        W[r] *= padded[1 + r:].take(m)
-        y += W[r]
-    return y.reshape(np.shape(x))
+    t, d = np.asarray(t, dtype=float), np.asarray(c, dtype=float)
+    n, lead = t.shape[-1], t.shape[:-1]
+    x, row = t[..., :-1].ravel(), np.arange(t.size // n)[:, None]
+    Q = np.zeros((K + 1,) + lead + (n + 1,))
+    for k in range(K):
+        deg = K - k
+        # Knot j of a row starts span j, so its window knot p is padded knot
+        # j + p, and slot r names coefficient j - deg + r: entry j + 1 + r of
+        # the row between deg + 1 leading and deg trailing zeros.  A slot
+        # that names no basis reads a 0, so no edge fix-up is needed.
+        W = _column_levels(x, (np.arange(n - 1) + (n + 2 * deg) * row).ravel(),
+                           *_kernel_tables(t, deg), deg)
+        padded = np.zeros(lead + (n + deg,))
+        padded[..., deg + 1:n] = d
+        flat, at = padded.ravel(), (np.arange(1, n) + (n + deg) * row).ravel()
+        y = W[0] * flat.take(at)
+        for r in range(1, deg + 1):
+            y += W[r] * flat[r:].take(at)
+        Q[k, ..., 1:n] = y.reshape(lead + (n - 1,))
+        gap = t[..., deg:] - t[..., :n - deg]
+        gap = np.where(np.abs(gap) > DIVIDING_FLOOR, gap, np.inf)
+        # c_i - c_{i-1} for i = 0..n_bases, with the padding's zeros at both ends
+        d = (padded[..., deg + 1:n + 1] - padded[..., deg:n]) * (deg / (k + 1)) / gap
+    Q[K, ..., 1:n] = d
+    return np.concatenate([t[..., :1], t], axis=-1), Q
+
+
+def pp_values(x: np.ndarray, t: np.ndarray, origin: np.ndarray, Q: np.ndarray):
+    """The spline of one knot row's ``pp_tables`` at each flat x: one span
+    search, K+2 gathers and a Horner loop.
+
+    An x outside the knots reads a zero row with u = 0, so it gives +0,
+    and a non-finite x gives NaN, as the recursion does; when every x lies
+    inside the knots, there is nothing to fix.
+    """
+    i = np.searchsorted(t, x, side="right")
+    u = origin.take(i)
+    np.subtract(x, u, out=u)
+    bad = None
+    if i.size and not (i.min() >= 1 and i.max() < t.size):
+        edge = np.flatnonzero((i == 0) | (i == t.size))
+        u[edge] = 0.0     # no inf * 0 in the loop
+        bad = edge[~np.isfinite(x[edge])]
+    y = Q[-1].take(i)
+    for q in Q[-2::-1]:
+        y *= u
+        y += q.take(i)
+    if bad is not None:
+        y[bad] = np.nan
+    return y
+
+
+def spline_values(x, knots: np.ndarray, K: int, coefficients: np.ndarray) -> np.ndarray:
+    """sum_j c_j B_{j,K}(x) elementwise, shaped like x: 0 outside the
+    knots, NaN at a non-finite x.
+
+    Evaluated in pp form (``pp_tables`` and ``pp_values``), so it agrees
+    with the recursion to rounding, within 1e-13 of max|c|, not bit for bit.
+    """
+    t = np.asarray(knots, dtype=float)
+    origin, Q = pp_tables(t, K, coefficients)
+    return pp_values(np.asarray(x, dtype=float).ravel(), t, origin, Q).reshape(np.shape(x))
 
 
 def spline_eval(x, sg: SplineGroup):

@@ -226,9 +226,14 @@ def train(net: Network, data: DatasetSplit, config: TrainConfig,
     Shuffling draws from a stream dedicated to the run seed, effective
     knots are re-sorted by construction on every forward pass, and the
     sorted-knot invariant is asserted after each update.  A non-finite
-    loss halts the run with nan_step and nan_cause set.
+    loss halts the run with nan_step and nan_cause set.  ``config.task``
+    must be ``data.task``, else ValueError names ``task``.
     """
     t0 = time.perf_counter()
+    # the loss follows the config and the reported metric the data
+    if config.task != data.task:
+        raise ValueError(f"task: the config trains {config.task!r}, but the data "
+                         f"are {data.task!r}")
     Xtr, ytr = data.split("train")
     if Xtr.shape[0] == 0:
         raise EmptySplit("training split is empty")

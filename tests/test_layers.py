@@ -249,6 +249,13 @@ class TestLayerNorm:
         assert np.max(np.abs(Y.var(axis=1) - 1.0)) <= 1e-6
 
 
+def _assert_matches_pp_form(got, want):
+    """A cached (recursion) FR-KAN output against the cache-free one, which
+    evaluates its splines in pp form: equal to rounding, not bit for bit."""
+    scale = np.abs(want[np.isfinite(want)]).max(initial=1.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
 class TestTapeAgreesWithBatch:
     def test_every_layer_records_through_one_adapter(self):
         recorders = {cls.tape_forward for cls in (KANLayer, FRKANLayer, MLPLayer, LayerNorm)}
@@ -266,7 +273,7 @@ class TestTapeAgreesWithBatch:
         batch = net.forward_batch(X)
         tape = Tape()
         got = tape.value(net.tape_forward(tape, X))
-        np.testing.assert_array_equal(got, batch)
+        _assert_matches_pp_form(got, batch)
 
     def test_silu_path_off(self):
         rng = np.random.default_rng(2)
@@ -277,7 +284,7 @@ class TestTapeAgreesWithBatch:
         batch = net.forward_batch(X)
         tape = Tape()
         got = tape.value(net.tape_forward(tape, X))
-        np.testing.assert_array_equal(got, batch)
+        _assert_matches_pp_form(got, batch)
 
 
 @st.composite
@@ -354,7 +361,10 @@ class TestForwardBatchCacheAndBackward:
         layer, X, gY = data.draw(_layer_cases(kind))
         cache = []
         Y = layer.forward_batch(X, cache)
-        assert np.array_equal(Y, layer.forward_batch(X))
+        if kind == "frkan":
+            _assert_matches_pp_form(Y, layer.forward_batch(X))
+        else:
+            assert np.array_equal(Y, layer.forward_batch(X))
         gX, grads = layer.backward(cache, gY)
         assert cache == []
         assert [np.shape(g) for g in grads] == [arr.shape for _, arr in layer.param_arrays()]

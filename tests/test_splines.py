@@ -1,5 +1,6 @@
 """Knot vectors, basis properties, free shifts, and the smoothness penalty."""
 
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -18,6 +19,7 @@ from frkan.splines import (
     basis_matrix,
     init_shift,
     make_uniform_grid,
+    pp_tables,
     second_difference_penalty,
     spline_eval,
     basis_window_on_tape,
@@ -446,6 +448,59 @@ class TestSplineEval:
         kv = make_uniform_grid(0, 1, 4, 2)
         with pytest.raises(TooFewCoefficients):
             SplineGroup(kv, np.ones(3))
+
+
+def _runtime_warnings(f, *args):
+    """f(*args) and the messages of the RuntimeWarnings it raised."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        out = f(*args)
+    return out, {str(w.message) for w in seen if issubclass(w.category, RuntimeWarning)}
+
+
+class TestPPForm:
+    """``spline_values`` evaluates the per-span polynomial (pp) form, which
+    agrees with the Cox-de Boor recursion to rounding, also where a knot
+    gap is pinned at min_gap and the conversion divides by it."""
+
+    @settings(max_examples=120)
+    @given(K=st.integers(1, 3), G=st.sampled_from([1, 2, 5, 20]),
+           Z=st.sampled_from([None, 8.0, 1.05]), pin=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1), magnitude=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_matches_the_dense_recursion(self, K, G, Z, pin, seed, magnitude):
+        kv = make_uniform_grid(-2.0, 3.0, G, K)
+        rng = np.random.default_rng(seed)
+        shifts = np.stack([np.zeros(G + 1) if Z is None else init_shift(kv, Z, rng)
+                           for _ in range(2)])
+        if pin and G > 1:   # an interior base point onto its (moved) neighbour
+            base, j = kv.base_points(), rng.integers(1, G)
+            k = j + rng.choice([-1, 1])
+            shifts[0, j] = base[k] + (shifts[0, k] if 0 < k < G else 0.0) - base[j]
+        T = kv.knot_matrix(shifts)
+        t = T[0]
+        if pin and G > 1:
+            assert np.diff(t).min() < 1.01 * kv.min_gap
+        c = magnitude * rng.normal(size=(2, kv.n_bases))
+        # every knot with the floats just below and above it, every span's
+        # midpoint (the edge spans too), random points across and beyond the
+        # knots, and the non-finite inputs
+        x = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+                            (t[:-1] + t[1:]) / 2, _probe_points(t, rng),
+                            [np.nan, np.inf, -np.inf]])
+        got, pp_warnings = _runtime_warnings(spline_values, x, t, K, c[0])
+        _, recursion_warnings = _runtime_warnings(basis_matrix, x, t, K)
+        assert pp_warnings <= recursion_warnings
+        finite = np.isfinite(x)
+        want = _dense_basis(x[finite], t, K) @ c[0]
+        assert np.abs(got[finite] - want).max() <= 1e-13 * np.abs(c[0]).max()
+        outside = finite & ((x < t[0]) | (x >= t[-1]))
+        assert outside.any() and np.all(got[outside] == 0.0)
+        assert np.all(np.isnan(got[~finite]))
+        # a knot matrix converts row by row, as the rows one at a time do
+        origin, Q = pp_tables(T, K, c)
+        for g in range(2):
+            origin_g, Q_g = pp_tables(T[g], K, c[g])
+            assert _same_bytes(origin[g], origin_g) and _same_bytes(Q[:, g], Q_g)
 
 
 class TestPenalty:

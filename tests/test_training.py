@@ -287,6 +287,18 @@ class TestTrainLoop:
         np.testing.assert_array_equal(p1, p2)
         assert m1 == m2 and h1 == h2
 
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_a_config_task_other_than_the_datas_is_named(self, task):
+        # the loss would follow the config while the metric follows the data
+        data = (_toy_regression(n=32) if task == "classification"
+                else generate_classification(30, 3, 3, 0))
+        net = init_network(f"in:{data.X.shape[1]} -> mlp:4 -> out:3", seed=0)
+        flat = net.get_flat()
+        with pytest.raises(ValueError, match=f"^task: the config trains '{task}', but the "
+                                             f"data are '{data.task}'$"):
+            train(net, data, TrainConfig(task=task, max_steps=1))
+        np.testing.assert_array_equal(net.get_flat(), flat)
+
     def test_nan_policy_halts_and_records(self):
         data = _toy_regression(n=64, seed=3)
         net = init_network("in:2 -> mlp:4 -> out:1", seed=0)
