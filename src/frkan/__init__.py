@@ -41,7 +41,6 @@ from .knots import (
     free_knot_bounds,
     mlp_knot_positions,
     piecewise_linear_slice,
-    predict_new_knots,
     relu_mlp_knot_bound,
     scan_breakpoints,
     slice_map,

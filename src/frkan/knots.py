@@ -42,7 +42,6 @@ interior breakpoints whose jump is nonzero at any size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import floor
 
 import numpy as np
 
@@ -116,17 +115,6 @@ def relu_mlp_knot_bound(m_prev: int, n: int) -> int:
     if m_prev < 0 or n < 1:
         raise ValueError(f"need m_prev >= 0 and n >= 1, got {m_prev}, {n}")
     return m_prev + n * (m_prev + 1)
-
-
-def predict_new_knots(output_deltas, dg: float) -> int:
-    """New knots a layer can create: sum of floor(|dy| / dg) per segment.
-
-    A segment only contributes once its output sweep reaches a full grid
-    interval; a tiny epsilon absorbs float noise on exact multiples.
-    """
-    if dg <= 0:
-        raise ValueError(f"need dg > 0, got {dg}")
-    return sum(max(0, floor(abs(d) / dg + 1e-9)) for d in output_deltas)
 
 
 def mlp_knot_positions(layer: MLPLayer) -> np.ndarray:

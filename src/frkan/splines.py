@@ -18,29 +18,27 @@ the extension points and gaps clamped, so knots strictly increase.
 Basis evaluation: de Boor's local recursion finds each input's knot span
 and evaluates only the K+1 bases that can be nonzero there, with the
 Cox-de Boor formulas and guards, so values are bit-identical to the full
-recursion.  It starts from a knot set's kernel tables (padded knots and
-each level's guarded denominators, built with one gather and one guard; a
-``KnotVector`` builds its row's once) and shares its span search and edge
-fix-up.  A batch whose every input lies in an interior span
-(K <= m <= G+K-1) needs no clamp and no fix-up, and skips both.
+recursion.  One loop, ``_cox_de_boor``, runs it over a knot set's kernel
+tables (padded knots and each level's guarded denominators, built with
+one gather and one guard; a ``KnotVector`` builds its row's once), and
+``_window_levels`` adds the span search and edge fix-up.  A batch whose
+every input lies in an interior span (K <= m <= G+K-1) needs no clamp and
+no fix-up, and skips both.
 
-Spline values come in three forms:
+Spline values come in two forms:
 
 * the pp form (``pp_tables``, ``pp_values``): each knot set's spline,
   converted once per call into one polynomial per span, then per input
   one span search, K+2 gathers and a Horner loop.  It serves the
   cache-free values, ``spline_values`` and the cache-free FR-KAN forward,
   and agrees with the recursion to rounding, not bit for bit;
-* the column form, ``_window_columns``, one array per window slot, behind
-  ``basis_matrix`` (the window scattered into the dense basis by
-  ``scatter_window``) and the pp conversion, which evaluates it at the
-  knots;
-* the level form, ``_window_levels``, each level as (k, N) arrays and the
-  window as one (K+1, N) array, for training's ``basis_window_on_tape``:
-  ``window_backward`` runs those levels in reverse for the gradient with
-  respect to x and the window's knots, the backward scatters the knots'
-  gradients onto the knot matrix, and ``KnotVector.shift_gradient``
-  carries them onto the shifts through the clamp.
+* the level form, ``_cox_de_boor``, behind the pp conversion at the knots
+  and, through ``_window_levels``, ``basis_matrix`` (scattered by
+  ``scatter_window``) and training's ``basis_window_on_tape``, which keeps
+  the levels: ``window_backward`` runs them in reverse for the gradient
+  with respect to x and the window's knots, and
+  ``KnotVector.shift_gradient`` carries the knots' gradient onto the
+  shifts through the clamp.
 
 Smoothness penalty: ``second_difference_penalty`` gives the penalty of a
 whole coefficient array and its closed-form gradient.
@@ -253,7 +251,8 @@ def _tables(n_knots: int, K: int):
 def _level_index(n_rows: int, n_knots: int, K: int):
     """The read-only (K+1, L) flat index, into an (n_rows, n_knots) knot
     matrix, of padded knot p + k at row k (padded rows end to end, L of
-    them in all; past the last padded knot, the last)."""
+    them in all; past the last padded knot, the last).  Row 0 maps each
+    padded knot to its knot, for the backward's knot gradients."""
     flat = (_tables(n_knots, K)[0] + n_knots * np.arange(n_rows)[:, None]).ravel()
     at = flat[np.minimum(np.arange(flat.size) + np.arange(K + 1)[:, None], flat.size - 1)]
     at.flags.writeable = False
@@ -321,95 +320,65 @@ def _fix_edges(W, m: np.ndarray, x: np.ndarray, K: int, n_bases: int):
             w[bad] = np.nan
 
 
-def _window_columns(x: np.ndarray, t: np.ndarray, K: int, rows=None):
-    """The window of K+1 possibly-nonzero order-K bases at each x, in
-    column form: ``(m, W)``, flat; K >= 1.
+def _cox_de_boor(xs, base, tp, dens, K: int, levels=None):
+    """The (K+1, N) window at ``xs``, row r holding slot r, before any edge
+    fix-up; window knot p is padded knot ``base + p`` of the kernel tables
+    ``tp`` and ``dens``.
 
-    ``m`` is the span of ``_spans``, and ``W`` K+1 arrays, ``W[r][n]``
-    basis ``m[n] - K + r``: 0 for a slot naming no basis (index below 0 or
-    above n_knots-K-2) or a row outside the span, NaN for non-finite x.
-    Each value takes the operations, order and ``DIVIDING_FLOOR`` guards of
-    the Cox-de Boor recursion over all bases, so it is bit-identical to it.
-    ``t`` is one knot row for flat ``x``; with ``rows`` an (h, n_knots)
-    knot matrix, input n (or column n of a 2-D x) using row ``rows[n]``.
+    Level k's denominator j (knot p+k - knot p, p = K-k+1+j) divides slot
+    j's right ratio b_j and slot j+1's left ratio a_j, and slot j sums
+    a_{j-1} W_{j-1} + b_j W_j in that order: the operations, order and
+    guards of the recursion over all bases, so the values are
+    bit-identical to it.  A ``levels`` list gets each level's (k, N)
+    denominators, left and right ratios and the level below (1.0 at
+    k = 1), for ``window_backward``.
     """
-    m, base, xs, interior = _spans(x, t, K, rows)
-    W = _column_levels(xs, base, *_kernel_tables(t, K), K)
-    if not interior:
-        _fix_edges(W, m, x, K, t.shape[-1] - K - 1)
-    return m, W
-
-
-def _column_levels(xs, base, tp, dens, K: int):
-    """The column form's loop over levels: the K+1 window columns at
-    ``xs``, whose window knot p is padded knot ``base + p`` of the kernel
-    tables ``tp`` and ``dens``, before any edge fix-up."""
-    # x lies in [knot K, knot K+1): left[p] = x - knot p for 1 <= p <= K,
-    # right[q] = knot K+1+q - x for q < K.  No level reads left[0] or right[K].
-    left = [None] + [xs - tp[p:].take(base) for p in range(1, K + 1)]
-    right = [tp[p:].take(base) - xs for p in range(K + 1, 2 * K + 1)]
-    W = [1.0]   # the order-0 basis
+    # x lies in [knot K, knot K+1): left[p-1] = x - knot p for 1 <= p <= K,
+    # right[q] = knot K+1+q - x for q < K.
+    at = base + np.arange(1, K + 1)[:, None]
+    left, right = tp.take(at), tp[K:].take(at)
+    # in place: a large N's fresh arrays cost page faults, not just copies
+    np.subtract(xs, left, out=left)
+    right -= xs
+    W = 1.0     # the order-0 basis
     for k in range(1, K + 1):
-        # Denominator j, knot p+k - knot p at p = K-k+1+j, divides slot
-        # j+1's left term and slot j's right term, so level k gathers its
-        # k distinct denominators once.
-        den = [dens[k - 1][p:].take(base) for p in range(K - k + 1, K + 1)]
-        nxt = []
-        for j in range(k):
-            # b before a: the last b is dropped before a new array is made,
-            # which keeps the peak memory of summing slot by slot
-            b = right[j] / den[j]               # slot j's right ratio
-            a = left[K - k + 1 + j] / den[j]    # slot j+1's left ratio
-            if k > 1:
-                a *= W[j]
-                b *= W[j]
-            if j:
-                nxt[j] += b
-            else:
-                nxt.append(b)
-            nxt.append(a)
-        W = nxt
-    return W
-
-
-def _window_levels(x: np.ndarray, t: np.ndarray, K: int, rows=None, tables=None):
-    """The window of ``_window_columns`` in level form, with what the
-    backward needs: ``(m, W, levels, at, named)``.
-
-    ``W`` is one (K+1, N) array, row r holding slot r.  Entry k-1 of
-    ``levels`` holds level k's (k, N) guarded denominators, left and right
-    ratios (one per denominator) and the level below (1.0 at k = 1).  Slot
-    j of level k sums a_{j-1} W_{j-1} + b_j W_j in that order, as the
-    column form does.  ``at`` is the (2K, N) padded index of window knots
-    1..2K, and ``named`` None for an interior batch, else the (K+1, N) mask
-    of slots that name a basis.  ``tables`` are ``t``'s ``_kernel_tables``.
-    """
-    tp, dens = _kernel_tables(t, K) if tables is None else tables
-    m, base, xs, interior = _spans(x, t, K, rows)
-    at = base + np.arange(1, 2 * K + 1)[:, None]
-    knots = tp.take(at)
-    left, right = xs - knots[:K], knots[K:] - xs    # rows p = 1..K; q = 0..K-1
-    W, levels = 1.0, []
-    for k in range(1, K + 1):
-        den = dens[k - 1].take(at[K - k:K])
+        den = dens[k - 1].take(at[K - k:])
         b, a = right[:k] / den, left[K - k:] / den
-        levels.append((den, a, b, W))
+        if levels is not None:
+            levels.append((den, a, b, W))
         if k == 1:
             nxt = np.concatenate((b, a))
         else:
-            nxt = np.empty((k + 1, m.size))
+            nxt = np.empty((k + 1, xs.size))
             np.multiply(b[0], W[0], out=nxt[0])
             np.multiply(a, W, out=nxt[1:])
             nxt[1:k] += b[1:] * W[1:]
         W = nxt
-    if interior:
-        return m, W, levels, at, None
-    _fix_edges(W, m, x, K, t.shape[-1] - K - 1)
-    return m, W, levels, at, _tables(t.shape[-1], K)[1][m + 1].T
+    return W
+
+
+def _window_levels(x: np.ndarray, t: np.ndarray, K: int, rows=None, tables=None,
+                   levels=None):
+    """The window of K+1 possibly-nonzero order-K bases at each x:
+    ``(m, W, base, interior)``, flat; K >= 1.
+
+    ``m``, ``base`` and ``interior`` are ``_spans``', and ``W[r, n]`` of the
+    (K+1, N) window is basis ``m[n] - K + r``: 0 for a slot naming no basis
+    or a row outside the span, NaN for non-finite x.  ``t`` is one knot
+    row for flat ``x``; with ``rows`` an (h, n_knots) knot matrix, input n
+    (or column n of a 2-D x) using row ``rows[n]``.  ``tables`` are ``t``'s
+    ``_kernel_tables``; ``levels`` goes to ``_cox_de_boor``.
+    """
+    tp, dens = _kernel_tables(t, K) if tables is None else tables
+    m, base, xs, interior = _spans(x, t, K, rows)
+    W = _cox_de_boor(xs, base, tp, dens, K, levels)
+    if not interior:
+        _fix_edges(W, m, x, K, t.shape[-1] - K - 1)
+    return m, W, base, interior
 
 
 def window_backward(levels, K: int, gW, knots=True):
-    """The levels of ``_window_levels`` run in reverse.
+    """The levels of ``_cox_de_boor`` run in reverse.
 
     ``gW`` is the gradient of the window, shaped (..., K+1, N), with any
     leading seed axes; a slot the kernel zeroed (one that names no basis,
@@ -445,8 +414,8 @@ def scatter_window(x: np.ndarray, m: np.ndarray, W: np.ndarray, n_bases: int):
     rows with non-finite x are NaN."""
     # Window slots that name no basis hold 0, so clipping them onto a
     # neighbouring column and summing leaves every basis value unchanged.
-    cols = window_bases(m, n_bases, W.shape[1] - 1)
-    flat = cols + np.arange(0, x.size * n_bases, n_bases)[:, None]
+    flat = window_bases(m, n_bases, W.shape[1] - 1)
+    flat += np.arange(0, x.size * n_bases, n_bases)[:, None]
     B = np.bincount(flat.ravel(), W.ravel(), minlength=x.size * n_bases)
     B = B.reshape(x.size, n_bases).astype(float, copy=False)  # int when x is empty
     B[~np.isfinite(x)] = np.nan
@@ -462,11 +431,12 @@ def window_bases(m: np.ndarray, n_bases: int, K: int) -> np.ndarray:
 def basis_matrix(x: np.ndarray, knots: np.ndarray, K: int) -> np.ndarray:
     """All order-K basis values at once: shape (len(x), len(knots)-K-1).
 
-    The ``_window_columns`` window scattered densely; non-finite x gives NaN rows.
+    The ``_window_levels`` window, with no levels kept, scattered densely;
+    non-finite x gives NaN rows.
     """
     x = np.asarray(x, dtype=float).ravel()
-    m, W = _window_columns(x, np.asarray(knots, dtype=float), K)
-    return scatter_window(x, m, np.stack(W, axis=1), len(knots) - K - 1)[0]
+    m, W = _window_levels(x, np.asarray(knots, dtype=float), K)[:2]
+    return scatter_window(x, m, W.T, len(knots) - K - 1)[0]
 
 
 def basis_window_on_tape(x: np.ndarray, t, K: int, rows=None):
@@ -474,7 +444,7 @@ def basis_window_on_tape(x: np.ndarray, t, K: int, rows=None):
 
     ``t`` is a knot row, or a ``KnotVector`` (its row, with the tables it
     built once), and ``x`` flat; or with ``rows`` an (h, n_knots) knot
-    matrix, read as in ``_window_columns``.  Returns ``(m, W, backward)``,
+    matrix, read as in ``_window_levels``.  Returns ``(m, W, backward)``,
     ``W`` the (M, K+1) window over the flat inputs (a view of the level
     form's).  ``backward(gW)`` zeroes the gradient of each slot that names
     no basis, runs ``window_backward`` and returns ``(gx, gt)``: window
@@ -486,20 +456,20 @@ def basis_window_on_tape(x: np.ndarray, t, K: int, rows=None):
     (``bench/benchlib/trace.py``) times it on every training step; the name
     can go once the benchmark names the backward path (ROADMAP, item 1).
     """
-    tables = None
+    tables, levels = None, []
     if isinstance(t, KnotVector):
         tables, t = t.kernel_tables, t.row
-    m, W, levels, at, named = _window_levels(x, t, K, rows, tables)
+    m, W, base, interior = _window_levels(x, t, K, rows, tables, levels)
 
     def backward(gW):
-        gW = gW.T if named is None else gW.T * named
+        gW = gW.T if interior else gW.T * _tables(t.shape[-1], K)[1][m + 1].T
         gx, gT = window_backward(levels, K, gW, rows is not None)
         if rows is None:
             return gx, None
-        # padded flat index -> flat index of its knot in the knot matrix
-        n_knots = t.shape[-1]
-        knot = (_tables(n_knots, K)[0] + n_knots * np.arange(len(t))[:, None]).ravel()
-        gt = np.bincount(knot.take(at).ravel(), gT[1:-1].ravel(), minlength=t.size)
+        # row 0 of the level index maps each padded knot to its knot
+        knot = _level_index(len(t), t.shape[-1], K)[0]
+        at = knot.take(base + np.arange(1, 2 * K + 1)[:, None])
+        gt = np.bincount(at.ravel(), gT[1:-1].ravel(), minlength=t.size)
         return gx, gt.reshape(t.shape)
 
     return m, W.T, backward
@@ -545,8 +515,8 @@ def pp_tables(t: np.ndarray, K: int, c: np.ndarray):
     i = 0..n_bases (c_{-1} = c_{n_bases} = 0), on the same knots, with a
     gap within DIVIDING_FLOOR of 0 taken as inf, as in the kernel; level k
     also divides by k, so it holds the coefficients of s^(k)/k!.  Column k
-    is that spline at the knots, from the column form, and the degree-0
-    column reads its coefficients.
+    is that spline at the knots, from ``_cox_de_boor`` with no levels kept,
+    and the degree-0 column reads its coefficients.
     """
     t, d = np.asarray(t, dtype=float), np.asarray(c, dtype=float)
     n, lead = t.shape[-1], t.shape[:-1]
@@ -558,14 +528,12 @@ def pp_tables(t: np.ndarray, K: int, c: np.ndarray):
         # j + p, and slot r names coefficient j - deg + r: entry j + 1 + r of
         # the row between deg + 1 leading and deg trailing zeros.  A slot
         # that names no basis reads a 0, so no edge fix-up is needed.
-        W = _column_levels(x, (np.arange(n - 1) + (n + 2 * deg) * row).ravel(),
-                           *_kernel_tables(t, deg), deg)
+        W = _cox_de_boor(x, (np.arange(n - 1) + (n + 2 * deg) * row).ravel(),
+                         *_kernel_tables(t, deg), deg)
         padded = np.zeros(lead + (n + deg,))
         padded[..., deg + 1:n] = d
-        flat, at = padded.ravel(), (np.arange(1, n) + (n + deg) * row).ravel()
-        y = W[0] * flat.take(at)
-        for r in range(1, deg + 1):
-            y += W[r] * flat[r:].take(at)
+        at = (np.arange(1, n) + (n + deg) * row).ravel() + np.arange(deg + 1)[:, None]
+        y = (W * padded.ravel().take(at)).sum(axis=0)     # slot by slot, in order
         Q[k, ..., 1:n] = y.reshape(lead + (n - 1,))
         gap = t[..., deg:] - t[..., :n - deg]
         gap = np.where(np.abs(gap) > DIVIDING_FLOOR, gap, np.inf)

@@ -9,7 +9,9 @@ row, and ``basis_window_on_tape``'s ``(m, W, gx, gt)`` over one knot
 row, a knot matrix with one row per input and one with one row per
 column of a 2-D x.  ``spline_values`` is not pinned: it evaluates the
 per-span polynomial form, which agrees with the recursion to rounding
-(``tests/test_splines.py`` bounds it).
+(``tests/test_splines.py`` bounds it).  The conversion into that form is:
+``PP_DIGESTS`` covers ``pp_tables``' ``(origin, Q)`` on the same grids,
+with fixed coefficients, for each knot row and for the knot matrix.
 
 The pinned digests were taken before the kernel last changed; a change
 that moves any value by one bit (a signed zero, a NaN's payload) breaks
@@ -28,6 +30,7 @@ from frkan.splines import (
     basis_window_on_tape,
     init_shift,
     make_uniform_grid,
+    pp_tables,
 )
 
 GRIDS = [(K, G, shifted) for K in (1, 2, 3) for G in (1, 2, 5, 20)
@@ -58,6 +61,33 @@ DIGESTS = {
     (3, 5, True): "6228fb408e08f63a4f97f3ccce4412f14a3198403d3671587bdd57e85cc05d13",
     (3, 20, False): "8b733486a265c54197468654e37bd20907dbba912d0225c1cd127bddacb58ac5",
     (3, 20, True): "70d521c374433647c2e495ec51b5e8beea17be06c792e3d6727055a30601ff74",
+}
+
+PP_DIGESTS = {
+    (1, 1, False): "787b19f9159b82e47f8d02abc9014cc126857291813d5ba6aa45e98897aa5162",
+    (1, 1, True): "88dd0173588ca6d8b88438b4c6ac93ffefd4f5a6e2c76b162343f76d5879fc14",
+    (1, 2, False): "29da6ddbf5c61b7aff1ce6104d9949f53cfd04ea2cdc68f3f9c6d01bf9a99ccb",
+    (1, 2, True): "51eaf6f84a7cd1bb9949ce6faa0abdcd4cd9a5adb0bada193d9b15928ae53041",
+    (1, 5, False): "0e427017bc39355c991cb737a5579752e3a69dcfeaebf4d1cf60cd4981207345",
+    (1, 5, True): "b2c38df813a1324778aca1348235dc232e267627ca2527222b6866eefe1e164d",
+    (1, 20, False): "ab581c98f529e92972e2a01d2ba49985705aa71fd66eb037770b875a968144d8",
+    (1, 20, True): "d8268761b3c6dc06efe4afe611ccbb9aee0fd5fed06a2198812bfade5c9627d2",
+    (2, 1, False): "062b8194a33c7e69c062aaa50425e3236a7f51573b1778719708f9a4eb7f40fb",
+    (2, 1, True): "f9984fa0b2414f641147d7e2e52a678081154a473593511e3340011b3f627500",
+    (2, 2, False): "3e7bcb5abcfc0cca2ee80e632dc25e25b99382ac27f12a59e31730457a1ee3c3",
+    (2, 2, True): "d2d9df5b50e0a4f7fe70b8235e6f941893420704e3e371e96f28f4f14d2db76d",
+    (2, 5, False): "42b0fe7a8566fe0ceca117ce48fddd8577b881c433a7a85facd6c6675f063a65",
+    (2, 5, True): "dd399f89e639c5b77c8d7f30106446a51104e627c25adc48f00a323f4bd5cf7e",
+    (2, 20, False): "8238eb96662d0b76a7c6dd50b03f3e4aacf775b2f3124fcab9a7a19a989abffa",
+    (2, 20, True): "8896f6fbdbee035e911574a919a40a0fcdc1a65ce038245dd2001920f8b3cbf0",
+    (3, 1, False): "ae98e807a069ced315d038aff45cf7284682f9c03c70e4f0d552fc0adc53e68a",
+    (3, 1, True): "0d96bfc9b473fd237de82b54944d8aef815681444e3a4e182d580072e0b5c07c",
+    (3, 2, False): "83923015aade275f654835328f49bbcb12e306c561eb3d311c21a43ad74cbe19",
+    (3, 2, True): "80b4670f2bf1bc88dbaed11ef49603dc085a9c454db34e8ff3ff428f6ed74c18",
+    (3, 5, False): "a8921c85a25b202d84fc0efcdc9be7cdd038e9235756ef0214d1bb7fb9fc4c33",
+    (3, 5, True): "77cfdbd41c9ab9b6266db9eeb3633babeee83bae31a542767f6eaaddc4684a6f",
+    (3, 20, False): "d076ea7d5dc757aa840fdb4b67665491a34039e0d64d514262cc3592a9117366",
+    (3, 20, True): "9ab6ff0837cb87acb250ca6351ecdca35572aa877d57e5b100f3017dec7bdb74",
 }
 
 
@@ -123,11 +153,29 @@ def kernel_digest(K, G, shifted):
     return h.hexdigest()
 
 
+def pp_digest(K, G, shifted):
+    kv, T = _grid(K, G, shifted)
+    C = np.random.default_rng(100 * G + K + 7 * shifted).normal(size=(len(T), kv.n_bases))
+    h = hashlib.sha256()
+    for t, c in [*zip(T, C), (T, C)]:
+        for a in pp_tables(t, K, c):
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("K, G, shifted", GRIDS)
 def test_kernel_outputs_keep_their_digest(K, G, shifted):
     assert kernel_digest(K, G, shifted) == DIGESTS[K, G, shifted]
 
 
+@pytest.mark.parametrize("K, G, shifted", GRIDS)
+def test_pp_tables_keep_their_digest(K, G, shifted):
+    assert pp_digest(K, G, shifted) == PP_DIGESTS[K, G, shifted]
+
+
 if __name__ == "__main__":
-    for grid in GRIDS:
-        print(f"    {grid}: \"{kernel_digest(*grid)}\",")
+    for name, digest in (("DIGESTS", kernel_digest), ("PP_DIGESTS", pp_digest)):
+        print(f"{name} = {{")
+        for grid in GRIDS:
+            print(f"    {grid}: \"{digest(*grid)}\",")
+        print("}")

@@ -21,7 +21,6 @@ from frkan.knots import (
     mlp_knot_positions,
     network_bounds,
     piecewise_linear_slice,
-    predict_new_knots,
     relu_mlp_knot_bound,
     scan_breakpoints,
     slice_map,
@@ -70,21 +69,6 @@ class TestBounds:
             fixed_grid_knot_bounds(1, 1, 1)
         with pytest.raises(ValueError):
             relu_mlp_knot_bound(-1, 2)
-
-
-class TestPredictNewKnots:
-    def test_below_one_interval_adds_nothing(self):
-        assert predict_new_knots([0.1, 0.3, 0.05], 0.4) == 0
-
-    def test_sawtooth_segment(self):
-        assert predict_new_knots([2.0], 0.4) == 5
-
-    def test_exact_multiple_counts_once(self):
-        assert predict_new_knots([0.4], 0.4) == 1
-
-    def test_bad_dg(self):
-        with pytest.raises(ValueError):
-            predict_new_knots([1.0], 0.0)
 
 
 class TestMLPKnotPositions:

@@ -547,9 +547,9 @@ class TestFixedCostPerStep:
         X, y = data.split("train")
         seen, levels = [], splines._window_levels
 
-        def spy_levels(x, t, K, rows=None, tables=None):
+        def spy_levels(x, t, K, rows=None, tables=None, levels_out=None):
             seen.append(tables)
-            return levels(x, t, K, rows, tables)
+            return levels(x, t, K, rows, tables, levels_out)
 
         with mock.patch.object(splines, "_window_levels", spy_levels):
             for lo in (0, 16):
@@ -563,19 +563,18 @@ class TestFixedCostPerStep:
 
     def test_shifts_set_in_place_give_a_fresh_layers_window_and_gradients(self):
         """Nothing the kernel builds from a knot matrix outlives the shifts
-        it came from: every window matches the column form on the same
-        knots, and after an in-place update, a fresh layer's."""
+        it came from: every window matches one built from its own tables
+        of the same knots, and after an in-place update, a fresh layer's."""
         desc = "in:2 -> frkan:4 -> out:1"
         net, data = self._net_and_data(desc)
         X, y = data.split("train")
         X, y = X[:16], y[:16]
         windows, levels = [], splines._window_levels
 
-        def spy_levels(x, t, K, rows=None, tables=None):
-            out = levels(x, t, K, rows, tables)
-            # the column form builds its own tables from the knots it is given
-            m, W = splines._window_columns(x, t, K, rows)
-            assert _same_window(out, (m, np.stack(W)))
+        def spy_levels(x, t, K, rows=None, tables=None, levels_out=None):
+            out = levels(x, t, K, rows, tables, levels_out)
+            # with no tables passed, the kernel builds them from the knots it is given
+            assert _same_window(out[:2], levels(x, t, K, rows)[:2])
             windows.append(out[:2])
             return out
 

@@ -25,7 +25,6 @@ from frkan.splines import (
     basis_window_on_tape,
     spline_values,
     window_backward,
-    _window_columns,
     _window_levels,
 )
 
@@ -310,13 +309,13 @@ class TestInteriorShortPath:
         # the other column's extra input is interior
         Xa = np.vstack([X, X[:1]])
         Xa[-1, g] = x_extra
-        spans_a = _window_columns(Xa, T, K, rows=cols)[0]
+        spans_a = _window_levels(Xa, T, K, rows=cols)[0]
         assert K <= spans_a[:-2].min() and spans_a[:-2].max() <= G + K - 1
         assert not K <= spans_a[-2 + g] <= G + K - 1
 
         # one knot row: the kernel, spline values, the dense basis, the window's x gradient
         x, xa = X[:, g], Xa[:, g]
-        (m, W), (ma, Wa) = _window_columns(x, t, K), _window_columns(xa, t, K)
+        (m, W), (ma, Wa) = _window_levels(x, t, K)[:2], _window_levels(xa, t, K)[:2]
         assert _same_bytes(m, ma[:n])
         assert all(_same_bytes(w, wa[:n]) for w, wa in zip(W, Wa))
         c = np.random.default_rng(K + G).normal(size=kv.n_bases)
@@ -346,9 +345,10 @@ class TestInteriorShortPath:
 
 
 class TestLevelForm:
-    """``_window_levels``, the training form with one (K+1, N) window, and
-    ``_window_columns``, the column form of the uncached entries, give the
-    same spans and window, byte for byte, signed zeros and NaN included."""
+    """The local window and the dense recursion agree: ``_window_levels``
+    gives each input's span and, per knot row, ``_dense_basis`` at every
+    slot that names a basis, byte for byte, signed zeros included; every
+    other slot is 0, and a non-finite input's slots are NaN."""
 
     @settings(max_examples=150)
     @given(K=st.integers(1, 3), G=st.sampled_from([1, 2, 5, 20]),
@@ -382,11 +382,23 @@ class TestLevelForm:
                            "nan": np.nan, "inf": np.inf, "-inf": -np.inf}[extra]
         for x, t, rows in [(X[:, :2].ravel(), T[0], None), (X[:, 2], T[1], None),
                            (X.ravel(), T, np.tile(cols, n)), (X, T, cols)]:
-            m, W = _window_columns(x, t, K, rows)
-            m_l, W_l, _, _, named = _window_levels(x, t, K, rows)
-            assert _same_bytes(m, m_l)
-            assert W_l.shape == (K + 1, m.size) and _same_bytes(np.stack(W), W_l)
-            assert (named is None) == (K <= m.min() and m.max() <= G + K - 1)
+            m, W, _, interior = _window_levels(x, t, K, rows)
+            assert W.shape == (K + 1, m.size)
+            assert interior == (K <= m.min() and m.max() <= G + K - 1)
+            row_of = np.zeros(m.size, int) if rows is None else np.broadcast_to(rows, x.shape).ravel()
+            for r in np.unique(row_of):
+                at, tr = row_of == r, np.atleast_2d(t)[r]
+                xr = x.ravel()[at]
+                span = np.searchsorted(tr, xr, side="right") - 1
+                assert _same_bytes(m[at], np.where(span < tr.size - 1, span, -1))
+                # the dense row gathered at each slot, not the window scattered:
+                # a scatter's sums would turn a -0 into +0
+                ok = np.isfinite(xr)
+                got, dense = W[:, at].T, _dense_basis(xr[ok], tr, K)
+                bases = m[at][ok, None] - K + np.arange(K + 1)
+                named = (bases >= 0) & (bases < G + K)
+                assert _same_bytes(got[ok][named], dense[np.nonzero(named)[0], bases[named]])
+                assert not got[ok][~named].any() and np.isnan(got[~ok]).all()
 
 
 class TestSplineEval:
@@ -624,7 +636,9 @@ class TestTapeSpline:
         gW = np.random.default_rng(0).normal(size=(2, x.size))
         _, gt = backward(gW.T)
         gs = kv.shift_gradient(kv.knot_plan(shifts), gt)
-        _, gT = window_backward(_window_levels(x, knots, 1)[2], 1, gW)
+        levels = []
+        _window_levels(x, knots, 1, levels=levels)
+        _, gT = window_backward(levels, 1, gW)
         want_t, want = np.zeros_like(knots), np.zeros(5)
         for n in range(x.size):
             for p in (1, 2):                 # window knot p is knot m - 1 + p
@@ -647,7 +661,8 @@ class TestWindowBackward:
         t = np.sort(rng.uniform(-2, 2, size=12))
         # spans whose window knots m-K..m+K+1 are all inside t
         x = rng.uniform(t[K], t[-K - 1], size=30)
-        m, _, levels = _window_levels(x, t, K)[:3]
+        levels = []
+        m = _window_levels(x, t, K, levels=levels)[0]
         gx, gT = window_backward(levels, K, np.eye(K + 1)[:, :, None] * np.ones(x.size))
         step = 1e-6
 
