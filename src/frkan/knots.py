@@ -18,16 +18,18 @@ them to ``_report``, the one step that merges, thresholds and counts:
   on each piece, each layer input in the form alpha + beta * t.  A spline
   layer splits a piece where an input crosses one of its effective knots
   (an FR-KAN input: its own group's knots), at t = (knot - alpha) / beta,
-  and a ReLU where its pre-activation is zero.  The output slope is
-  carried forward piece by piece, and the jump at a breakpoint is the
-  right slope minus the left one; a last-layer SiLU adds
+  and a ReLU where its pre-activation is zero; a spline's affine form on
+  a piece is read from its pp form, ``splines.pp_tables`` at K=1.  The
+  output slope is carried forward piece by piece, and the jump at a
+  breakpoint is the right slope minus the left one; a last-layer SiLU adds
   A_s * silu'(x) * (change of the input's slope) where its input kinks.
 * ``scan_breakpoints`` -- a uniform sample lattice, for every other stack
-  and for arbitrary callables.  Slope jumps above the threshold seed
-  candidate brackets, each bracket is narrowed by intersecting the linear
-  pieces on both sides, and refinement stops once no candidate moves by
-  more than the resolution (hi-lo)/2^40.  The depth 40 is a constant,
-  not a parameter; the report shows it as ``detector.refinement_depth``.
+  and for any callable mapping an array of points to one value each.
+  Slope jumps above the threshold seed candidate brackets, each bracket is
+  narrowed by intersecting the linear pieces on both sides, and refinement
+  stops once no candidate moves by more than the resolution (hi-lo)/2^40.
+  The depth 40 is a constant, not a parameter; the report shows it as
+  ``detector.refinement_depth``.
 
 Candidates closer than the merge tolerance (a fraction of the slice
 width) are merged and their jumps summed; a merged breakpoint counts when
@@ -47,7 +49,7 @@ import numpy as np
 
 from .autodiff import NonFiniteValue
 from .layers import SPLINE_KINDS, KANLayer, MLPLayer, Network, _silu_slope, sum_outputs
-from .splines import make_uniform_grid
+from .splines import make_uniform_grid, pp_tables
 
 
 class UnsupportedOrder(Exception):
@@ -170,23 +172,6 @@ class BreakpointReport:
         }
 
 
-def _make_evaluator(f, lo: float, hi: float):
-    """Wrap f so it maps an ndarray of points to an ndarray of values.
-
-    A scalar-only callable raises TypeError or ValueError on the array
-    probe and is then evaluated point by point; any other error is the
-    callable's own failure and propagates.
-    """
-    probe = np.array([lo, 0.5 * (lo + hi)])
-    try:
-        out = np.asarray(f(probe), dtype=float)
-        if out.shape == probe.shape:
-            return lambda pts: np.asarray(f(pts), dtype=float)
-    except (TypeError, ValueError):
-        pass
-    return lambda pts: np.array([float(f(p)) for p in pts])
-
-
 def _report(lo, hi, candidates, jumps, tol, thr, floor=None, **detector) -> BreakpointReport:
     """The one merge, threshold and count step of both detectors.
 
@@ -219,16 +204,25 @@ def _runs(flagged):
             flagged[np.diff(flagged, append=flagged[-1:] + 2) > 1])
 
 
+def _values(f, pts):
+    """f at an array of points, one value each."""
+    y = np.asarray(f(pts), dtype=float)
+    if y.shape != pts.shape:
+        raise ValueError(f"f must map {pts.shape} points to one value each, got shape {y.shape}; "
+                         "np.vectorize wraps a scalar function")
+    return y
+
+
 def scan_breakpoints(f, lo: float, hi: float, samples: int = DEFAULT_SAMPLES,
                      merge_tolerance: float | None = None) -> BreakpointReport:
-    """Locate slope discontinuities of a piecewise-linear scalar map."""
+    """Locate slope discontinuities of a piecewise-linear scalar map ``f``,
+    which takes an array of points and returns one value per point."""
     if samples < MIN_SAMPLES:
         raise ValueError(f"need samples >= {MIN_SAMPLES}, got {samples}")
     if hi <= lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
-    evalf = _make_evaluator(f, lo, hi)
     t = np.linspace(lo, hi, samples)
-    y = evalf(t)
+    y = _values(f, t)
     if not np.all(np.isfinite(y)):
         bad = t[~np.isfinite(y)][0]
         raise NonFiniteValue(f"function not finite near x={bad!r}")
@@ -271,7 +265,7 @@ def scan_breakpoints(f, lo: float, hi: float, samples: int = DEFAULT_SAMPLES,
         min_width = max((hi - lo) / 2.0 ** REFINEMENT_DEPTH,
                         8 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0))
         for _ in range(REFINEMENT_DEPTH):
-            vals = evalf(np.concatenate([tau - 2 * w, tau - w, tau + w, tau + 2 * w]))
+            vals = _values(f, np.concatenate([tau - 2 * w, tau - w, tau + w, tau + 2 * w]))
             A2, A1, B1, B2 = vals.reshape(4, -1)
             s_l = (A1 - A2) / w
             s_r = (B2 - B1) / w
@@ -338,30 +332,30 @@ def _pieces_through(mod, T, alpha, beta):
             on = za + zb * mid[:, None] > 0.0
             za, zb = za * on, zb * on
         return T, alpha, beta, za, zb
-    # Order 1: the spline through (knot j+1, c_j), zero at both end knots
-    # and outside them.  V holds those node values per (input, output).
+    # Order 1: each spline is affine on its spans, so on a piece it reads
+    # Q[0, i] + Q[1, i] (x - origin[i]) at span i = searchsorted(t, x,
+    # side="right") of its pp form, which is 0 outside the knots.  pp row
+    # r[j, o] holds input j's spline into output o: a KAN layer's A_b-scaled
+    # edge on the shared knot row, an FR-KAN input's group (one output).
     knots = mod.knots()
     if mod.kind == "kan":
+        c = (mod.coefficients * mod.A_b[:, :, None]).reshape(-1, mod.kv.n_bases)
+        origin, Q = pp_tables(np.broadcast_to(knots, (len(c), knots.shape[1])), 1, c)
+        r = np.arange(len(c)).reshape(mod.d_in, mod.d_out)
         col_knots = [(slice(None), knots[0])]
-        V = mod.coefficients * mod.A_b[:, :, None]
     else:
+        origin, Q = pp_tables(knots, 1, mod.coefficients)
+        r = mod.group_of(np.arange(mod.d_in))[:, None]
         col_knots = [(mod.group_columns(g), knots[g]) for g in range(mod.h)]
-        V = mod.coefficients[[mod.group_of(i) for i in range(mod.d_in)]][:, None, :]
-    V = np.pad(V, [(0, 0), (0, 0), (1, 1)])
     T, parent, mid = _refine(T, alpha, beta, col_knots)
     alpha, beta = alpha[parent], beta[parent]
-    shape = alpha.shape + (V.shape[1],)
+    shape = alpha.shape + (r.shape[1],)
     ya, yb = np.empty(shape), np.empty(shape)
-    rows = np.arange(mod.d_in)
     for cols, t in col_knots:
         x = alpha[:, cols] + beta[:, cols] * mid[:, None]
-        m = np.searchsorted(t, x, side="right") - 1
-        inside = ((m >= 0) & (m < t.size - 1))[..., None]
-        m = np.clip(m, 0, t.size - 2)
-        v0, v1 = V[rows[cols], :, m], V[rows[cols], :, m + 1]     # (P, cols, outputs)
-        slope = np.where(inside, (v1 - v0) / (t[m + 1] - t[m])[..., None], 0.0)
-        ya[:, cols] = np.where(inside, v0 + slope * (alpha[:, cols] - t[m])[..., None], 0.0)
-        yb[:, cols] = slope * beta[:, cols, None]
+        at = r[cols], np.searchsorted(t, x, side="right")[..., None]   # (P, cols, outputs)
+        ya[:, cols] = Q[(0,) + at] + Q[(1,) + at] * (alpha[:, cols, None] - origin[at])
+        yb[:, cols] = Q[(1,) + at] * beta[:, cols, None]
     if mod.kind == "kan":
         return T, alpha, beta, ya.sum(axis=1), yb.sum(axis=1)
     return T, alpha, beta, ya[..., 0] @ mod.A, yb[..., 0] @ mod.A
@@ -524,11 +518,7 @@ def slice_map(net: Network, direction=None):
     summed = sum_outputs(net)
 
     def f(ts):
-        ts = np.asarray(ts, dtype=float)
-        X = np.empty((ts.size, direction.size))
-        for j in range(direction.size):    # ts * direction, a column at a time
-            np.multiply(ts, direction[j], out=X[:, j])
-        return summed.forward_batch(X).sum(axis=1)
+        return summed.forward_batch(np.multiply.outer(ts, direction)).sum(axis=1)
 
     return f
 

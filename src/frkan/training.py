@@ -144,7 +144,7 @@ def evaluate(net: Network, data: DatasetSplit) -> float:
         raise EmptySplit("test split is empty")
     preds = net.forward_batch(X)
     if data.task == "regression":
-        err = preds[:, 0] - y if preds.shape[1] == 1 else preds - np.atleast_2d(y)
+        err = preds - np.reshape(y, (len(y), -1))     # as the loss reads the labels
         return float(np.sqrt(np.mean(err ** 2)))
     return float(np.mean(np.argmax(preds, axis=1) == y.astype(int)))
 

@@ -12,19 +12,29 @@ per-span polynomial form, which agrees with the recursion to rounding
 (``tests/test_splines.py`` bounds it).  The conversion into that form is:
 ``PP_DIGESTS`` covers ``pp_tables``' ``(origin, Q)`` on the same grids,
 with fixed coefficients, for each knot row and for the knot matrix.
+``EXACT_DIGESTS`` covers ``exact_breakpoints``' reports (``to_dict``,
+JSON with sorted keys) on seeded random K=1 stacks of KAN, FR-KAN (shifts
+at Z 8, 1.05 and 0.3) and ReLU/identity MLP layers, four slices each,
+some reaching past [a, b]; odd seeds keep the last layer's SiLU.
 
-The pinned digests were taken before the kernel last changed; a change
-that moves any value by one bit (a signed zero, a NaN's payload) breaks
-them.  The path uses no BLAS and no ``exp``, so the digests do not depend
-on the BLAS build.  To re-pin them after a deliberate change of values,
-run ``PYTHONPATH=src python tests/test_kernel_digests.py``.
+The pinned digests were taken before the kernel last changed, and
+``EXACT_DIGESTS`` before the exact path read ``pp_tables``; a change that
+moves any value by one bit (a signed zero, a NaN's payload) breaks them.
+The kernel uses no BLAS and no ``exp``, so its digests do not depend on
+the BLAS build; the exact path's matrix products and silu' do, so
+``EXACT_DIGESTS`` holds for one numpy build.  To re-pin them after a
+deliberate change of values, run
+``PYTHONPATH=src python tests/test_kernel_digests.py``.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from frkan.knots import exact_breakpoints
+from frkan.layers import FRKANLayer, KANLayer, MLPLayer, Network
 from frkan.splines import (
     basis_matrix,
     basis_window_on_tape,
@@ -88,6 +98,27 @@ PP_DIGESTS = {
     (3, 5, True): "77cfdbd41c9ab9b6266db9eeb3633babeee83bae31a542767f6eaaddc4684a6f",
     (3, 20, False): "d076ea7d5dc757aa840fdb4b67665491a34039e0d64d514262cc3592a9117366",
     (3, 20, True): "9ab6ff0837cb87acb250ca6351ecdca35572aa877d57e5b100f3017dec7bdb74",
+}
+
+EXACT_SEEDS = range(16)
+
+EXACT_DIGESTS = {
+    0: "19c3f8275ffa76fc68c4927e9c92a36a813ee7d54c27243445c433292fc22d59",
+    1: "eb838f7232cb981d17ad00da208f5d948882b7806b52e38609b796b7d01fc388",
+    2: "d8255f31a86b42f403622addd9ca3e5e6a6a0e102b93ea7ff47e104e2b594fff",
+    3: "49d6384c3ac1e8362bec349b4ec4acf03046a84aa2c0460a665430c92648e9c3",
+    4: "982b6fa1af9d73c8a0c3bce6f7b46673b45579f27ad1e0a5291d7832c778e888",
+    5: "2f8cb7d347e205c3ad7755bf0c3a2aa96c4e89355d58d9628b8708c7f718a891",
+    6: "871c3c24744f914c078fafd458ceafc79a5020f690d2fb36e79ec3cfb190c729",
+    7: "49a40dd5ccc5c9a89607ceb998e15804f50c446d7c2862c9f1bfe49c3cd581c3",
+    8: "d447809ca50f57bb31f777b713730f6ccfa8f25530f46590439b15388ad49edd",
+    9: "dbed8f2f64269dc6431ed240bf064d76811e47493d987ffc1665ebd03dee8a71",
+    10: "5c3cff6b97568370857e169a2eaacc1738834092c87f8256f31ea0b4e1ed2ff5",
+    11: "2db578fcb6a3f0ad97d2b3110a4e09f21e873fdc7a272829e772449a925a9984",
+    12: "0f2caacd8c54f27b5d35062ca896aebe2bdd12bed01a2f4739efcfd52fd95a8c",
+    13: "5a9f203b30842239a3b259c249890df5528ca629d74d39e16a0223c4d2a97cc3",
+    14: "0b6d795476d61281c9f3799bdc83e44b8fef0334b0df97b54ab694966380fa92",
+    15: "1a0c57a5335ab1b55ce8efb7506024a87d44841aaf48a6946fd1142ceeee7ca2",
 }
 
 
@@ -163,6 +194,41 @@ def pp_digest(K, G, shifted):
     return h.hexdigest()
 
 
+def _k1_stack(rng, last_silu):
+    """A random stack the exact path takes: K=1 spline and MLP layers."""
+    kv = make_uniform_grid(-1.0, 1.0, int(rng.integers(2, 9)), 1)
+    widths = [int(w) for w in rng.integers(1, 4, size=int(rng.integers(2, 5)))]
+    mods = []
+    for k, (d, o) in enumerate(zip(widths, widths[1:])):
+        silu = last_silu and k == len(widths) - 2
+        kind = str(rng.choice(["kan", "frkan", "relu", "identity"]))
+        if kind == "kan":
+            mods.append(KANLayer(d, o, kv, rng.normal(size=(d, o, kv.n_bases)),
+                                 rng.normal(size=(d, o)), rng.normal(size=(d, o)),
+                                 silu_path=silu))
+        elif kind == "frkan":
+            h = int(rng.integers(1, d + 1))
+            shifts = np.stack([init_shift(kv, rng.choice([8.0, 1.05, 0.3]), rng)
+                               for _ in range(h)])
+            mods.append(FRKANLayer(d, o, h, -1.0, 1.0, kv.G, 1, rng.normal(size=(h, kv.n_bases)),
+                                   shifts, rng.normal(size=(d, o)), silu_path=silu))
+        else:
+            mods.append(MLPLayer(rng.normal(size=(d, o)), rng.normal(size=o), kind))
+    return Network(mods)
+
+
+def exact_digest(seed):
+    rng = np.random.default_rng(seed)
+    net = _k1_stack(rng, seed % 2 == 1)
+    h = hashlib.sha256()
+    for _ in range(4):
+        lo = rng.uniform(-3.0, 0.0)
+        direction = None if rng.random() < 0.25 else rng.normal(size=net.d_in)
+        report = exact_breakpoints(net, lo, lo + rng.uniform(0.1, 4.0), direction)
+        h.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("K, G, shifted", GRIDS)
 def test_kernel_outputs_keep_their_digest(K, G, shifted):
     assert kernel_digest(K, G, shifted) == DIGESTS[K, G, shifted]
@@ -173,9 +239,18 @@ def test_pp_tables_keep_their_digest(K, G, shifted):
     assert pp_digest(K, G, shifted) == PP_DIGESTS[K, G, shifted]
 
 
+@pytest.mark.parametrize("seed", EXACT_SEEDS)
+def test_exact_reports_keep_their_digest(seed):
+    assert exact_digest(seed) == EXACT_DIGESTS[seed]
+
+
 if __name__ == "__main__":
     for name, digest in (("DIGESTS", kernel_digest), ("PP_DIGESTS", pp_digest)):
         print(f"{name} = {{")
         for grid in GRIDS:
             print(f"    {grid}: \"{digest(*grid)}\",")
         print("}")
+    print("EXACT_DIGESTS = {")
+    for seed in EXACT_SEEDS:
+        print(f"    {seed}: \"{exact_digest(seed)}\",")
+    print("}")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from frkan.autodiff import NonFiniteValue
 from frkan.knots import (
     UnsupportedOrder,
+    _pieces_through,
     _report,
     _runs,
     audit_network_knots,
@@ -25,7 +26,15 @@ from frkan.knots import (
     scan_breakpoints,
     slice_map,
 )
-from frkan.layers import FRKANLayer, GridConfig, KANLayer, MLPLayer, Network, init_network
+from frkan.layers import (
+    FRKANLayer,
+    GridConfig,
+    KANLayer,
+    MLPLayer,
+    Network,
+    init_network,
+    sum_outputs,
+)
 from frkan.splines import init_shift, make_uniform_grid
 
 
@@ -105,8 +114,19 @@ class TestScanBreakpoints:
         with pytest.raises(NonFiniteValue):
             scan_breakpoints(f, -1, 1, samples=2_000)
 
-    def test_scalar_only_callable_is_evaluated_point_by_point(self):
-        report = scan_breakpoints(lambda x: x if x > 0.25 else 0.25, -1, 1, samples=2_000)
+    def test_callable_without_one_value_per_point_is_rejected(self):
+        with pytest.raises(ValueError, match=r"\(2000,\) points .* shape \(\)"):
+            scan_breakpoints(lambda x: 0.25, -1, 1, samples=2_000)
+        kv = make_uniform_grid(-1, 1, 5, 1)
+        net = Network([KANLayer(1, 1, kv, np.ones((1, 1, kv.n_bases)), np.ones((1, 1)),
+                                np.zeros((1, 1)), silu_path=False)])
+        with pytest.raises(ValueError, match=r"\(2000,\) points .* shape \(2000, 1\)"):
+            scan_breakpoints(lambda t: net.forward_batch(np.atleast_1d(t)[:, None]),
+                             -1, 1, samples=2_000)
+
+    def test_vectorized_scalar_function_is_scanned(self):
+        f = np.vectorize(lambda x: x if x > 0.25 else 0.25)
+        report = scan_breakpoints(f, -1, 1, samples=2_000)
         assert report.interior_count == 1
         assert report.positions[0] == pytest.approx(0.25, abs=1e-6)
 
@@ -119,7 +139,7 @@ class TestScanBreakpoints:
 
         with pytest.raises(ZeroDivisionError):
             scan_breakpoints(f, -1, 1, samples=2_000)
-        assert calls == [(2,)]
+        assert calls == [(2_000,)]
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
@@ -554,6 +574,50 @@ class TestExactPath:
         report = exact_breakpoints(net, -1.0, 1.0)
         np.testing.assert_array_equal(report.positions, [0.0])
         np.testing.assert_allclose(report.slope_jumps, [1.5])
+
+
+class TestPropagatedForms:
+    """The exact path's per-piece forms against the forward pass."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(layers=st.lists(st.tuples(st.sampled_from(["kan", "frkan", "relu", "identity"]),
+                                     st.integers(1, 3), st.sampled_from([8.0, 1.05, 0.3])),
+                           min_size=1, max_size=3),
+           d_in=st.integers(1, 2), G=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+           lo=st.floats(-3.0, 0.0), width=st.floats(0.1, 4.0))
+    def test_forms_match_the_forward_pass_at_every_piece(self, layers, d_in, G, seed, lo,
+                                                         width):
+        # FR-KAN shifts at Z = 0.3 clamp some gaps to min_gap; the slice may
+        # reach past [a, b] = [-1, 1], where the splines read 0
+        rng = np.random.default_rng(seed)
+        kv = make_uniform_grid(-1.0, 1.0, G, 1)
+        mods, d = [], d_in
+        for kind, out, Z in layers:
+            if kind == "kan":
+                mods.append(KANLayer(d, out, kv, rng.normal(size=(d, out, kv.n_bases)),
+                                     rng.normal(size=(d, out)), rng.normal(size=(d, out)),
+                                     silu_path=False))
+            elif kind == "frkan":
+                h = int(rng.integers(1, d + 1))
+                shifts = np.stack([init_shift(kv, Z, rng) for _ in range(h)])
+                mods.append(FRKANLayer(d, out, h, -1.0, 1.0, G, 1, rng.normal(size=(h, G + 1)),
+                                       shifts, rng.normal(size=(d, out)), silu_path=False))
+            else:
+                mods.append(MLPLayer(rng.normal(size=(d, out)), rng.normal(size=out), kind))
+            d = out
+        summed = sum_outputs(Network(mods))
+        direction = rng.normal(size=d_in)
+        T = np.array([lo, lo + width])
+        alpha, beta = np.zeros((1, d_in)), direction[None, :]
+        for mod in summed.modules:
+            T, _, _, alpha, beta = _pieces_through(mod, T, alpha, beta)
+        mid = 0.5 * (T[:-1] + T[1:])
+        y = summed.forward_batch(np.multiply.outer(mid, direction))[:, 0]
+        # a piece far from t = 0 carries an intercept that its slope term
+        # cancels, so the scale takes in both terms
+        term = np.abs(alpha[:, 0]) + np.abs(beta[:, 0] * mid)
+        scale = max(1.0, np.abs(y).max(), term.max())
+        np.testing.assert_allclose(alpha[:, 0] + beta[:, 0] * mid, y, rtol=0, atol=1e-12 * scale)
 
 
 def _cross_check_cases():

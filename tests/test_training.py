@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from frkan.autodiff import NonFiniteGradient, NonFiniteValue, finite_difference_check
 from frkan.layers import FRKANLayer, GridConfig, MLPLayer, Network, init_network
-from frkan.tasks import DatasetSplit, generate_classification, generate_runge
+from frkan.tasks import DatasetSplit, generate_classification, generate_feynman, generate_runge
 from frkan.training import (
     AdamState,
     EmptySplit,
@@ -250,6 +250,22 @@ class TestEvaluate:
                              task="classification", manifest={})
         with pytest.raises(EmptySplit):
             evaluate(net, empty)
+
+    def test_multi_output_training_is_evaluated(self):
+        data = generate_feynman("I.6.2", 100, 1)
+        net = init_network("in:2 -> mlp:4 -> out:2", seed=0)
+        record, net = train(net, data, TrainConfig(max_steps=3))
+        X, y = data.split("test")
+        want = np.sqrt(np.mean((net.forward_batch(X) - y[:, None]) ** 2))
+        assert record.final_metric == want
+
+    def test_rmse_is_the_losss_when_outputs_match_the_split_size(self):
+        # d_out = test-split size must not pair output o with sample o
+        data = generate_feynman("I.6.2", 30, 1)
+        X, y = data.split("test")
+        net = init_network(f"in:2 -> mlp:4 -> out:{len(y)}", seed=0)
+        _, _, info = regularized_loss(net, X, y, 0.0)
+        assert evaluate(net, data) == pytest.approx(np.sqrt(info["task_loss"]), rel=1e-12)
 
 
 class TestTrainLoop:
