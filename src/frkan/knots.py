@@ -29,7 +29,11 @@ them to ``_report``, the one step that merges, thresholds and counts:
   narrowed by intersecting the linear pieces on both sides, and refinement
   stops once no candidate moves by more than the resolution (hi-lo)/2^40.
   The depth 40 is a constant, not a parameter; the report shows it as
-  ``detector.refinement_depth``.
+  ``detector.refinement_depth``.  The scanner keeps only the lattice's
+  values, 8 bytes a sample: it evaluates the callable on one
+  ``EVAL_CHUNK_ROWS`` block of points at a time and flags the samples
+  block by block in buffers allocated once per scan, so its memory is the
+  values plus one block (about 9.5 bytes a sample at 2M samples).
 
 Candidates closer than the merge tolerance (a fraction of the slice
 width) are merged and their jumps summed; a merged breakpoint counts when
@@ -48,7 +52,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import NonFiniteValue
-from .layers import SPLINE_KINDS, KANLayer, MLPLayer, Network, _silu_slope, sum_outputs
+from .layers import (EVAL_CHUNK_ROWS, SPLINE_KINDS, KANLayer, MLPLayer, Network, _silu_slope,
+                     sum_outputs)
 from .splines import make_uniform_grid, pp_tables
 
 
@@ -213,44 +218,106 @@ def _values(f, pts):
     return y
 
 
+def _lattice(lo, hi, samples, idx):
+    """Points ``idx`` of ``np.linspace(lo, hi, samples)``, bit for bit: idx
+    times the step, plus lo, and hi at the last index."""
+    lo, hi = float(lo), float(hi)
+    t = idx * ((hi - lo) / (samples - 1))
+    t += lo
+    t[idx == samples - 1] = hi
+    return t
+
+
+def _lattice_values(f, lo, hi, samples):
+    """f on the lattice, one ``EVAL_CHUNK_ROWS`` block of points per call,
+    the lattice step, and the largest |slope| between neighbouring samples."""
+    y = np.empty(samples)
+    dt = np.diff(_lattice(lo, hi, samples, np.arange(2)))[0]
+    slopes = np.empty(min(EVAL_CHUNK_ROWS, samples))
+    max_slope = 0.0
+    for i0 in range(0, samples, EVAL_CHUNK_ROWS):
+        i1 = min(i0 + EVAL_CHUNK_ROWS, samples)
+        t = _lattice(lo, hi, samples, np.arange(i0, i1))
+        block = y[i0:i1]
+        block[:] = _values(f, t)
+        finite = np.isfinite(block)
+        if not finite.all():
+            raise NonFiniteValue(f"function not finite near x={t[~finite][0]!r}")
+        run = y[max(i0 - 1, 0):i1]      # with the sample before the block
+        s = np.subtract(run[1:], run[:-1], out=slopes[:run.size - 1])
+        s /= dt
+        max_slope = max(max_slope, float(np.max(np.abs(s, out=s))))
+    return y, dt, max_slope
+
+
+def _flagged(y, dt, thr):
+    """Indices k of the flagged second differences d2[k] of the samples
+    ``y``, found one block at a time in buffers allocated once.
+
+    d2[k] is flagged when |d2[k]| > thr, or when it belongs to a pair: a
+    kink between two samples splits its jump over two adjacent second
+    differences, so a pair whose sum clears the threshold, though neither
+    does alone, flags both when it stands alone, with both outer
+    neighbours below half the threshold.  A smooth curve whose second
+    differences all sit between thr/2 and thr has no such pair.  A block
+    reads two second differences past each end, where the pairs touching
+    it find their quiet neighbours.
+    """
+    n2 = y.size - 2
+    size = min(EVAL_CHUNK_ROWS, n2) + 4
+    s, d2, a = np.empty(size + 1), np.empty(size), np.empty(size)
+    big, small, pair = np.empty(size, bool), np.empty(size, bool), np.empty(size - 1, bool)
+    quiet = np.empty(size + 2, bool)
+    found = []
+    for k0 in range(0, n2, EVAL_CHUNK_ROWS):
+        k1 = min(k0 + EVAL_CHUNK_ROWS, n2)
+        e0, e1 = max(k0 - 2, 0), min(k1 + 2, n2)     # d2[e0:e1], slopes e0..e1
+        m = e1 - e0
+        sl = np.subtract(y[e0 + 1:e1 + 2], y[e0:e1 + 1], out=s[:m + 1])
+        sl /= dt
+        dd = np.subtract(sl[1:], sl[:-1], out=d2[:m])
+        ad = np.abs(dd, out=a[:m])
+        bg = np.greater(ad, thr, out=big[:m])
+        sm = np.logical_not(bg, out=small[:m])
+        q = quiet[:m + 2]
+        q[0] = q[-1] = True     # the lattice's ends; at a block edge only pairs outside it
+        np.less(ad, 0.5 * thr, out=q[1:-1])
+        pr = pair[:m - 1]
+        both = np.add(dd[:-1], dd[1:], out=a[:m - 1])    # |d2| is no longer needed
+        np.greater(np.abs(both, out=both), thr, out=pr)
+        pr &= sm[:-1]
+        pr &= sm[1:]
+        pr &= q[:-3]
+        pr &= q[3:]
+        bg[:-1] |= pr
+        bg[1:] |= pr
+        found.append(np.flatnonzero(bg[k0 - e0:k1 - e0]) + k0)
+    return np.concatenate(found)
+
+
 def scan_breakpoints(f, lo: float, hi: float, samples: int = DEFAULT_SAMPLES,
                      merge_tolerance: float | None = None) -> BreakpointReport:
     """Locate slope discontinuities of a piecewise-linear scalar map ``f``,
-    which takes an array of points and returns one value per point."""
+    which takes an array of points and returns one value per point.
+
+    ``f`` sees the lattice ``np.linspace(lo, hi, samples)`` one
+    ``EVAL_CHUNK_ROWS`` block at a time; only its values stay, 8 bytes a
+    sample, and the flags are found block by block.
+    """
     if samples < MIN_SAMPLES:
         raise ValueError(f"need samples >= {MIN_SAMPLES}, got {samples}")
     if hi <= lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
-    t = np.linspace(lo, hi, samples)
-    y = _values(f, t)
-    if not np.all(np.isfinite(y)):
-        bad = t[~np.isfinite(y)][0]
-        raise NonFiniteValue(f"function not finite near x={bad!r}")
-
-    dt = t[1] - t[0]
-    slopes = np.diff(y) / dt
-    max_slope = float(np.max(np.abs(slopes))) if slopes.size else 0.0
+    y, dt, max_slope = _lattice_values(f, lo, hi, samples)
     thr = RELATIVE_SLOPE_THRESHOLD * max_slope
     tol = merge_tolerance if merge_tolerance is not None else RELATIVE_MERGE_TOLERANCE * (hi - lo)
 
-    # a kink between two samples splits its jump over two adjacent second
-    # differences: a pair whose sum clears the threshold, though neither
-    # does alone, flags both when it stands alone, with both outer
-    # neighbours below half the threshold; a smooth curve whose second
-    # differences all sit between thr/2 and thr has no such pair
-    d2 = np.diff(slopes)
-    big = np.abs(d2) > thr
-    quiet = np.pad(np.abs(d2) < 0.5 * thr, 1, constant_values=True)
-    pair = ((np.abs(d2[:-1] + d2[1:]) > thr) & ~big[:-1] & ~big[1:]
-            & quiet[:-3] & quiet[3:])
-    big[:-1] |= pair
-    big[1:] |= pair
-    flagged = np.flatnonzero(big)
+    flagged = _flagged(y, dt, thr)
     c0, c1 = _runs(flagged)       # one candidate bracket [L, R] per run
-    L, R = t[c0], t[c1 + 2]
+    L, R = _lattice(lo, hi, samples, c0), _lattice(lo, hi, samples, c1 + 2)
     tau = 0.5 * (L + R)
     w = 0.5 * (R - L) + dt
-    jumps = slopes[c1 + 1] - slopes[c0]
+    jumps = (y[c1 + 2] - y[c1 + 1]) / dt - (y[c0 + 1] - y[c0]) / dt
     passes = 0
     if c0.size:
         # Refine each bracket by intersecting the linear pieces on both
@@ -344,7 +411,7 @@ def _pieces_through(mod, T, alpha, beta):
         r = np.arange(len(c)).reshape(mod.d_in, mod.d_out)
         col_knots = [(slice(None), knots[0])]
     else:
-        origin, Q = pp_tables(knots, 1, mod.coefficients)
+        origin, Q = mod.pp_form()
         r = mod.group_of(np.arange(mod.d_in))[:, None]
         col_knots = [(mod.group_columns(g), knots[g]) for g in range(mod.h)]
     T, parent, mid = _refine(T, alpha, beta, col_knots)

@@ -59,11 +59,18 @@ from .splines import (
 )
 
 CHECKPOINT_SCHEMA = 1
-# Rows per block of the cache-free ``Network.forward_batch``.  Every layer is
-# row-wise, so blocks bound the intermediates' memory and change no value
-# beyond the last bits of a matrix product whose BLAS kernel depends on its
-# size.  Of 2k to 64k rows, 16k ran a 200k-point audit fastest.
-EVAL_CHUNK_ROWS = 16384
+# Rows per block of the cache-free ``Network.forward_batch`` and of the knot
+# scanner's lattice.  Every layer is row-wise, so blocks bound the
+# intermediates' memory and change no value beyond the last bits of a matrix
+# product whose BLAS kernel depends on its size: past one block, outputs may
+# differ in their last bits from one pass over all rows, or from another
+# block size (the audit lattices read the same at 8k and 16k).  Of 2k to 32k
+# rows, 8k ran a 200k-sample hidden-SiLU audit fastest (in:2 -> frkan:8 ->
+# frkan:1; medians of 38 interleaved audits on a 2-vCPU Xeon: 46.1, 44.1,
+# 43.6, 65.1 and 70.7 ms at 2k, 4k, 8k, 16k and 32k).  From 16k up, glibc
+# trims and refaults each block's temporaries: about 14,800 minor faults per
+# audit, against about 400 at 8k.
+EVAL_CHUNK_ROWS = 8192
 
 
 class BadArchitecture(Exception):
@@ -84,12 +91,21 @@ def _check_widths(**widths):
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) otherwise, so
     # exp never overflows; exp(-|x|) is the one exponential either needs.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # In place, with one block temporary: exp(-|x|) lies in [0, 1], so its
+    # maximum with (x >= 0) is 1 where x >= 0 and itself elsewhere, NaN kept.
+    e = np.abs(x, dtype=float)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    np.maximum(e, x >= 0, out=e)
+    e /= d
+    return e
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    return x * _sigmoid(x)
+    # x first, as in x * sigmoid(x): a product of two NaNs keeps the first's bits
+    s = _sigmoid(x)
+    return np.multiply(x, s, out=s)
 
 
 def _silu_slope(x: np.ndarray, s=None) -> np.ndarray:
@@ -97,7 +113,10 @@ def _silu_slope(x: np.ndarray, s=None) -> np.ndarray:
     is sigmoid(x) when the caller has it."""
     if s is None:
         s = _sigmoid(x)
-    return s * (1.0 + x * (1.0 - s))
+    d = 1.0 - s
+    np.multiply(x, d, out=d)
+    d += 1.0
+    return np.multiply(s, d, out=d)
 
 
 def _record_layer(self, tape, bind, label, xs):
@@ -272,6 +291,7 @@ class FRKANLayer:
         if self.A.shape != (d_in, d_out):
             raise BadArchitecture(f"A must be {(d_in, d_out)}")
         self._plan = (None, None)   # the knot plan and the shifts it was built from
+        self._pp = (None, None, None)   # the plan and coefficients converted, the pp tables
 
     def group_of(self, i):
         return i * self.h // self.d_in
@@ -308,6 +328,19 @@ class FRKANLayer:
         """Row g: the effective knots of group g (read-only)."""
         return self.knot_plan()[0]
 
+    def pp_form(self):
+        """``pp_tables`` of the groups' knots and coefficients, read-only,
+        cached like ``knot_plan`` on the plan and the coefficients' contents,
+        so the blocks of one cache-free pass share one conversion."""
+        plan = self.knot_plan()
+        key = (self.coefficients.shape, self.coefficients.tobytes())
+        if self._pp[0] is not plan or self._pp[1] != key:
+            tables = pp_tables(plan[0], self.kv.K, self.coefficients)
+            for a in tables:
+                a.flags.writeable = False
+            self._pp = (plan, key, tables)
+        return self._pp[2]
+
     def spline_groups(self):
         return [SplineGroup(self.kv, coef, shift)
                 for shift, coef in zip(self.shifts, self.coefficients)]
@@ -322,7 +355,7 @@ class FRKANLayer:
             # comes first, into the output, so no second block-sized
             # temporary stays alive (glibc would trim and refault it).
             XT = np.ascontiguousarray(X.T, dtype=float)
-            origin, Q = pp_tables(plan[0], K, self.coefficients)
+            origin, Q = self.pp_form()
             pre = _silu(XT) if self.silu_path else np.zeros_like(XT)
             for g in range(self.h):
                 cols = self.group_columns(g)

@@ -16,13 +16,19 @@ with fixed coefficients, for each knot row and for the knot matrix.
 JSON with sorted keys) on seeded random K=1 stacks of KAN, FR-KAN (shifts
 at Z 8, 1.05 and 0.3) and ReLU/identity MLP layers, four slices each,
 some reaching past [a, b]; odd seeds keep the last layer's SiLU.
+``SCAN_DIGESTS`` covers ``scan_breakpoints``' reports at 200k samples on
+seeded random K=1 KAN and FR-KAN stacks whose hidden layers keep the
+SiLU, so the exact path does not apply: one slice along each input axis
+of the summed output, ``slice_map``, over a range that may pass [a, b].
 
-The pinned digests were taken before the kernel last changed, and
-``EXACT_DIGESTS`` before the exact path read ``pp_tables``; a change that
-moves any value by one bit (a signed zero, a NaN's payload) breaks them.
-The kernel uses no BLAS and no ``exp``, so its digests do not depend on
-the BLAS build; the exact path's matrix products and silu' do, so
-``EXACT_DIGESTS`` holds for one numpy build.  To re-pin them after a
+The pinned digests were taken before the kernel last changed,
+``EXACT_DIGESTS`` before the exact path read ``pp_tables``, and
+``SCAN_DIGESTS`` while the scanner still evaluated its whole lattice in
+one array; a change that moves any value by one bit (a signed zero, a
+NaN's payload) breaks them.  The kernel uses no BLAS and no ``exp``, so
+its digests do not depend on the BLAS build; the exact path's and the
+scanner's matrix products and SiLU do, so ``EXACT_DIGESTS`` and
+``SCAN_DIGESTS`` hold for one numpy build.  To re-pin them after a
 deliberate change of values, run
 ``PYTHONPATH=src python tests/test_kernel_digests.py``.
 """
@@ -33,7 +39,7 @@ import json
 import numpy as np
 import pytest
 
-from frkan.knots import exact_breakpoints
+from frkan.knots import exact_breakpoints, scan_breakpoints, slice_map
 from frkan.layers import FRKANLayer, KANLayer, MLPLayer, Network
 from frkan.splines import (
     basis_matrix,
@@ -119,6 +125,24 @@ EXACT_DIGESTS = {
     13: "5a9f203b30842239a3b259c249890df5528ca629d74d39e16a0223c4d2a97cc3",
     14: "0b6d795476d61281c9f3799bdc83e44b8fef0334b0df97b54ab694966380fa92",
     15: "1a0c57a5335ab1b55ce8efb7506024a87d44841aaf48a6946fd1142ceeee7ca2",
+}
+
+
+SCAN_SEEDS = range(12)
+
+SCAN_DIGESTS = {
+    0: "a71c9865017487f7e457333b8998214eddebfe1957e3e9fb3cd372613164d539",
+    1: "abfb66ab46cb0e866d0f18635cb0f8a9b2c3bdaeff90c459d56139ef108de3f8",
+    2: "4d1fa377bc585eb340993e9c8d8475b7483de3cad548ebacbc0fc126633d0bef",
+    3: "6e816502d3ba90c5ea83e545c81a7c0213d9cf672548cd19a9675a521bf3a7fe",
+    4: "a20032f38f97b0c624003b77a73d26fa9b569b0736ae9c0e1640b1754794688b",
+    5: "0ce966b134b16e66a4af64ea7937509ebed3fb9570e6147a61713b909d9997c9",
+    6: "71ee21ad9b60823d46e94fde49f4dd19cc092524bba1ddc6aaa28a983d7c85b0",
+    7: "edff973a3ca145ae1d68d968bf6c74a8ae6edcda643a590fe55289b3cd4678f7",
+    8: "b605dd12a14d24948df6c23cf03d47b7439bc7d4d85a1f7ba07f5012d967f026",
+    9: "c90a83101112a87a0524cff432c2329e37004dbde0eaea430875c47be525dee4",
+    10: "bb6fe5ac2835fbbaecde200333efb5b40a98a92a159da39e44a0b95a018d9f41",
+    11: "e99d46e667a0ac55b8f2b8ab4b295e67bed6220af56d29b27784be38d99dc0fe",
 }
 
 
@@ -229,6 +253,38 @@ def exact_digest(seed):
     return h.hexdigest()
 
 
+def _silu_stack(rng):
+    """A random K=1 stack of KAN and FR-KAN layers, every one with the
+    SiLU shortcut, so its slice goes to the scanner."""
+    G = int(rng.integers(2, 9))
+    kv = make_uniform_grid(-1.0, 1.0, G, 1)
+    widths = [int(w) for w in rng.integers(1, 4, size=int(rng.integers(3, 5)))]
+    mods = []
+    for d, o in zip(widths, widths[1:]):
+        if rng.random() < 0.5:
+            mods.append(KANLayer(d, o, kv, rng.normal(size=(d, o, kv.n_bases)),
+                                 rng.normal(size=(d, o)), rng.normal(size=(d, o))))
+        else:
+            h = int(rng.integers(1, d + 1))
+            shifts = np.stack([init_shift(kv, rng.choice([8.0, 1.05, 0.3]), rng)
+                               for _ in range(h)])
+            mods.append(FRKANLayer(d, o, h, -1.0, 1.0, G, 1, rng.normal(size=(h, kv.n_bases)),
+                                   shifts, rng.normal(size=(d, o))))
+    return Network(mods)
+
+
+def scan_digest(seed):
+    rng = np.random.default_rng([seed, 28])
+    net = _silu_stack(rng)
+    h = hashlib.sha256()
+    for axis in np.eye(net.d_in):
+        lo = rng.uniform(-1.5, -0.5)
+        report = scan_breakpoints(slice_map(net, axis), lo, lo + rng.uniform(1.0, 2.5),
+                                  samples=200_000)
+        h.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("K, G, shifted", GRIDS)
 def test_kernel_outputs_keep_their_digest(K, G, shifted):
     assert kernel_digest(K, G, shifted) == DIGESTS[K, G, shifted]
@@ -244,13 +300,20 @@ def test_exact_reports_keep_their_digest(seed):
     assert exact_digest(seed) == EXACT_DIGESTS[seed]
 
 
+@pytest.mark.parametrize("seed", SCAN_SEEDS)
+def test_scan_reports_keep_their_digest(seed):
+    assert scan_digest(seed) == SCAN_DIGESTS[seed]
+
+
 if __name__ == "__main__":
     for name, digest in (("DIGESTS", kernel_digest), ("PP_DIGESTS", pp_digest)):
         print(f"{name} = {{")
         for grid in GRIDS:
             print(f"    {grid}: \"{digest(*grid)}\",")
         print("}")
-    print("EXACT_DIGESTS = {")
-    for seed in EXACT_SEEDS:
-        print(f"    {seed}: \"{exact_digest(seed)}\",")
-    print("}")
+    for name, digest, seeds in (("EXACT_DIGESTS", exact_digest, EXACT_SEEDS),
+                                ("SCAN_DIGESTS", scan_digest, SCAN_SEEDS)):
+        print(f"{name} = {{")
+        for seed in seeds:
+            print(f"    {seed}: \"{digest(seed)}\",")
+        print("}")

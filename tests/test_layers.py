@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from frkan import splines, training
 from frkan.autodiff import Tape
@@ -25,6 +26,7 @@ from frkan.layers import (
     Network,
     _sigmoid,
     _silu as layers_silu,
+    _silu_slope,
     init_network,
     load_checkpoint,
     param_count,
@@ -185,6 +187,13 @@ def _sigmoid_two_masks(x):
     return out
 
 
+def _where_sigmoid(x):
+    # The sigmoid as written before it ran in place, and below it silu and
+    # silu' from it: the references the in-place forms must match bit for bit.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 class TestSigmoid:
     def test_matches_two_mask_reference_bit_for_bit(self):
         special = np.array([0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, 1000.0, -1000.0,
@@ -194,6 +203,20 @@ class TestSigmoid:
         assert np.array_equal(_sigmoid(x), want, equal_nan=True)
         with np.errstate(invalid="ignore"):   # -inf * 0
             assert np.array_equal(layers_silu(x), x * want, equal_nan=True)
+
+    @settings(max_examples=100)
+    @given(arrays(np.float64, array_shapes(max_dims=3, max_side=6),
+                  elements=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                                     st.sampled_from([0.0, -0.0, 745.2, -745.2, 746.0, -746.0,
+                                                      800.0, -800.0, 1e300, -1e300]))))
+    def test_matches_the_where_expressions_bit_for_bit(self, x):
+        s = _where_sigmoid(x)
+        with np.errstate(invalid="ignore", over="ignore"):   # inf * 0, inf - inf
+            pairs = [(_sigmoid(x), s), (layers_silu(x), x * s),
+                     (_silu_slope(x), s * (1.0 + x * (1.0 - s))),
+                     (_silu_slope(x, s), s * (1.0 + x * (1.0 - s)))]
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestForwardLeavesInputsAlone:
@@ -542,6 +565,25 @@ class TestFixedCostPerStep:
         layers = len(net.spline_layers())
         assert built == ["loss"] * layers + ["check"] * layers * steps
 
+    def test_cache_free_blocks_share_one_pp_conversion(self, tmp_path):
+        net, _ = self._net_and_data("in:2 -> frkan:4 -> frkan:3 -> out:1")
+        X = np.random.default_rng(5).uniform(-2.5, 2.5, (2 * EVAL_CHUNK_ROWS + 7, 2))
+        first = net.spline_layers()[0]
+        with mock.patch("frkan.layers.pp_tables", wraps=splines.pp_tables) as spy:
+            net.forward_batch(X)
+            net.forward_batch(X)
+            layers = len(net.spline_layers())
+            assert spy.call_count == layers     # one per FR-KAN layer, not per block
+            first.coefficients[0, 1] += 0.5
+            changed = net.forward_batch(X)
+            assert spy.call_count == layers + 1
+            first.shifts[0, 1] += 0.05
+            shifted = net.forward_batch(X)
+            assert spy.call_count == layers + 2
+        save_checkpoint(net, tmp_path / "net.json")
+        assert load_checkpoint(tmp_path / "net.json").forward_batch(X).tobytes() == shifted.tobytes()
+        assert changed.tobytes() != shifted.tobytes()
+
     def test_a_fixed_grid_builds_its_kernel_tables_once(self):
         net, data = self._net_and_data("in:2 -> kan:3 -> out:1")
         X, y = data.split("train")
@@ -845,8 +887,10 @@ def _networks(draw, min_width=1):
 
 
 class TestEvaluationInBlocks:
-    @pytest.mark.parametrize("n", [0, 1, EVAL_CHUNK_ROWS - 1, EVAL_CHUNK_ROWS,
-                                   EVAL_CHUNK_ROWS + 1, 2 * EVAL_CHUNK_ROWS + 7])
+    @pytest.mark.parametrize("n", [0, 1, pytest.param(EVAL_CHUNK_ROWS - 1, id="block-1"),
+                                   pytest.param(EVAL_CHUNK_ROWS, id="block"),
+                                   pytest.param(EVAL_CHUNK_ROWS + 1, id="block+1"),
+                                   pytest.param(2 * EVAL_CHUNK_ROWS + 7, id="2block+7")])
     @settings(max_examples=10)
     @given(case=_networks(min_width=2))
     def test_blocks_match_one_pass_over_all_rows(self, n, case):
